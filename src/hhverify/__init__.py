@@ -71,6 +71,7 @@ from .verify import (
     search_min_margin,
     sweep,
     verify_theorem,
+    verify_theorems,
 )
 
 __version__ = "0.1.0"
@@ -99,5 +100,5 @@ __all__ = [
     "HYP_PASS", "HYP_FAIL", "HYP_SKIPPED",
     "ReportParams", "InequalityReport", "MinMargin", "SweepSummary",
     "SearchResult", "effective_class_params", "margin_tolerance",
-    "replay_verdict", "verify_theorem", "sweep", "search_min_margin",
+    "replay_verdict", "verify_theorem", "verify_theorems", "sweep", "search_min_margin",
 ]

@@ -50,6 +50,7 @@ from .verify import (
     search_min_margin,
     sweep,
     verify_theorem,
+    verify_theorems,
 )
 
 __all__ = [
@@ -405,14 +406,11 @@ def _cmd_check(args) -> int:
     seed = _resolve_seed(args.seed)
     _validate_tol(args.tol)
     iv = Interval(args.a, args.b)
-    reports = [
-        verify_theorem(
-            theorem, f, iv, m=args.m, alpha=args.alpha, variant=args.variant, tol=args.tol,
-            check_hypothesis=args.hypothesis == "on", grid_n=args.grid_n, tol_rel=args.tol_rel,
-            seed=seed, family=family,
-        )
-        for theorem in theorems
-    ]
+    reports = verify_theorems(
+        theorems, f, iv, m=args.m, alpha=args.alpha, variant=args.variant, tol=args.tol,
+        check_hypothesis=args.hypothesis == "on", grid_n=args.grid_n, tol_rel=args.tol_rel,
+        seed=seed, family=family,
+    )
     _emit_reports(args, reports, with_params=False)
     return _exit_code(reports)
 

@@ -27,6 +27,7 @@ failure recorded in diagnostics.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -76,6 +77,7 @@ __all__ = [
     "replay_verdict",
     "effective_class_params",
     "verify_theorem",
+    "verify_theorems",
     "sweep",
     "search_min_margin",
 ]
@@ -207,6 +209,10 @@ _HYP_OFF = _HypOutcome(HYP_SKIPPED, proceed=True)
 _HypLookup = Callable[[ClassParams], _HypOutcome]
 
 
+def _no_class_check(eff: ClassParams) -> _HypOutcome:
+    return _HYP_OFF
+
+
 def _run_class_check(
     f: FunctionExpr,
     domain_upper: float,
@@ -231,16 +237,19 @@ def _run_class_check(
 
 
 class _IntegralCache:
-    """Lazily computed integrals shared by the theorems at one point.
+    """Lazily computed integrals of ``f`` on ``iv``, shared by every report that needs them.
 
-    An integral that raised is cached too, so a second theorem needing it
-    re-raises instead of re-integrating up to the same bad abscissa.
+    None of the integrals depends on alpha, and the mixed kernel is keyed by
+    m, so one cache serves all theorems and all (alpha, m) points on one
+    interval. An integral that raised is cached too, so a second theorem
+    needing it re-raises instead of re-integrating up to the same bad
+    abscissa. A cache lives for one call of the public entry points only.
     """
 
     def __init__(self, f: FunctionExpr, iv: Interval, tol: float):
-        self._f = f
-        self._iv = iv
-        self._tol = tol
+        self.f = f
+        self.iv = iv
+        self.tol = tol
         self._store: dict[str, QuadResult | Exception] = {}
 
     def _get(self, key: str, thunk: Callable[[], QuadResult]) -> QuadResult:
@@ -255,22 +264,22 @@ class _IntegralCache:
         return cached
 
     def mean_f(self) -> QuadResult:
-        return self._get("mean_f", lambda: mean_integral(self._f, self._iv, self._tol))
+        return self._get("mean_f", lambda: mean_integral(self.f, self.iv, self.tol))
 
     def sym_geometric(self) -> QuadResult:
-        s = self._iv.a + self._iv.b
+        s = self.iv.a + self.iv.b
         return self._get(
             "sym_geometric",
-            lambda: mean_integral(sym_geometric_integrand(self._f, s), self._iv, self._tol),
+            lambda: mean_integral(sym_geometric_integrand(self.f, s), self.iv, self.tol),
         )
 
     def mixed_geometric(self, m: float) -> QuadResult:
         if m == 1.0:
             return self.sym_geometric()
-        s = self._iv.a + self._iv.b
+        s = self.iv.a + self.iv.b
         return self._get(
             f"mixed_geometric:{m!r}",
-            lambda: mean_integral(mixed_geometric_integrand(self._f, s, m), self._iv, self._tol),
+            lambda: mean_integral(mixed_geometric_integrand(self.f, s, m), self.iv, self.tol),
         )
 
 
@@ -333,20 +342,18 @@ def _chain_report(theorem: str, chain: ChainValues, variant: str, rp: ReportPara
 
 def _compute_report(
     theorem: str,
-    f: FunctionExpr,
-    iv: Interval,
+    cache: _IntegralCache,
     m: float,
     alpha: float,
     variant: str,
-    tol: float,
-    cache: _IntegralCache,
     rp: ReportParams,
     hyp: str,
 ) -> InequalityReport:
+    f, iv = cache.f, cache.iv
     if theorem == "dr1":
-        return _chain_report(theorem, chain_dr1(f, iv, tol), variant, rp, hyp)
+        return _chain_report(theorem, chain_dr1(f, iv, cache.tol), variant, rp, hyp)
     if theorem == "dr2":
-        return _chain_report(theorem, chain_dr2(f, iv, tol), variant, rp, hyp)
+        return _chain_report(theorem, chain_dr2(f, iv, cache.tol), variant, rp, hyp)
     if theorem == "eq4":
         lhs = cache.mean_f()
         return _assembled(theorem, variant, rp, hyp, lhs.value, lhs.err_est, eq4_rhs(f, iv, m))
@@ -373,17 +380,19 @@ def _compute_report(
 
 def _point_reports(
     theorems: Sequence[str],
-    f: FunctionExpr,
-    iv: Interval,
+    cache: _IntegralCache,
     *,
     m: float,
     alpha: float,
     variant: str,
-    tol: float,
     hyp_lookup: _HypLookup,
     family: Optional[tuple[tuple[str, float], ...]],
 ) -> list[InequalityReport]:
-    cache = _IntegralCache(f, iv, tol)
+    """The reports of ``theorems`` at one (alpha, m) point on ``cache``'s interval.
+
+    Each distinct effective class is looked up once, however many theorems
+    require it.
+    """
     hyp_cache: dict[tuple[float, float], _HypOutcome] = {}
     reports: list[InequalityReport] = []
     for theorem in theorems:
@@ -392,7 +401,7 @@ def _point_reports(
         if key not in hyp_cache:
             hyp_cache[key] = hyp_lookup(eff)
         outcome = hyp_cache[key]
-        rp = _report_params(theorem, iv, m, alpha, family)
+        rp = _report_params(theorem, cache.iv, m, alpha, family)
         if not outcome.proceed:
             reports.append(
                 InequalityReport(
@@ -403,9 +412,7 @@ def _point_reports(
             )
             continue
         try:
-            reports.append(
-                _compute_report(theorem, f, iv, m, alpha, variant, tol, cache, rp, outcome.status)
-            )
+            reports.append(_compute_report(theorem, cache, m, alpha, variant, rp, outcome.status))
         except (EvaluationError, IntegrandError) as err:
             reports.append(
                 InequalityReport(
@@ -421,6 +428,46 @@ def _family_pairs(family: Optional[FamilySpec]) -> Optional[tuple[tuple[str, flo
     if family is None:
         return None
     return tuple(sorted((name, float(value)) for name, value in family.params.items()))
+
+
+def verify_theorems(
+    theorems: Sequence[str],
+    f: FunctionExpr,
+    iv: Interval,
+    *,
+    m: float = 1.0,
+    alpha: float = 1.0,
+    variant: str = "corrected",
+    tol: float = 1e-10,
+    check_hypothesis: bool = True,
+    grid_n: int = 33,
+    tol_rel: float = 1e-9,
+    seed: int = DEFAULT_SEED,
+    family: Optional[FamilySpec] = None,
+) -> list[InequalityReport]:
+    """Verify several inequalities for ``f`` on ``iv``, one report each, in order.
+
+    With check_hypothesis on, class membership is sampled on
+    [0, b / m_eff] first (m_eff from each theorem's effective class); a
+    failed or aborted check yields an inconclusive report instead of a
+    numeric comparison. Each distinct effective class is sampled once and
+    each integral computed once, so the reports equal those of separate
+    ``verify_theorem`` calls at a fraction of the cost. ``family`` is
+    labeling metadata only; it does not have to match ``f``, but the CLI
+    always passes the spec it built the function from.
+    """
+    for theorem in theorems:
+        _require_theorem(theorem)
+    _require_variant(variant)
+    ClassParams(m=m, alpha=alpha)  # range-check even for theorems that ignore one of them
+
+    def lookup(eff: ClassParams) -> _HypOutcome:
+        return _run_class_check(f, iv.b / eff.m, eff, grid_n, tol_rel, seed)
+
+    return _point_reports(
+        theorems, _IntegralCache(f, iv, tol), m=m, alpha=alpha, variant=variant,
+        hyp_lookup=lookup if check_hypothesis else _no_class_check, family=_family_pairs(family),
+    )
 
 
 def verify_theorem(
@@ -440,27 +487,12 @@ def verify_theorem(
 ) -> InequalityReport:
     """Verify one inequality for ``f`` on ``iv`` and return the report.
 
-    With check_hypothesis on, class membership is sampled on
-    [0, b / m_eff] first (m_eff from the theorem's effective class); a
-    failed or aborted check yields an inconclusive report instead of a
-    numeric comparison. ``family`` is labeling metadata only; it does not
-    have to match ``f``, but the CLI always passes the spec it built the
-    function from.
+    The single-theorem case of :func:`verify_theorems`, with the same
+    keywords.
     """
-    _require_theorem(theorem)
-    _require_variant(variant)
-    ClassParams(m=m, alpha=alpha)  # range-check even for theorems that ignore one of them
-
-    if check_hypothesis:
-        def lookup(eff: ClassParams) -> _HypOutcome:
-            return _run_class_check(f, iv.b / eff.m, eff, grid_n, tol_rel, seed)
-    else:
-        def lookup(eff: ClassParams) -> _HypOutcome:
-            return _HYP_OFF
-
-    return _point_reports(
+    return verify_theorems(
         [theorem], f, iv, m=m, alpha=alpha, variant=variant, tol=tol,
-        hyp_lookup=lookup, family=_family_pairs(family),
+        check_hypothesis=check_hypothesis, grid_n=grid_n, tol_rel=tol_rel, seed=seed, family=family,
     )[0]
 
 
@@ -491,9 +523,14 @@ def sweep(
     Iteration order is deterministic: family parameters (names sorted),
     then a, b, alpha, m, then the theorems in the order given. Points with
     a >= b are skipped without a report. Hypothesis modes: "off" skips
-    membership checks, "per-point" samples on [0, b / m_eff] at every
-    point, and "once" samples each distinct (family member, effective
-    class) combination a single time on [0, max(b) / m_eff].
+    membership checks, "per-point" checks each point on [0, b / m_eff],
+    and "once" checks each family member on [0, max(b) / m_eff]. Either
+    way a check runs once per distinct (family member, domain, effective
+    class), since it does not depend on a, and its outcome is reused.
+
+    Integrals do not depend on alpha, and the mixed kernel is keyed by m,
+    so each (family member, interval) computes its integrals once for all
+    of its (alpha, m) points.
 
     Inconclusive points never abort the sweep; they are reported and
     counted like any other verdict.
@@ -507,38 +544,36 @@ def sweep(
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]
     max_b = max(b_values) if len(b_values) else 0.0
-    once_cache: dict[tuple, _HypOutcome] = {}
     reports: list[InequalityReport] = []
 
     for combo in itertools.product(*grids):
         spec = FamilySpec(family, dict(zip(names, combo)))
         f = family_instantiate(spec)
         fam_pairs = _family_pairs(spec)
+        checked: dict[tuple[float, float, float], _HypOutcome] = {}
+
+        def class_check(upper: float, eff: ClassParams) -> _HypOutcome:
+            key = (upper / eff.m, eff.m, eff.alpha)
+            if key not in checked:
+                checked[key] = _run_class_check(f, key[0], eff, grid_n, tol_rel, seed)
+            return checked[key]
+
         for a in a_values:
             for b in b_values:
                 if a >= b:
                     continue
                 iv = Interval(a, b)
+                cache = _IntegralCache(f, iv, tol)
+                if hypothesis == "off":
+                    lookup: _HypLookup = _no_class_check
+                else:
+                    lookup = functools.partial(class_check, b if hypothesis == "per-point" else max_b)
                 for alpha in alpha_values:
                     for m in m_values:
-                        if hypothesis == "off":
-                            def lookup(eff: ClassParams) -> _HypOutcome:
-                                return _HYP_OFF
-                        elif hypothesis == "per-point":
-                            def lookup(eff: ClassParams, _f=f, _b=b) -> _HypOutcome:
-                                return _run_class_check(_f, _b / eff.m, eff, grid_n, tol_rel, seed)
-                        else:
-                            def lookup(eff: ClassParams, _f=f, _combo=combo) -> _HypOutcome:
-                                key = (_combo, eff.m, eff.alpha)
-                                if key not in once_cache:
-                                    once_cache[key] = _run_class_check(
-                                        _f, max_b / eff.m, eff, grid_n, tol_rel, seed
-                                    )
-                                return once_cache[key]
                         reports.extend(
                             _point_reports(
-                                theorems, f, iv, m=m, alpha=alpha, variant=variant,
-                                tol=tol, hyp_lookup=lookup, family=fam_pairs,
+                                theorems, cache, m=m, alpha=alpha, variant=variant,
+                                hyp_lookup=lookup, family=fam_pairs,
                             )
                         )
 
@@ -654,8 +689,8 @@ def search_min_margin(
         except FamilyError as err:
             return stub(str(err))
         report = _point_reports(
-            [theorem], f, Interval(a, b), m=m, alpha=alpha, variant=variant,
-            tol=tol, hyp_lookup=lambda eff: _HYP_OFF, family=fam_pairs,
+            [theorem], _IntegralCache(f, Interval(a, b), tol), m=m, alpha=alpha, variant=variant,
+            hyp_lookup=_no_class_check, family=fam_pairs,
         )[0]
         margin = report.margin if report.margin is not None else math.inf
         return margin, report
