@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .classify import ClassParams
-from .funcspec import FunctionExpr
+from .funcspec import FunctionExpr, generate
 from .means import arithmetic_mean, geometric_mean, logarithmic_mean
 from .quadrature import Interval, QuadResult, integrate, mean_integral
 
@@ -47,6 +47,7 @@ __all__ = [
     "ValueVsIntegral",
     "BranchedBound",
     "exp_mean_factor",
+    "check_variant",
     "ratio_set",
     "bound_eq4",
     "bound_eq11_pair",
@@ -179,27 +180,69 @@ def _check_m(m: float) -> None:
         raise ValueError(f"m must lie in (0, 1], got {m!r}")
 
 
-def _check_variant(variant: str) -> None:
+def check_variant(variant: str) -> None:
+    """Raise ValueError unless ``variant`` is one of VARIANTS."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
+# The integrands below are generated with f's body inlined at each point
+# (see funcspec.generate). While f's values there are finite and positive
+# they return the bits of the log-space formula in their last line;
+# otherwise that last line, which evaluates f through the checked
+# FunctionExpr.evaluate, raises exactly what the formula raises.
+
+_SYM_KERNEL = """\
+def g(x):
+    try:
+        fx = f(x)
+        u = s - x
+        fu = f(u)
+    except (ArithmeticError, ValueError):
+        fx = fu = nan
+    if 0.0 < fx < inf and 0.0 < fu < inf:
+        return exp(0.5 * (log(fx) + log(fu)))
+    return exp(0.5 * (log(evaluate(x)) + log(evaluate(s - x))))
+"""
+
+_MIXED_KERNEL = """\
+def g(x):
+    try:
+        fx = f(x)
+        u = (s - x) / m
+        fu = f(u)
+    except (ArithmeticError, ValueError):
+        fx = fu = nan
+    if 0.0 < fx < inf and 0.0 < fu < inf:
+        return exp(0.5 * (log(fx) + m * log(fu)))
+    return exp(0.5 * (log(evaluate(x)) + m * log(evaluate((s - x) / m))))
+"""
+
+_LOG_F = """\
+def g(x):
+    try:
+        fx = f(x)
+    except (ArithmeticError, ValueError):
+        fx = nan
+    if 0.0 < fx < inf:
+        return log(fx)
+    return log(evaluate(x))
+"""
+
+
 def sym_geometric_integrand(f: FunctionExpr, endpoint_sum: float) -> Callable[[float], float]:
     """Integrand sqrt(f(x) * f(s - x)) with s = a + b, in log space."""
-
-    def g(x: float) -> float:
-        return math.exp(0.5 * (_log_f(f, x) + _log_f(f, endpoint_sum - x)))
-
-    return g
+    return generate(f, _SYM_KERNEL, s=endpoint_sum, evaluate=f.evaluate)
 
 
 def mixed_geometric_integrand(f: FunctionExpr, endpoint_sum: float, m: float) -> Callable[[float], float]:
     """Integrand sqrt(f(x) * f((s - x)/m)**m) with s = a + b, in log space."""
+    return generate(f, _MIXED_KERNEL, s=endpoint_sum, m=m, evaluate=f.evaluate)
 
-    def g(x: float) -> float:
-        return math.exp(0.5 * (_log_f(f, x) + m * _log_f(f, (endpoint_sum - x) / m)))
 
-    return g
+def log_integrand(f: FunctionExpr) -> Callable[[float], float]:
+    """Integrand ln f(x)."""
+    return generate(f, _LOG_F, evaluate=f.evaluate)
 
 
 def eq4_rhs(f: FunctionExpr, iv: Interval, m: float) -> BoundSide:
@@ -214,7 +257,7 @@ def eq4_rhs(f: FunctionExpr, iv: Interval, m: float) -> BoundSide:
 
 def eq22_rhs(f: FunctionExpr, iv: Interval, m: float, variant: str = "corrected") -> BoundSide:
     _check_m(m)
-    _check_variant(variant)
+    check_variant(variant)
     la, lb = _log_f(f, iv.a), _log_f(f, iv.b)
     lam, lbm = _log_f(f, iv.a / m), _log_f(f, iv.b / m)
     if variant == "printed":
@@ -252,7 +295,7 @@ def eq31_branches(f: FunctionExpr, iv: Interval, params: ClassParams) -> tuple[B
 
 
 def eq42_rhs(f: FunctionExpr, iv: Interval, params: ClassParams, variant: str = "corrected") -> BoundSide:
-    _check_variant(variant)
+    check_variant(variant)
     ratios = ratio_set(f, iv, params.m)
     lam, lbm = _log_f(f, iv.a / params.m), _log_f(f, iv.b / params.m)
     if variant == "printed":
@@ -339,7 +382,7 @@ def chain_dr2(f: FunctionExpr, iv: Interval, tol: float = 1e-10) -> ChainValues:
     """
     fa = f.evaluate(iv.a)
     fb = f.evaluate(iv.b)
-    log_mean = mean_integral(lambda x: _log_f(f, x), iv, tol)
+    log_mean = mean_integral(log_integrand(f), iv, tol)
     exp_log = math.exp(log_mean.value)
     gint = mean_integral(sym_geometric_integrand(f, iv.a + iv.b), iv, tol)
     fint = mean_integral(f, iv, tol)

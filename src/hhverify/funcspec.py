@@ -16,10 +16,20 @@ Expression grammar::
 
 NUMBER is a decimal literal with optional exponent. Positivity is a
 property of evaluation, not of the syntax: "x-5" parses fine and fails
-only when evaluated at a point where it is not strictly positive.
+only when evaluated at a point where it is not strictly positive. An
+expression may nest at most MAX_DEPTH = 400 operators and function calls
+on any path from the root to a leaf (parentheses alone do not count);
+deeper input is a syntax error.
+
+Evaluation runs generated code: :func:`generate` writes Python source for
+the expression tree, one assignment per operator node, and binds it to
+either the ``math`` or the ``numpy`` functions. Its results are the bits
+of evaluating the tree node by node with those functions.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -42,9 +52,11 @@ __all__ = [
     "DomainError",
     "PositivityError",
     "FamilyError",
+    "MAX_DEPTH",
     "parse",
     "unparse",
     "evaluate",
+    "generate",
     "family_instantiate",
     "registered_families",
 ]
@@ -167,98 +179,113 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+MAX_DEPTH = 400
 
-    @property
-    def tok(self) -> _Token:
-        return self.tokens[self.i]
+# binary operator -> (precedence, right-associative); prefix minus sits
+# between "*" and "^", so -x^2 is -(x^2) and -x*2 is (-x)*2
+_BINARY = {"+": (1, False), "-": (1, False), "*": (2, False), "/": (2, False), "^": (4, True)}
+_NEG_PREC = 3
+_GROUP_PREC = 0  # an open "(" or FUNC "(": no operator reduces past it
 
-    def advance(self) -> _Token:
-        t = self.tok
-        self.i += 1
-        return t
 
-    def expect_op(self, op: str) -> None:
-        if self.tok.kind == "op" and self.tok.text == op:
-            self.advance()
-            return
-        raise ExprSyntaxError(f"expected {op!r}", self.tok.pos)
+def _parse_tokens(tokens: list[_Token]) -> Node:
+    """Parse the grammar above with explicit stacks instead of recursion.
 
-    def at_op(self, *ops: str) -> bool:
-        return self.tok.kind == "op" and self.tok.text in ops
+    Recursive descent costs several interpreter frames per nesting level,
+    which a legal input of MAX_DEPTH nested calls would overflow. Errors
+    are raised at the same token, with the same message, as a recursive
+    descent over the grammar would raise them.
+    """
+    operands: list[tuple[Node, int]] = []  # (subtree, its depth)
+    pending: list[tuple[str, int, int]] = []  # (operator, "(" or FUNC name; precedence; offset)
+    groups = 0  # open parentheses, including those of FUNC calls
 
-    def parse(self) -> Node:
-        node = self.expr()
-        if self.tok.kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {self.tok.text!r}", self.tok.pos)
-        return node
+    def push(node: Node, depth: int, offset: int) -> None:
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nests deeper than {MAX_DEPTH} levels", offset)
+        operands.append((node, depth))
 
-    def expr(self) -> Node:
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().text
-            node = Binary(op, node, self.term())
-        return node
+    def reduce() -> None:
+        """Apply the operator or FUNC on top of ``pending`` to its operands."""
+        op, _, offset = pending.pop()
+        right, depth = operands.pop()
+        if op in _BINARY:
+            left, left_depth = operands.pop()
+            push(Binary(op, left, right), max(left_depth, depth) + 1, offset)
+        else:
+            push(Unary(op, right), depth + 1, offset)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.at_op("*", "/"):
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        if self.at_op("-"):
-            self.advance()
-            return Unary("neg", self.factor())
-        return self.power()
-
-    def power(self) -> Node:
-        node = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            return Binary("^", node, self.factor())
-        return node
-
-    def atom(self) -> Node:
-        t = self.tok
+    i = 0
+    while True:
+        # operand position: a prefix minus, an opening parenthesis, or an atom
+        t = tokens[i]
+        i += 1
+        if t.kind == "op" and t.text == "-":
+            pending.append(("neg", _NEG_PREC, t.pos))
+            continue
+        if t.kind == "op" and t.text == "(":
+            pending.append(("(", _GROUP_PREC, t.pos))
+            groups += 1
+            continue
         if t.kind == "num":
-            self.advance()
             value = float(t.text)
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"numeric literal {t.text!r} overflows", t.pos)
-            return Const(value)
-        if t.kind == "ident":
-            self.advance()
-            if t.text == "x":
-                return Var()
-            if t.text in _CONSTANTS:
-                return Const(_CONSTANTS[t.text])
-            if t.text in _FUNCS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(t.text, arg)
+            operands.append((Const(value), 0))
+        elif t.kind == "ident" and t.text == "x":
+            operands.append((Var(), 0))
+        elif t.kind == "ident" and t.text in _CONSTANTS:
+            operands.append((Const(_CONSTANTS[t.text]), 0))
+        elif t.kind == "ident" and t.text in _FUNCS:
+            if not (tokens[i].kind == "op" and tokens[i].text == "("):
+                raise ExprSyntaxError("expected '('", tokens[i].pos)
+            pending.append((t.text, _GROUP_PREC, t.pos))
+            groups += 1
+            i += 1
+            continue
+        elif t.kind == "ident":
             raise UnknownIdentifierError(t.text, t.pos)
-        if self.at_op("("):
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError("expected a number, name, or '('", t.pos)
+        else:
+            raise ExprSyntaxError("expected a number, name, or '('", t.pos)
+
+        # operator position: close groups until a binary operator or the end
+        while True:
+            t = tokens[i]
+            if t.kind == "op" and t.text in _BINARY:
+                prec, right_assoc = _BINARY[t.text]
+                while pending and (pending[-1][1] > prec or (pending[-1][1] == prec and not right_assoc)):
+                    reduce()
+                pending.append((t.text, prec, t.pos))
+                i += 1
+                break
+            if t.kind == "op" and t.text == ")" and groups:
+                while pending[-1][1] != _GROUP_PREC:
+                    reduce()
+                if pending[-1][0] == "(":
+                    pending.pop()
+                else:
+                    reduce()
+                groups -= 1
+                i += 1
+                continue
+            if groups:
+                raise ExprSyntaxError("expected ')'", t.pos)
+            if t.kind != "end":
+                raise ExprSyntaxError(f"unexpected trailing input {t.text!r}", t.pos)
+            while pending:
+                reduce()
+            return operands[0][0]
 
 
 def parse(text: str) -> "FunctionExpr":
     """Parse expression text into a FunctionExpr.
 
     Raises:
-        ExprSyntaxError: malformed input, with the byte offset of the problem.
+        ExprSyntaxError: malformed input, or nesting deeper than MAX_DEPTH,
+            with the byte offset of the problem.
         UnknownIdentifierError: for names outside {x, e, pi, exp, ln, sqrt}.
     """
-    return FunctionExpr(_Parser(text).parse())
+    return FunctionExpr(_parse_tokens(_tokenize(text)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,68 +340,168 @@ def unparse(f: "FunctionExpr") -> str:
 # compilation and evaluation
 
 
-def _compile_scalar(node: Node) -> Callable[[float], float]:
-    if isinstance(node, Const):
-        c = node.value
-        return lambda x: c
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Unary):
-        arg = _compile_scalar(node.arg)
-        if node.op == "neg":
-            return lambda x: -arg(x)
-        if node.op == "exp":
-            return lambda x: math.exp(arg(x))
-        if node.op == "ln":
-            return lambda x: math.log(arg(x))
-        return lambda x: math.sqrt(arg(x))
-    left = _compile_scalar(node.left)
-    right = _compile_scalar(node.right)
-    op = node.op
-    if op == "+":
-        return lambda x: left(x) + right(x)
-    if op == "-":
-        return lambda x: left(x) - right(x)
-    if op == "*":
-        return lambda x: left(x) * right(x)
-    if op == "/":
-        return lambda x: left(x) / right(x)
-    return lambda x: math.pow(left(x), right(x))
+# operator -> source template, and the names the generated code may use,
+# per backend; "numpy" calls ufuncs even on scalars, so 1/0 gives inf
+_BACKENDS: dict[str, tuple[dict[str, str], dict[str, object]]] = {
+    "math": (
+        {
+            "neg": "-{0}", "exp": "exp({0})", "ln": "log({0})", "sqrt": "sqrt({0})",
+            "+": "{0} + {1}", "-": "{0} - {1}", "*": "{0} * {1}", "/": "{0} / {1}", "^": "pow({0}, {1})",
+        },
+        # math.pow, not **: ** turns a negative base with a fractional
+        # exponent into a complex number instead of raising
+        {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "nan": math.nan},
+    ),
+    "numpy": (
+        {
+            "neg": "negative({0})", "exp": "exp({0})", "ln": "log({0})", "sqrt": "sqrt({0})",
+            "+": "add({0}, {1})", "-": "subtract({0}, {1})", "*": "multiply({0}, {1})",
+            "/": "divide({0}, {1})", "^": "power({0}, {1})",
+        },
+        {
+            "negative": np.negative, "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "add": np.add,
+            "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide, "power": np.power,
+        },
+    ),
+}
+
+# A line "NAME = f(ARG)" of a template, ARG a plain name.
+_INLINE_RE = re.compile(r"^( *)(\w+) = f\((\w+)\)$", re.MULTILINE)
+
+# Compiled factories kept, one per (template, backend, expression shape,
+# bound names); they hold code, never results.
+CODE_CACHE_SIZE = 256
+
+# The shape of a tree: "c" for a constant, "x" for x, (op, *operands) for
+# an operator node. Constants are left out, so functions that differ only
+# in their constants share a shape and a compiled factory.
+_Shape = Union[str, tuple]
 
 
-def _compile_vector(node: Node) -> Callable[[np.ndarray], np.ndarray]:
-    if isinstance(node, Const):
-        c = node.value
-        return lambda x: c
-    if isinstance(node, Var):
-        return lambda x: x
-    if isinstance(node, Unary):
-        arg = _compile_vector(node.arg)
-        fn = {"neg": np.negative, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}[node.op]
-        return lambda x: fn(arg(x))
-    left = _compile_vector(node.left)
-    right = _compile_vector(node.right)
-    fn = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}[node.op]
-    return lambda x: fn(left(x), right(x))
+def _shape_of(root: Node) -> tuple[_Shape, list[float]]:
+    """The shape of ``root`` and its constants, left to right."""
+    consts: list[float] = []
+
+    def visit(node: Node) -> _Shape:
+        if isinstance(node, Const):
+            consts.append(node.value)
+            return "c"
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Unary):
+            return (node.op, visit(node.arg))
+        return (node.op, visit(node.left), visit(node.right))
+
+    return visit(root), consts
+
+
+def _emit(shape: _Shape, arg: str, out: str, ops: Mapping[str, str]) -> list[str]:
+    """Source lines that compute ``shape`` at ``arg`` into ``out``.
+
+    One assignment per operator node, never a nested expression, so the
+    source stays flat at any depth. The k-th constant from the left is read
+    from the name ``c<k>``. Intermediates live in names ``<out>_<k>`` used
+    as a stack of registers: a node's value overwrites its first operand's
+    register. With the numpy backend this frees an intermediate array
+    about when nested calls would, so later results can reuse its memory;
+    a distinct name per node kept every array alive to the end and made
+    the classifier's evaluations a third slower.
+    """
+    lines: list[str] = []
+    consts = itertools.count()
+
+    def visit(node: _Shape, reg: int, target: str | None = None) -> str:
+        if node == "c":
+            name = f"c{next(consts)}"
+        elif node == "x":
+            name = arg
+        else:
+            if len(node) == 2:
+                code = ops[node[0]].format(visit(node[1], reg))
+            else:
+                code = ops[node[0]].format(visit(node[1], reg), visit(node[2], reg + 1))
+            name = target or f"{out}_{reg}"
+            lines.append(f"{name} = {code}")
+            return name
+        if target:
+            lines.append(f"{target} = {name}")
+        return name
+
+    visit(shape, 0, out)
+    return lines
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def _factory(template: str, backend: str, shape: _Shape, n_consts: int, names: tuple[str, ...]) -> Callable:
+    """Compile ``template`` with ``shape`` inlined into a factory of ``g``.
+
+    The factory takes the constants, then the ``names`` values, and returns
+    ``g`` with those bound.
+    """
+    ops, namespace = _BACKENDS[backend]
+
+    def inline(match: re.Match) -> str:
+        indent, out, arg = match.groups()
+        return "\n".join(indent + line for line in _emit(shape, arg, out, ops))
+
+    params = [f"c{k}" for k in range(n_consts)] + list(names)
+    source = f"def _factory({', '.join(params)}):\n" + "".join(
+        f"    {line}\n" for line in _INLINE_RE.sub(inline, template).splitlines()
+    ) + "    return g\n"
+    scope = dict(namespace)
+    exec(compile(source, "<hhverify generated>", "exec"), scope)
+    return scope["_factory"]
+
+
+def generate(f: "FunctionExpr", template: str, backend: str = "math", **bound) -> Callable:
+    """Compile ``template`` into a function, with ``f`` inlined.
+
+    ``template`` is the source of a function named ``g``. Each of its
+    lines of the form ``NAME = f(ARG)``, with ARG a plain name, is replaced
+    by ``f``'s body evaluated at ARG, one assignment per node, using the
+    backend's operators and functions ("math": math.exp, math.log,
+    math.sqrt, math.pow, inf, nan; "numpy": the matching ufuncs). The
+    keywords in ``bound`` are names the template may read. No check is
+    added: raising and positivity are up to the template.
+
+    The constants of ``f`` are parameters of the compiled code, so one
+    compilation serves every function of the same shape; no text of the
+    expression reaches the source.
+    """
+    shape, consts = f._signature
+    names = tuple(sorted(bound))
+    factory = _factory(template, backend, shape, len(consts), names)
+    return factory(*consts, *[bound[name] for name in names])
+
+
+_EVALUATOR = """\
+def g(x):
+    y = f(x)
+    return y
+"""
 
 
 @dataclass(frozen=True)
 class FunctionExpr:
     """An immutable specification of a function meant to map [0, B] to (0, inf).
 
-    Equality and hashing are structural (on the expression tree). Compiled
-    evaluators are cached per instance.
+    Equality and hashing are structural (on the expression tree). The
+    generated evaluators are built on first use and kept per instance.
     """
 
     root: Node
 
     @cached_property
+    def _signature(self) -> tuple[_Shape, list[float]]:
+        return _shape_of(self.root)
+
+    @cached_property
     def _scalar(self) -> Callable[[float], float]:
-        return _compile_scalar(self.root)
+        return generate(self, _EVALUATOR)
 
     @cached_property
     def _vector(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _compile_vector(self.root)
+        return generate(self, _EVALUATOR, backend="numpy")
 
     def evaluate(self, x: float) -> float:
         """Evaluate at ``x``; the result is a strictly positive finite float.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable
 
 __all__ = ["Interval", "QuadResult", "IntegrandError", "integrate", "mean_integral"]
@@ -59,26 +60,17 @@ class QuadResult:
     converged: bool = True
 
 
-class _Tracked:
-    """Wraps the integrand: counts evaluations, converts failures."""
-
-    __slots__ = ("g", "evals")
-
-    def __init__(self, g: Callable[[float], float]):
-        self.g = g
-        self.evals = 0
-
-    def __call__(self, x: float) -> float:
-        self.evals += 1
-        try:
-            y = self.g(x)
-        except IntegrandError:
-            raise
-        except Exception as exc:
-            raise IntegrandError(x, exc) from exc
-        if not math.isfinite(y):
-            raise IntegrandError(x, f"non-finite integrand value {y!r}")
-        return y
+def _checked(g: Callable[[float], float], x: float) -> float:
+    """``g(x)``; raises IntegrandError if g raises or returns a non-finite value."""
+    try:
+        y = g(x)
+    except IntegrandError:
+        raise
+    except Exception as exc:
+        raise IntegrandError(x, exc) from exc
+    if not math.isfinite(y):
+        raise IntegrandError(x, f"non-finite integrand value {y!r}")
+    return y
 
 
 def _simpson(h: float, fa: float, fm: float, fb: float) -> float:
@@ -86,7 +78,7 @@ def _simpson(h: float, fa: float, fm: float, fb: float) -> float:
 
 
 def _adaptive(
-    g: _Tracked,
+    g: Callable[[float], float],
     a: float,
     b: float,
     fa: float,
@@ -95,27 +87,37 @@ def _adaptive(
     whole: float,
     tol: float,
     depth: int,
-) -> tuple[float, float, bool]:
+) -> tuple[float, float, bool, int]:
+    """Value, error estimate, convergence and integrand evaluations on [a, b]."""
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     if not (a < lm < m < rm < b):
         # Interval narrower than float spacing: cannot refine further.
-        return whole, abs(whole), False
-    flm = g(lm)
-    frm = g(rm)
+        return whole, abs(whole), False, 0
+    # Calling g directly keeps the hot path to one call per point. On a
+    # failure the checked calls evaluate the same points again, in order,
+    # and raise for the first one that fails.
+    try:
+        flm = g(lm)
+        frm = g(rm)
+    except Exception:
+        flm = frm = math.nan
+    if not (isfinite(flm) and isfinite(frm)):
+        flm = _checked(g, lm)
+        frm = _checked(g, rm)
     left = _simpson(m - a, fa, flm, fm)
     right = _simpson(b - m, fm, frm, fb)
     delta = (left + right) - whole
     if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0, True
+        return left + right + delta / 15.0, abs(delta) / 15.0, True, 2
     if depth <= 0:
-        return left + right + delta / 15.0, abs(delta), False
+        return left + right + delta / 15.0, abs(delta), False, 2
     # Each half inherits half the budget: tolerance splits proportionally
     # to subinterval length, giving the usual global absolute guarantee.
-    lv, le, lc = _adaptive(g, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rv, re, rc = _adaptive(g, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-    return lv + rv, le + re, lc and rc
+    lv, le, lc, ln = _adaptive(g, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
+    rv, re, rc, rn = _adaptive(g, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+    return lv + rv, le + re, lc and rc, 2 + ln + rn
 
 
 def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> QuadResult:
@@ -128,9 +130,9 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
     the raw |S_fine - S_coarse| instead of its /15 estimate.
 
     Args:
-        g: real-valued integrand; it may raise for out-of-domain points,
-            in which case the failure is re-raised as IntegrandError
-            carrying the abscissa.
+        g: real-valued integrand, a deterministic function of x; it may
+            raise for out-of-domain points, in which case the failure is
+            re-raised as IntegrandError carrying the abscissa.
         iv: integration interval.
         tol: absolute tolerance, at least 1e-13.
 
@@ -144,14 +146,13 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be a finite real >= {MIN_TOL}, got {tol!r}")
-    tracked = _Tracked(g)
     a, b = iv.a, iv.b
-    fa = tracked(a)
-    fm = tracked(0.5 * (a + b))
-    fb = tracked(b)
+    fa = _checked(g, a)
+    fm = _checked(g, 0.5 * (a + b))
+    fb = _checked(g, b)
     whole = _simpson(b - a, fa, fm, fb)
-    value, err, converged = _adaptive(tracked, a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
-    return QuadResult(value, err, tracked.evals, converged)
+    value, err, converged, evals = _adaptive(g, a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
+    return QuadResult(value, err, 3 + evals, converged)
 
 
 def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:

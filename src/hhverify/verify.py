@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from .bounds import (
-    VARIANTS,
     BoundSide,
     ChainValues,
     chain_dr1,
     chain_dr2,
+    check_variant,
     eq4_rhs,
     eq22_rhs,
     eq31_branches,
@@ -186,11 +186,6 @@ def effective_class_params(theorem: str, m: float, alpha: float) -> ClassParams:
 def _require_theorem(theorem: str) -> None:
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})")
-
-
-def _require_variant(variant: str) -> None:
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +453,7 @@ def verify_theorems(
     """
     for theorem in theorems:
         _require_theorem(theorem)
-    _require_variant(variant)
+    check_variant(variant)
     ClassParams(m=m, alpha=alpha)  # range-check even for theorems that ignore one of them
 
     def lookup(eff: ClassParams) -> _HypOutcome:
@@ -537,7 +532,7 @@ def sweep(
     """
     for theorem in theorems:
         _require_theorem(theorem)
-    _require_variant(variant)
+    check_variant(variant)
     if hypothesis not in _HYPOTHESIS_MODES:
         raise ValueError(f"hypothesis mode must be one of {_HYPOTHESIS_MODES}, got {hypothesis!r}")
 
@@ -624,7 +619,7 @@ def search_min_margin(
     of the search is hunting violations, gated or not.
     """
     _require_theorem(theorem)
-    _require_variant(variant)
+    check_variant(variant)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     families = registered_families()

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from hhverify import Interval, parse, verify_theorem
+from hhverify.funcspec import MAX_DEPTH
 from hhverify.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -47,6 +48,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "(at offset 4)" in err
+
+    def test_deep_nesting_is_checked_or_usage_never_a_crash(self, capsys):
+        deep = "exp(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+        assert run(["check", "--theorem", "eq4", "--f", deep]) == EXIT_INCONCLUSIVE
+        deeper = "exp(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1)
+        assert run(["check", "--theorem", "eq4", "--f", deeper]) == EXIT_USAGE
+        assert f"nests deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
 
     def test_unknown_theorem_is_usage(self, capsys):
         assert run(["check", "--theorem", "eq99", "--f", "exp(x)"]) == EXIT_USAGE

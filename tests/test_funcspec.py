@@ -1,23 +1,30 @@
 import dataclasses
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hhverify import (
     DomainError,
     ExprSyntaxError,
     FamilyError,
     FamilySpec,
+    IntegrandError,
+    Interval,
     PositivityError,
     UnknownIdentifierError,
     family_instantiate,
+    integrate,
     parse,
     registered_families,
     unparse,
+    verify_theorems,
 )
-from hhverify.funcspec import Binary, Const, FunctionExpr, Unary, Var
+from hhverify.bounds import log_integrand, mixed_geometric_integrand, sym_geometric_integrand
+from hhverify.funcspec import MAX_DEPTH, Binary, Const, FunctionExpr, Unary, Var
 
 
 @pytest.mark.parametrize(
@@ -85,6 +92,47 @@ def test_overflow_is_positivity_error():
         parse("exp(1000*x)").evaluate(1.0)
 
 
+# nesting depth ---------------------------------------------------------------
+
+
+def test_max_depth_is_at_least_400():
+    assert MAX_DEPTH >= 400
+
+
+def test_nesting_at_max_depth_parses_and_evaluates():
+    f = parse("sqrt(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH)
+    expected = 2.0
+    for _ in range(MAX_DEPTH):
+        expected = math.sqrt(expected)
+    assert f.evaluate(2.0) == expected
+
+
+def test_nesting_beyond_max_depth_is_syntax_error():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("sqrt(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+    assert info.value.offset == 0
+    assert f"deeper than {MAX_DEPTH}" in str(info.value)
+
+
+def test_parentheses_alone_do_not_count_toward_depth():
+    assert parse("(" * (2 * MAX_DEPTH) + "x+1" + ")" * (2 * MAX_DEPTH)) == parse("x+1")
+
+
+def test_long_sum_evaluates_left_to_right():
+    x = 0.1
+    expected = x
+    for _ in range(399):
+        expected = expected + x
+    assert parse("+".join(["x"] * 400)).evaluate(x) == expected
+
+
+def test_long_negation_chain():
+    f = parse("-" * 400 + "x")
+    assert f.evaluate(0.7) == 0.7
+    with pytest.raises(PositivityError):
+        parse("-" * 399 + "x").evaluate(0.7)
+
+
 def test_function_expr_is_immutable():
     f = parse("x+1")
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -140,6 +188,185 @@ _tree = st.recursive(
 def test_round_trip_random_trees(root):
     f = FunctionExpr(root)
     assert parse(unparse(f)).root == root
+
+
+# generated code against a tree-walking reference --------------------------
+
+_MATH_OPS = {
+    "neg": operator.neg, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": math.pow,
+}
+_NUMPY_OPS = {
+    "neg": np.negative, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power,
+}
+
+
+def _walk(node, x, ops):
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Unary):
+        return ops[node.op](_walk(node.arg, x, ops))
+    return ops[node.op](_walk(node.left, x, ops), _walk(node.right, x, ops))
+
+
+def _reference(f, x):
+    """What FunctionExpr.evaluate must return or raise, by walking the tree."""
+    try:
+        y = _walk(f.root, x, _MATH_OPS)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DomainError(str(exc) or "math domain error", x) from exc
+    except OverflowError as exc:
+        raise PositivityError("value overflowed to non-finite", x) from exc
+    if not (math.isfinite(y) and y > 0.0):
+        raise PositivityError(f"value {y!r} is not strictly positive", x)
+    return y
+
+
+def _outcome(thunk):
+    """The bits of a float result, or the class, message and x of what was raised."""
+    try:
+        return ("value", thunk().hex())
+    except Exception as exc:
+        return ("raised", type(exc), str(exc), getattr(exc, "x", None))
+
+
+_points = st.floats(min_value=0.0, max_value=4.0)
+
+
+@given(_tree, _points)
+def test_evaluate_matches_reference(root, x):
+    f = FunctionExpr(root)
+    assert _outcome(lambda: f.evaluate(x)) == _outcome(lambda: _reference(f, x))
+
+
+@given(_tree, st.lists(_points, min_size=1, max_size=8))
+def test_evaluate_array_matches_reference(root, points):
+    xs = np.array(points)
+    with np.errstate(all="ignore"):
+        expected = np.broadcast_to(_walk(root, xs, _NUMPY_OPS), xs.shape)
+    ys = FunctionExpr(root).evaluate_array(xs)
+    assert ys.shape == xs.shape
+    assert np.array_equal(ys, expected, equal_nan=True)
+
+
+def _assert_kernels_match_formulas(f, x, s, m):
+    ref = lambda t: _reference(f, t)  # noqa: E731
+    pairs = [
+        (sym_geometric_integrand(f, s), lambda: math.exp(0.5 * (math.log(ref(x)) + math.log(ref(s - x))))),
+        (
+            mixed_geometric_integrand(f, s, m),
+            lambda: math.exp(0.5 * (math.log(ref(x)) + m * math.log(ref((s - x) / m)))),
+        ),
+        (log_integrand(f), lambda: math.log(ref(x))),
+    ]
+    for kernel, formula in pairs:
+        assert _outcome(lambda: kernel(x)) == _outcome(formula)
+
+
+@given(_tree, _points, st.floats(min_value=0.0, max_value=8.0), st.floats(min_value=0.05, max_value=1.0))
+@example(Var(), 0.0, 1.0, 0.5)  # f(x) = 0.0 exactly
+def test_kernels_match_their_formulas_on_the_reference(root, x, s, m):
+    _assert_kernels_match_formulas(FunctionExpr(root), x, s, m)
+
+
+def test_kernels_match_their_formulas_on_a_smooth_function():
+    # random trees mostly fail somewhere; this one is finite and positive
+    # on the whole range, so every point checks the arithmetic
+    rng = random.Random(3)
+    f = parse("exp(x^2)*sqrt(x+1)/(ln(x+2)+1)")
+    for _ in range(500):
+        _assert_kernels_match_formulas(f, rng.uniform(0.0, 2.0), rng.uniform(2.0, 4.0), rng.uniform(0.5, 1.0))
+
+
+# Failing integrands: the IntegrandError text of each integral kind, and
+# the diagnostics of the dr2 report, which fails on a closed-form endpoint
+# value first. These are the strings of the closure-tree evaluator that
+# the generated code replaced.
+_FAILING = {
+    ("ln(x-0.5)", 0.0, 1.0): (
+        "integrand failed at x=0.0: math domain error at x=0.0",
+        "integrand failed at x=0.0: math domain error at x=0.0",
+        "integrand failed at x=0.0: math domain error at x=0.0",
+        "integrand failed at x=0.0: math domain error at x=0.0",
+        "math domain error at x=0.0",
+    ),
+    ("ln(x-0.5)", 0.5, 1.5): (
+        "integrand failed at x=0.5: math domain error at x=0.5",
+        "integrand failed at x=0.5: math domain error at x=0.5",
+        "integrand failed at x=0.5: math domain error at x=0.5",
+        "integrand failed at x=0.5: math domain error at x=0.5",
+        "math domain error at x=0.5",
+    ),
+    ("1/(x-0.5)", 0.0, 1.0): (
+        "integrand failed at x=0.0: value -2.0 is not strictly positive at x=0.0",
+        "integrand failed at x=0.0: value -2.0 is not strictly positive at x=0.0",
+        "integrand failed at x=0.0: value -2.0 is not strictly positive at x=0.0",
+        "integrand failed at x=0.0: value -2.0 is not strictly positive at x=0.0",
+        "value -2.0 is not strictly positive at x=0.0",
+    ),
+    ("1/(x-0.5)", 0.5, 1.5): (
+        "integrand failed at x=0.5: float division by zero at x=0.5",
+        "integrand failed at x=0.5: float division by zero at x=0.5",
+        "integrand failed at x=0.5: float division by zero at x=0.5",
+        "integrand failed at x=0.5: float division by zero at x=0.5",
+        "float division by zero at x=0.5",
+    ),
+    ("x-5", 0.0, 1.0): (
+        "integrand failed at x=0.0: value -5.0 is not strictly positive at x=0.0",
+        "integrand failed at x=0.0: value -5.0 is not strictly positive at x=0.0",
+        "integrand failed at x=0.0: value -5.0 is not strictly positive at x=0.0",
+        "integrand failed at x=0.0: value -5.0 is not strictly positive at x=0.0",
+        "value -5.0 is not strictly positive at x=0.0",
+    ),
+    ("x-5", 0.5, 1.5): (
+        "integrand failed at x=0.5: value -4.5 is not strictly positive at x=0.5",
+        "integrand failed at x=0.5: value -4.5 is not strictly positive at x=0.5",
+        "integrand failed at x=0.5: value -4.5 is not strictly positive at x=0.5",
+        "integrand failed at x=0.5: value -4.5 is not strictly positive at x=0.5",
+        "value -4.5 is not strictly positive at x=0.5",
+    ),
+    ("exp(1000*x)", 0.0, 1.0): (
+        "integrand failed at x=1.0: value overflowed to non-finite at x=1.0",
+        "integrand failed at x=0.0: value overflowed to non-finite at x=1.0",
+        "integrand failed at x=0.0: value overflowed to non-finite at x=1.6666666666666667",
+        "integrand failed at x=1.0: value overflowed to non-finite at x=1.0",
+        "value overflowed to non-finite at x=1.0",
+    ),
+    ("exp(1000*x)", 0.5, 1.5): (
+        "integrand failed at x=1.0: value overflowed to non-finite at x=1.0",
+        "integrand failed at x=0.5: value overflowed to non-finite at x=1.5",
+        "integrand failed at x=0.5: value overflowed to non-finite at x=2.5",
+        "integrand failed at x=1.0: value overflowed to non-finite at x=1.0",
+        "value overflowed to non-finite at x=1.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("text,a,b", list(_FAILING))
+def test_failing_integrands_keep_their_messages(text, a, b):
+    mean_f, sym, mixed, ln_f, dr2 = _FAILING[(text, a, b)]
+    f, iv = parse(text), Interval(a, b)
+    integrands = (
+        (f.evaluate, mean_f),
+        (sym_geometric_integrand(f, a + b), sym),
+        (mixed_geometric_integrand(f, a + b, 0.6), mixed),
+        (log_integrand(f), ln_f),
+    )
+    for g, message in integrands:
+        with pytest.raises(IntegrandError) as info:
+            integrate(g, iv)
+        assert str(info.value) == message
+    reports = verify_theorems(
+        ["eq4", "eq31", "eq11", "eq22", "eq42", "dr1", "dr2"], f, iv, m=0.6, alpha=0.5, check_hypothesis=False,
+    )
+    diagnostics = {r.theorem: r.diagnostics for r in reports}
+    assert {r.verdict for r in reports} == {"inconclusive"}
+    assert diagnostics == {
+        "eq4": mean_f, "eq31": mean_f, "eq11": mixed, "eq22": sym, "eq42": sym, "dr1": sym, "dr2": dr2,
+    }
 
 
 # vectorized evaluation ------------------------------------------------------

@@ -84,6 +84,21 @@ def test_blowup_at_left_endpoint_reports_abscissa():
     assert info.value.abscissa == 0.0
 
 
+def test_first_failing_abscissa_is_reported():
+    # the first refinement evaluates x = 0.25, then x = 0.75
+    def g(x):
+        if x == 0.25:
+            return math.nan
+        if x == 0.75:
+            raise ValueError("later failure")
+        return 1.0
+
+    with pytest.raises(IntegrandError) as info:
+        integrate(g, Interval(0.0, 1.0))
+    assert info.value.abscissa == 0.25
+    assert str(info.value) == "integrand failed at x=0.25: non-finite integrand value nan"
+
+
 def test_nonfinite_value_rejected():
     with pytest.raises(IntegrandError):
         integrate(lambda x: math.nan, Interval(0.0, 1.0))
