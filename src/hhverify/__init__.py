@@ -10,17 +10,9 @@ class membership itself can be sampled. See the command line tool
 """
 from .bounds import (
     BoundSide,
-    BranchedBound,
     ChainTerm,
     ChainValues,
-    IntegralVsClosed,
     RatioSet,
-    ValueVsIntegral,
-    bound_eq4,
-    bound_eq11_pair,
-    bound_eq22_pair,
-    bound_eq31,
-    bound_eq42,
     chain_dr1,
     chain_dr2,
     exp_mean_factor,
@@ -91,10 +83,8 @@ __all__ = [
     "ClassParams", "ClassificationReport", "Violation", "SampleEvaluationError",
     "check_m_log_convex", "check_alpha_m_log_convex",
     # bounds and chains
-    "BoundSide", "RatioSet", "ChainTerm", "ChainValues", "IntegralVsClosed",
-    "ValueVsIntegral", "BranchedBound", "exp_mean_factor", "ratio_set",
-    "bound_eq4", "bound_eq11_pair", "bound_eq22_pair", "bound_eq31",
-    "bound_eq42", "chain_dr1", "chain_dr2",
+    "BoundSide", "RatioSet", "ChainTerm", "ChainValues", "exp_mean_factor",
+    "ratio_set", "chain_dr1", "chain_dr2",
     # verification
     "THEOREMS", "HOLDS", "VIOLATED", "INAPPLICABLE", "INCONCLUSIVE",
     "HYP_PASS", "HYP_FAIL", "HYP_SKIPPED",

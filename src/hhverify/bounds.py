@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from .classify import ClassParams
 from .funcspec import FunctionExpr, generate
 from .means import arithmetic_mean, geometric_mean, logarithmic_mean
-from .quadrature import Interval, QuadResult, integrate, mean_integral
+from .quadrature import Interval, mean_integral
 
 __all__ = [
     "RATIO_ONE_REL",
@@ -43,17 +43,9 @@ __all__ = [
     "RatioSet",
     "ChainTerm",
     "ChainValues",
-    "IntegralVsClosed",
-    "ValueVsIntegral",
-    "BranchedBound",
     "exp_mean_factor",
     "check_variant",
     "ratio_set",
-    "bound_eq4",
-    "bound_eq11_pair",
-    "bound_eq22_pair",
-    "bound_eq31",
-    "bound_eq42",
     "chain_dr1",
     "chain_dr2",
 ]
@@ -102,31 +94,6 @@ class ChainValues:
     terms: tuple[ChainTerm, ...]
 
 
-@dataclass(frozen=True)
-class IntegralVsClosed:
-    """lhs is an integral mean, rhs a closed form; the claim is lhs <= rhs."""
-
-    lhs: QuadResult
-    rhs: BoundSide
-
-
-@dataclass(frozen=True)
-class ValueVsIntegral:
-    """lhs is a point value, rhs an integral mean; the claim is lhs <= rhs."""
-
-    lhs: float
-    rhs: QuadResult
-
-
-@dataclass(frozen=True)
-class BranchedBound:
-    """An IntegralVsClosed whose rhs is the minimum of labeled branches."""
-
-    lhs: QuadResult
-    rhs: BoundSide
-    branches: Mapping[str, BoundSide]
-
-
 def exp_mean_factor(r: float, alpha: float) -> BoundSide:
     """Closed-form upper bound for the average of r**(t**alpha) over t in [0, 1].
 
@@ -161,7 +128,7 @@ def ratio_set(f: FunctionExpr, iv: Interval, m: float) -> RatioSet:
     theta is formed from the sum of the log ratios, so it agrees with
     phi*ell to rounding even when the factors are extreme.
     """
-    _check_m(m)
+    ClassParams(m)  # range-check m
     la = _log_f(f, iv.a)
     lb = _log_f(f, iv.b)
     lam = _log_f(f, iv.a / m)
@@ -173,11 +140,6 @@ def ratio_set(f: FunctionExpr, iv: Interval, m: float) -> RatioSet:
         ell=math.exp(log_ell),
         theta=math.exp(log_phi + log_ell),
     )
-
-
-def _check_m(m: float) -> None:
-    if not (0.0 < m <= 1.0):
-        raise ValueError(f"m must lie in (0, 1], got {m!r}")
 
 
 def check_variant(variant: str) -> None:
@@ -247,7 +209,7 @@ def log_integrand(f: FunctionExpr) -> Callable[[float], float]:
 
 def eq4_rhs(f: FunctionExpr, iv: Interval, m: float) -> BoundSide:
     """min of L(f(a), f(b/m)**m) and L(f(b), f(a/m)**m)."""
-    _check_m(m)
+    ClassParams(m)  # range-check m
     fa = f.evaluate(iv.a)
     fb = f.evaluate(iv.b)
     fam_m = math.exp(m * _log_f(f, iv.a / m))
@@ -256,7 +218,7 @@ def eq4_rhs(f: FunctionExpr, iv: Interval, m: float) -> BoundSide:
 
 
 def eq22_rhs(f: FunctionExpr, iv: Interval, m: float, variant: str = "corrected") -> BoundSide:
-    _check_m(m)
+    ClassParams(m)  # range-check m
     check_variant(variant)
     la, lb = _log_f(f, iv.a), _log_f(f, iv.b)
     lam, lbm = _log_f(f, iv.a / m), _log_f(f, iv.b / m)
@@ -305,55 +267,6 @@ def eq42_rhs(f: FunctionExpr, iv: Interval, params: ClassParams, variant: str = 
         coefficient = math.exp(0.5 * params.m * (lam + lbm))
         ratio = math.sqrt(ratios.theta)
     return _scaled(exp_mean_factor(ratio, params.alpha), coefficient)
-
-
-# ---------------------------------------------------------------------------
-# assembled per-inequality operations
-
-
-def bound_eq4(f: FunctionExpr, iv: Interval, m: float, tol: float = 1e-10) -> IntegralVsClosed:
-    """Integral mean of f vs the smaller of the two endpoint logarithmic means."""
-    return IntegralVsClosed(lhs=mean_integral(f, iv, tol), rhs=eq4_rhs(f, iv, m))
-
-
-def bound_eq11_pair(f: FunctionExpr, iv: Interval, m: float, tol: float = 1e-10) -> ValueVsIntegral:
-    """Midpoint value of f vs the mean of sqrt(f(x) * f((a+b-x)/m)**m)."""
-    _check_m(m)
-    lhs = f.evaluate(arithmetic_mean(iv.a, iv.b))
-    rhs = mean_integral(mixed_geometric_integrand(f, iv.a + iv.b, m), iv, tol)
-    return ValueVsIntegral(lhs=lhs, rhs=rhs)
-
-
-def bound_eq22_pair(
-    f: FunctionExpr,
-    iv: Interval,
-    m: float,
-    tol: float = 1e-10,
-    variant: str = "corrected",
-) -> IntegralVsClosed:
-    """Geometric-mean integral vs a logarithmic mean of endpoint products."""
-    rhs = eq22_rhs(f, iv, m, variant)
-    lhs = mean_integral(sym_geometric_integrand(f, iv.a + iv.b), iv, tol)
-    return IntegralVsClosed(lhs=lhs, rhs=rhs)
-
-
-def bound_eq31(f: FunctionExpr, iv: Interval, params: ClassParams, tol: float = 1e-10) -> BranchedBound:
-    """Integral mean of f vs the smaller applicable endpoint-ratio branch."""
-    rhs, branches = eq31_branches(f, iv, params)
-    return BranchedBound(lhs=mean_integral(f, iv, tol), rhs=rhs, branches=branches)
-
-
-def bound_eq42(
-    f: FunctionExpr,
-    iv: Interval,
-    params: ClassParams,
-    tol: float = 1e-10,
-    variant: str = "corrected",
-) -> IntegralVsClosed:
-    """Geometric-mean integral vs the scaled exponential-mean kernel of theta."""
-    rhs = eq42_rhs(f, iv, params, variant)
-    lhs = mean_integral(sym_geometric_integrand(f, iv.a + iv.b), iv, tol)
-    return IntegralVsClosed(lhs=lhs, rhs=rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import os
 import sys
 from typing import Mapping, Optional, Sequence
 
-from .bounds import VARIANTS, ChainValues, chain_dr1, chain_dr2
+from .bounds import VARIANTS, ChainTerm, chain_dr1, chain_dr2
 from .classify import DEFAULT_SEED, ClassParams, SampleEvaluationError, check_alpha_m_log_convex
 from .funcspec import (
     EvaluationError,
@@ -40,6 +40,7 @@ from .funcspec import (
 from .quadrature import MIN_TOL, IntegrandError, Interval
 from .verify import (
     CHAIN_THEOREMS,
+    HYP_PASS,
     INCONCLUSIVE,
     THEOREMS,
     VIOLATED,
@@ -415,10 +416,10 @@ def _cmd_check(args) -> int:
     return _exit_code(reports)
 
 
-def _chain_to_dict(theorem: str, chain: ChainValues, report: InequalityReport) -> dict:
+def _chain_to_dict(theorem: str, terms: Sequence[ChainTerm], report: InequalityReport) -> dict:
     return {
         "theorem": theorem,
-        "terms": [{"label": t.label, "value": t.value, "err_est": t.err_est} for t in chain.terms],
+        "terms": [{"label": t.label, "value": t.value, "err_est": t.err_est} for t in terms],
         "report": report_to_dict(report),
     }
 
@@ -428,17 +429,24 @@ def _cmd_chain(args) -> int:
     seed = _resolve_seed(args.seed)
     _validate_tol(args.tol)
     iv = Interval(args.a, args.b)
-    chain_fn = chain_dr1 if args.theorem == "dr1" else chain_dr2
-    chain = chain_fn(f, iv, args.tol)
     report = verify_theorem(
         args.theorem, f, iv, tol=args.tol, check_hypothesis=args.hypothesis == "on",
         grid_n=args.grid_n, tol_rel=args.tol_rel, seed=seed, family=family,
     )
+    terms = report.terms
+    if not terms:
+        if report.hypothesis == HYP_PASS or args.hypothesis == "off":
+            # verify evaluated the chain and it raised; the diagnostics hold the error
+            raise _CliError(report.diagnostics, EXIT_INCONCLUSIVE)
+        # The class check kept verify from evaluating the chain; the table
+        # still lists its terms. The chains are looked up by name at call
+        # time, like every other callee.
+        terms = {"dr1": chain_dr1, "dr2": chain_dr2}[args.theorem](f, iv, args.tol).terms
     if args.json is not None:
-        _emit(_json_value(_chain_to_dict(args.theorem, chain, report)), args.json)
+        _emit(_json_value(_chain_to_dict(args.theorem, terms, report)), args.json)
     else:
         rows = [["term", "value", "err_est"]]
-        rows.extend([t.label, _g12(t.value), _g12(t.err_est)] for t in chain.terms)
+        rows.extend([t.label, _g12(t.value), _g12(t.err_est)] for t in terms)
         print(_format_table(rows))
         print(f"verdict: {report.verdict} (margin {_g12(report.margin)}, {report.diagnostics})")
     return _exit_code([report])
@@ -652,11 +660,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_expressions(argv: Sequence[str]) -> list[str]:
+    """Rewrite ``--f EXPR`` as ``--f=EXPR``.
+
+    argparse takes a separate value that starts with a minus sign, such as
+    ``-x+3``, for an option; attached with ``=`` it is always the value. A
+    following long option (``--f --json``) is left alone, so a missing
+    expression is still reported as one.
+    """
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == "--f" and not out[i + 1].startswith("--"):
+            out[i:i + 2] = [f"--f={out[i + 1]}"]
+    return out
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse arguments, run a subcommand, and return the exit code."""
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_expressions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         if exc.code is None:
             return EXIT_OK

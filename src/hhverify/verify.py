@@ -36,6 +36,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .bounds import (
     BoundSide,
+    ChainTerm,
     ChainValues,
     chain_dr1,
     chain_dr2,
@@ -82,9 +83,6 @@ __all__ = [
     "search_min_margin",
 ]
 
-THEOREMS = ("dr1", "dr2", "eq4", "eq11", "eq22", "eq31", "eq42")
-CHAIN_THEOREMS = ("dr1", "dr2")
-
 HOLDS = "holds"
 VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
@@ -123,6 +121,7 @@ class InequalityReport:
     quad_err: float
     verdict: str
     diagnostics: Optional[str] = field(default=None, compare=False)
+    terms: tuple[ChainTerm, ...] = field(default=(), compare=False)  # a chain's terms, when evaluated
 
 
 @dataclass(frozen=True)
@@ -175,17 +174,14 @@ def effective_class_params(theorem: str, m: float, alpha: float) -> ClassParams:
     The chains assume plain log-convexity, the two ratio-kernel bounds use
     both parameters, and the rest need only the m-class.
     """
-    _require_theorem(theorem)
-    if theorem in CHAIN_THEOREMS:
-        return ClassParams(m=1.0, alpha=1.0)
-    if theorem in ("eq31", "eq42"):
-        return ClassParams(m=m, alpha=alpha)
-    return ClassParams(m=m, alpha=1.0)
+    return _require_theorem(theorem).effective_class(m, alpha)
 
 
-def _require_theorem(theorem: str) -> None:
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})")
+def _require_theorem(theorem: str) -> _Theorem:
+    try:
+        return _TABLE[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem {theorem!r} (known: {', '.join(THEOREMS)})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +274,6 @@ class _IntegralCache:
         )
 
 
-def _report_params(
-    theorem: str,
-    iv: Interval,
-    m: float,
-    alpha: float,
-    family: Optional[tuple[tuple[str, float], ...]],
-) -> ReportParams:
-    if theorem in CHAIN_THEOREMS:
-        return ReportParams(float(iv.a), float(iv.b), 1.0, 1.0, family)
-    return ReportParams(float(iv.a), float(iv.b), float(alpha), float(m), family)
-
-
 def _assembled(
     theorem: str,
     variant: str,
@@ -332,45 +316,107 @@ def _chain_report(theorem: str, chain: ChainValues, variant: str, rp: ReportPara
         theorem, variant, rp, hyp,
         lhs=first.value, rhs=second.value, margin=margin, quad_err=err, verdict=verdict,
         diagnostics=f"tightest adjacent pair: {first.label} <= {second.label}",
+        terms=chain.terms,
     )
 
 
-def _compute_report(
-    theorem: str,
-    cache: _IntegralCache,
-    m: float,
-    alpha: float,
-    variant: str,
-    rp: ReportParams,
-    hyp: str,
-) -> InequalityReport:
-    f, iv = cache.f, cache.iv
-    if theorem == "dr1":
-        return _chain_report(theorem, chain_dr1(f, iv, cache.tol), variant, rp, hyp)
-    if theorem == "dr2":
-        return _chain_report(theorem, chain_dr2(f, iv, cache.tol), variant, rp, hyp)
-    if theorem == "eq4":
-        lhs = cache.mean_f()
-        return _assembled(theorem, variant, rp, hyp, lhs.value, lhs.err_est, eq4_rhs(f, iv, m))
-    if theorem == "eq11":
-        rhs_int = cache.mixed_geometric(m)
-        lhs_value = f.evaluate(arithmetic_mean(iv.a, iv.b))
-        return _assembled(
-            theorem, variant, rp, hyp, lhs_value, 0.0,
-            BoundSide(value=rhs_int.value, err_est=rhs_int.err_est),
-        )
-    if theorem == "eq22":
-        lhs = cache.sym_geometric()
-        return _assembled(theorem, variant, rp, hyp, lhs.value, lhs.err_est, eq22_rhs(f, iv, m, variant))
-    if theorem == "eq31":
-        lhs = cache.mean_f()
-        rhs, _branches = eq31_branches(f, iv, ClassParams(m=m, alpha=alpha))
-        return _assembled(theorem, variant, rp, hyp, lhs.value, lhs.err_est, rhs)
-    if theorem == "eq42":
-        lhs = cache.sym_geometric()
-        rhs = eq42_rhs(f, iv, ClassParams(m=m, alpha=alpha), variant)
-        return _assembled(theorem, variant, rp, hyp, lhs.value, lhs.err_est, rhs)
-    raise AssertionError(f"unhandled theorem {theorem!r}")
+# ---------------------------------------------------------------------------
+# the theorem table
+#
+# Each theorem is evaluated at its effective class from the shared
+# integrals: a chain returns its terms, a single bound its lhs value, lhs
+# error and rhs side. The closed forms and chains are looked up in this
+# module's namespace at call time, so a wrapper installed on, say,
+# ``hhverify.verify.eq4_rhs`` sees every call.
+
+_Sides = tuple[float, float, BoundSide]
+
+
+def _dr1(cache: _IntegralCache, eff: ClassParams, variant: str) -> ChainValues:
+    return chain_dr1(cache.f, cache.iv, cache.tol)
+
+
+def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> ChainValues:
+    return chain_dr2(cache.f, cache.iv, cache.tol)
+
+
+def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+    lhs = cache.mean_f()
+    return lhs.value, lhs.err_est, eq4_rhs(cache.f, cache.iv, eff.m)
+
+
+def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+    rhs = cache.mixed_geometric(eff.m)
+    lhs = cache.f.evaluate(arithmetic_mean(cache.iv.a, cache.iv.b))
+    return lhs, 0.0, BoundSide(value=rhs.value, err_est=rhs.err_est)
+
+
+def _eq22(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+    lhs = cache.sym_geometric()
+    return lhs.value, lhs.err_est, eq22_rhs(cache.f, cache.iv, eff.m, variant)
+
+
+def _eq31(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+    lhs = cache.mean_f()
+    return lhs.value, lhs.err_est, eq31_branches(cache.f, cache.iv, eff)[0]
+
+
+def _eq42(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+    lhs = cache.sym_geometric()
+    return lhs.value, lhs.err_est, eq42_rhs(cache.f, cache.iv, eff, variant)
+
+
+def _log_convex(m: float, alpha: float) -> ClassParams:
+    return ClassParams(m=1.0, alpha=1.0)
+
+
+def _m_class(m: float, alpha: float) -> ClassParams:
+    return ClassParams(m=m, alpha=1.0)
+
+
+def _alpha_m_class(m: float, alpha: float) -> ClassParams:
+    return ClassParams(m=m, alpha=alpha)
+
+
+@dataclass(frozen=True)
+class _Theorem:
+    """What verify knows about one theorem.
+
+    effective_class maps the requested (m, alpha) to the class the
+    hypothesis needs. A chain does not depend on (alpha, m), so its
+    reports carry (1, 1).
+    """
+
+    compute: Callable[[_IntegralCache, ClassParams, str], ChainValues | _Sides]
+    effective_class: Callable[[float, float], ClassParams]
+    chain: bool = False
+
+    def report_params(
+        self, a: float, b: float, m: float, alpha: float, family: Optional[tuple[tuple[str, float], ...]]
+    ) -> ReportParams:
+        if self.chain:
+            alpha = m = 1.0
+        return ReportParams(float(a), float(b), float(alpha), float(m), family)
+
+    def report(
+        self, theorem: str, cache: _IntegralCache, eff: ClassParams, variant: str, rp: ReportParams, hyp: str
+    ) -> InequalityReport:
+        if self.chain:
+            return _chain_report(theorem, self.compute(cache, eff, variant), variant, rp, hyp)
+        return _assembled(theorem, variant, rp, hyp, *self.compute(cache, eff, variant))
+
+
+_TABLE = {
+    "dr1": _Theorem(_dr1, _log_convex, chain=True),
+    "dr2": _Theorem(_dr2, _log_convex, chain=True),
+    "eq4": _Theorem(_eq4, _m_class),
+    "eq11": _Theorem(_eq11, _m_class),
+    "eq22": _Theorem(_eq22, _m_class),
+    "eq31": _Theorem(_eq31, _alpha_m_class),
+    "eq42": _Theorem(_eq42, _alpha_m_class),
+}
+THEOREMS = tuple(_TABLE)
+CHAIN_THEOREMS = tuple(name for name, spec in _TABLE.items() if spec.chain)
 
 
 def _point_reports(
@@ -391,31 +437,27 @@ def _point_reports(
     hyp_cache: dict[tuple[float, float], _HypOutcome] = {}
     reports: list[InequalityReport] = []
     for theorem in theorems:
-        eff = effective_class_params(theorem, m=m, alpha=alpha)
+        spec = _TABLE[theorem]
+        eff = spec.effective_class(m, alpha)
         key = (eff.m, eff.alpha)
         if key not in hyp_cache:
             hyp_cache[key] = hyp_lookup(eff)
         outcome = hyp_cache[key]
-        rp = _report_params(theorem, cache.iv, m, alpha, family)
-        if not outcome.proceed:
-            reports.append(
-                InequalityReport(
-                    theorem, variant, rp, outcome.status,
-                    lhs=None, rhs=None, margin=None, quad_err=0.0,
-                    verdict=INCONCLUSIVE, diagnostics=outcome.diagnostics,
-                )
+        rp = spec.report_params(cache.iv.a, cache.iv.b, m, alpha, family)
+        diagnostics = outcome.diagnostics
+        if outcome.proceed:
+            try:
+                reports.append(spec.report(theorem, cache, eff, variant, rp, outcome.status))
+                continue
+            except (EvaluationError, IntegrandError) as err:
+                diagnostics = str(err)
+        reports.append(
+            InequalityReport(
+                theorem, variant, rp, outcome.status,
+                lhs=None, rhs=None, margin=None, quad_err=0.0,
+                verdict=INCONCLUSIVE, diagnostics=diagnostics,
             )
-            continue
-        try:
-            reports.append(_compute_report(theorem, cache, m, alpha, variant, rp, outcome.status))
-        except (EvaluationError, IntegrandError) as err:
-            reports.append(
-                InequalityReport(
-                    theorem, variant, rp, outcome.status,
-                    lhs=None, rhs=None, margin=None, quad_err=0.0,
-                    verdict=INCONCLUSIVE, diagnostics=str(err),
-                )
-            )
+        )
     return reports
 
 
@@ -618,7 +660,7 @@ def search_min_margin(
     an infinite margin. Hypothesis checking is never run here; the point
     of the search is hunting violations, gated or not.
     """
-    _require_theorem(theorem)
+    spec = _require_theorem(theorem)
     check_variant(variant)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
@@ -664,10 +706,7 @@ def search_min_margin(
     def evaluate_point(point: Mapping[str, float]) -> tuple[float, InequalityReport]:
         fam_pairs = tuple(sorted((name, point[name]) for name in param_names))
         a, b, alpha, m = point["a"], point["b"], point["alpha"], point["m"]
-        if theorem in CHAIN_THEOREMS:
-            rp = ReportParams(a, b, 1.0, 1.0, fam_pairs)
-        else:
-            rp = ReportParams(a, b, alpha, m, fam_pairs)
+        rp = spec.report_params(a, b, m, alpha, fam_pairs)
 
         def stub(detail: str) -> tuple[float, InequalityReport]:
             report = InequalityReport(

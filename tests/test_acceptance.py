@@ -6,6 +6,7 @@ The gated sweep is computed once per module and reused by the determinism
 criterion.
 """
 
+import hashlib
 import math
 import random
 import time
@@ -39,6 +40,9 @@ UNIT = Interval(0.0, 1.0)
 GRID17 = tuple(i * 2.0 / 16 for i in range(17))
 GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 M4 = (0.25, 0.5, 0.75, 1.0)
+
+# sha256 of the gated sweeps' JSON, concatenated in SWEEP_SPECS order
+GATED_SWEEP_SHA256 = "0ec3910b74d5d41b124e2014066308db1b7bc2b6da729e226c60ebd3584566b3"
 
 # family grids x class-parameter grids for the gated membership sweep;
 # every member below satisfies its class hypothesis on [0, 2 / m]
@@ -235,8 +239,10 @@ def test_criterion_8_byte_identical_reruns(gated_sweeps):
     class_second = classification_blob()
     sweeps_match = first == second
     classes_match = class_first == class_second
+    golden = hashlib.sha256("".join(first).encode()).hexdigest() == GATED_SWEEP_SHA256
     _criterion(
         "byte-identical reruns",
-        sweeps_match and classes_match,
-        f"{sum(map(len, first))} sweep bytes and {len(class_first)} classification bytes reproduced",
+        sweeps_match and classes_match and golden,
+        f"{sum(map(len, first))} sweep bytes and {len(class_first)} classification bytes reproduced,"
+        f" sweep digest {'matches' if golden else 'differs'}",
     )

@@ -7,20 +7,25 @@ from hhverify import (
     ClassParams,
     FamilySpec,
     Interval,
-    bound_eq4,
-    bound_eq11_pair,
-    bound_eq22_pair,
-    bound_eq31,
-    bound_eq42,
+    arithmetic_mean,
     chain_dr1,
     chain_dr2,
     exp_mean_factor,
     family_instantiate,
     geometric_mean,
+    mean_integral,
     parse,
     ratio_set,
 )
-from hhverify.bounds import RATIO_ABOVE_ONE
+from hhverify.bounds import (
+    RATIO_ABOVE_ONE,
+    eq4_rhs,
+    eq22_rhs,
+    eq31_branches,
+    eq42_rhs,
+    mixed_geometric_integrand,
+    sym_geometric_integrand,
+)
 
 UNIT = Interval(0.0, 1.0)
 
@@ -80,91 +85,100 @@ class TestRatioSet:
             assert rs.theta == pytest.approx(1.0, rel=1e-12)
 
     def test_m_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"m must lie in \(0, 1\], got 0.0"):
             ratio_set(parse("exp(x)"), UNIT, 0.0)
 
 
+def _sym_mean(f, iv):
+    return mean_integral(sym_geometric_integrand(f, iv.a + iv.b), iv, 1e-10)
+
+
 def test_eq4_exp_is_equality():
-    r = bound_eq4(parse("exp(x)"), Interval(0.0, 2.0), 0.5)
-    assert r.lhs.value == pytest.approx(3.194528049465325, rel=1e-12)
-    assert r.rhs.value == pytest.approx(3.194528049465325, rel=1e-12)
+    f, iv = parse("exp(x)"), Interval(0.0, 2.0)
+    assert mean_integral(f, iv, 1e-10).value == pytest.approx(3.194528049465325, rel=1e-12)
+    assert eq4_rhs(f, iv, 0.5).value == pytest.approx(3.194528049465325, rel=1e-12)
 
 
 def test_eq4_const_frozen_bound():
-    r = bound_eq4(parse("0.5"), UNIT, 0.5)
-    assert r.lhs.value == 0.5
+    f = parse("0.5")
+    assert mean_integral(f, UNIT, 1e-10).value == 0.5
     # L(0.5, 0.5^0.5), both orderings coincide here
-    assert r.rhs.value == pytest.approx(0.5975838523046155, rel=1e-14)
+    assert eq4_rhs(f, UNIT, 0.5).value == pytest.approx(0.5975838523046155, rel=1e-14)
+
+
+def _eq11_sides(f, iv, m):
+    lhs = f.evaluate(arithmetic_mean(iv.a, iv.b))
+    return lhs, mean_integral(mixed_geometric_integrand(f, iv.a + iv.b, m), iv, 1e-10)
 
 
 def test_eq11_exp_is_equality():
-    r = bound_eq11_pair(parse("exp(x)"), UNIT, 1.0)
-    assert r.lhs == pytest.approx(math.exp(0.5), rel=1e-15)
-    assert r.rhs.value == pytest.approx(math.exp(0.5), rel=1e-10)
+    lhs, rhs = _eq11_sides(parse("exp(x)"), UNIT, 1.0)
+    assert lhs == pytest.approx(math.exp(0.5), rel=1e-15)
+    assert rhs.value == pytest.approx(math.exp(0.5), rel=1e-10)
 
 
 def test_eq11_const_frozen_bound():
-    r = bound_eq11_pair(parse("0.5"), UNIT, 0.5)
-    assert r.lhs == 0.5
+    lhs, rhs = _eq11_sides(parse("0.5"), UNIT, 0.5)
+    assert lhs == 0.5
     # mean of sqrt(0.5 * 0.5^0.5) = 0.5^0.75
-    assert r.rhs.value == pytest.approx(0.5946035575013605, rel=1e-12)
+    assert rhs.value == pytest.approx(0.5946035575013605, rel=1e-12)
 
 
 def test_eq22_variants_on_a_constant():
-    printed = bound_eq22_pair(parse("0.5"), UNIT, 1.0, variant="printed")
-    assert printed.lhs.value == pytest.approx(0.5, abs=1e-14)
-    assert printed.rhs.value == pytest.approx(0.25, abs=1e-14)
-    corrected = bound_eq22_pair(parse("0.5"), UNIT, 1.0, variant="corrected")
-    assert corrected.rhs.value == pytest.approx(0.5, abs=1e-14)
+    f = parse("0.5")
+    assert _sym_mean(f, UNIT).value == pytest.approx(0.5, abs=1e-14)
+    assert eq22_rhs(f, UNIT, 1.0, variant="printed").value == pytest.approx(0.25, abs=1e-14)
+    assert eq22_rhs(f, UNIT, 1.0, variant="corrected").value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_eq22_corrected_m_one_reduces_to_endpoint_geometric_mean():
     f = parse("exp(2*x)")
     iv = Interval(0.2, 1.7)
-    r = bound_eq22_pair(f, iv, 1.0, variant="corrected")
     expected = geometric_mean(f.evaluate(iv.a), f.evaluate(iv.b))
-    assert r.rhs.value == pytest.approx(expected, rel=1e-13)
+    assert eq22_rhs(f, iv, 1.0, variant="corrected").value == pytest.approx(expected, rel=1e-13)
 
 
 def test_eq31_const_worked_example():
     # f = 1/2, m = alpha = 1/2 on [0, 1]: both endpoint ratios are 2^-1/2,
     # the kernel value is 0.91815..., and each branch scales it by 2^-1/2.
-    r = bound_eq31(parse("0.5"), UNIT, ClassParams(m=0.5, alpha=0.5))
-    assert r.lhs.value == 0.5
-    for side in r.branches.values():
+    f = parse("0.5")
+    rhs, branches = eq31_branches(f, UNIT, ClassParams(m=0.5, alpha=0.5))
+    assert mean_integral(f, UNIT, 1e-10).value == 0.5
+    for side in branches.values():
         assert side.value == pytest.approx(0.6492313715785641, rel=1e-13)
-    assert r.rhs.value == pytest.approx(0.6492313715785641, rel=1e-13)
+    assert rhs.value == pytest.approx(0.6492313715785641, rel=1e-13)
 
 
 def test_eq31_exp_keeps_only_the_phi_branch():
-    r = bound_eq31(parse("exp(x)"), UNIT, ClassParams(m=1.0, alpha=1.0))
-    assert r.branches["ell"].reason == RATIO_ABOVE_ONE
-    assert r.branches["phi"].value == pytest.approx(math.e - 1.0, rel=1e-13)
-    assert r.rhs.value == pytest.approx(math.e - 1.0, rel=1e-13)
-    assert r.lhs.value == pytest.approx(math.e - 1.0, rel=1e-10)
+    f = parse("exp(x)")
+    rhs, branches = eq31_branches(f, UNIT, ClassParams(m=1.0, alpha=1.0))
+    assert branches["ell"].reason == RATIO_ABOVE_ONE
+    assert branches["phi"].value == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert rhs.value == pytest.approx(math.e - 1.0, rel=1e-13)
+    assert mean_integral(f, UNIT, 1e-10).value == pytest.approx(math.e - 1.0, rel=1e-10)
 
 
 def test_eq31_large_constant_is_fully_inapplicable():
-    r = bound_eq31(parse("2"), UNIT, ClassParams(m=0.5, alpha=1.0))
-    assert not r.rhs.applicable
-    assert r.rhs.reason == RATIO_ABOVE_ONE
-    assert not any(side.applicable for side in r.branches.values())
+    rhs, branches = eq31_branches(parse("2"), UNIT, ClassParams(m=0.5, alpha=1.0))
+    assert not rhs.applicable
+    assert rhs.reason == RATIO_ABOVE_ONE
+    assert not any(side.applicable for side in branches.values())
 
 
 def test_eq42_const_variants():
-    params = ClassParams(m=0.5, alpha=0.5)
-    corrected = bound_eq42(parse("0.5"), UNIT, params, variant="corrected")
-    assert corrected.lhs.value == 0.5
-    assert corrected.rhs.value == pytest.approx(0.6492313715785641, rel=1e-13)
-    printed = bound_eq42(parse("0.5"), UNIT, params, variant="printed")
-    assert printed.rhs.value == pytest.approx(0.42255559429217393, rel=1e-13)
+    f, params = parse("0.5"), ClassParams(m=0.5, alpha=0.5)
+    lhs = _sym_mean(f, UNIT)
+    assert lhs.value == 0.5
+    assert eq42_rhs(f, UNIT, params, variant="corrected").value == pytest.approx(0.6492313715785641, rel=1e-13)
+    printed = eq42_rhs(f, UNIT, params, variant="printed")
+    assert printed.value == pytest.approx(0.42255559429217393, rel=1e-13)
     # the printed closed form dips below the left side here
-    assert printed.rhs.value < printed.lhs.value
+    assert printed.value < lhs.value
 
 
 def test_eq42_variant_validation():
     with pytest.raises(ValueError):
-        bound_eq42(parse("0.5"), UNIT, ClassParams(m=0.5), variant="fixed")
+        eq42_rhs(parse("0.5"), UNIT, ClassParams(m=0.5), variant="fixed")
 
 
 def test_chain_dr1_exp_collapses_to_equality():

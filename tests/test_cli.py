@@ -75,6 +75,24 @@ class TestExitCodes:
         assert run(["check"]) == 2
         assert run([]) == 2
         assert run(["--help"]) == 0
+        assert run(["check", "--theorem", "eq4", "--f"]) == 2
+        assert run(["check", "--theorem", "eq4", "--f", "--json", "-"]) == 2
+        assert "argument --f: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--theorem", "eq4", "--hypothesis", "off"],
+            ["chain", "--theorem", "dr1"],
+            ["classify", "--domain-upper", "2"],
+        ],
+    )
+    def test_expression_may_start_with_a_minus_sign(self, capsys, argv):
+        attached = run(argv + ["--f=-x+3"])
+        attached_out = capsys.readouterr()
+        assert attached_out.err == ""
+        assert run(argv + ["--f", "-x+3"]) == attached
+        assert capsys.readouterr() == attached_out
 
 
 class TestCheckOutput:

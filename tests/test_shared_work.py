@@ -7,6 +7,7 @@ numbers, and each one also checks that sharing the work leaves the reports
 equal to those computed without it.
 """
 import dataclasses
+import json
 from collections import Counter
 
 import pytest
@@ -25,7 +26,7 @@ from hhverify import (
     verify_theorems,
 )
 from hhverify.classify import DEFAULT_SEED
-from hhverify.cli import EXIT_USAGE, _exit_code, _json_value, report_to_dict, run
+from hhverify.cli import EXIT_INCONCLUSIVE, EXIT_USAGE, _exit_code, _json_value, report_to_dict, run
 
 GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 GRID17 = tuple(i * 2.0 / 16 for i in range(17))
@@ -137,3 +138,29 @@ def test_per_point_sweep_checks_each_domain_once(work):
     ]
     assert list(summary.reports) == checked_per_point
     assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in checked_per_point]
+
+
+@pytest.mark.parametrize(
+    "theorem,f_text,hypothesis,code,integrals,terms",
+    [
+        ("dr1", "exp(x^2)", "on", 0, 1, 3),
+        ("dr1", "exp(x^2)", "off", 0, 1, 3),
+        ("dr1", "1+x", "on", EXIT_INCONCLUSIVE, 1, 3),  # gated off; the table still lists every term
+        ("dr1", "(x-0.25)^2", "off", EXIT_INCONCLUSIVE, 1, 0),  # the first integral raises at x = 0.25
+        ("dr2", "exp(x^2)", "on", 0, 3, 6),
+        ("dr2", "exp(x^2)", "off", 0, 3, 6),
+        ("dr2", "1+x", "on", EXIT_INCONCLUSIVE, 3, 6),
+        ("dr2", "(x-0.25)^2", "off", EXIT_INCONCLUSIVE, 1, 0),
+    ],
+)
+def test_chain_evaluates_the_chain_once(work, capsys, theorem, f_text, hypothesis, code, integrals, terms):
+    argv = ["chain", "--theorem", theorem, "--f", f_text, "--hypothesis", hypothesis, "--json", "-"]
+    assert run(argv) == code
+    assert work["integrals"] == integrals
+    assert work["class_checks"] == (1 if hypothesis == "on" else 0)
+    out, err = capsys.readouterr()
+    if terms:
+        assert len(json.loads(out)["terms"]) == terms
+    else:
+        assert out == ""
+        assert err == "error: integrand failed at x=0.25: value 0.0 is not strictly positive at x=0.25\n"
