@@ -13,7 +13,13 @@ errors, 3 when some verdict is inconclusive or an output path cannot be
 written.
 
 Reports serialize with %.17g floats and a fixed key order, so identical
-inputs produce byte-identical JSON and CSV across runs.
+inputs produce byte-identical JSON and CSV across runs. Each report's JSON
+object is rendered from one % template (``_ReportText``), with the text of
+its parameters (a, b, alpha, m and the family) memoised per call and shared
+by every theorem at a point and every point of a family member; the CSV
+rows reuse the same memo. The bytes are those of the generic recursive
+encoder ``_json_value`` applied to ``report_to_dict``, which still encodes
+the payloads that are not reports (classify, chain terms, search points).
 """
 from __future__ import annotations
 
@@ -48,6 +54,7 @@ from .verify import (
     ReportParams,
     SearchResult,
     SweepSummary,
+    _require_theorem,
     search_min_margin,
     sweep,
     verify_theorem,
@@ -61,7 +68,6 @@ __all__ = [
     "EXIT_INCONCLUSIVE",
     "report_to_dict",
     "report_from_dict",
-    "summary_to_dict",
     "run",
     "main",
 ]
@@ -131,7 +137,10 @@ def _params_to_dict(params: ReportParams) -> dict:
 
 
 def report_to_dict(report: InequalityReport) -> dict:
-    """The JSON form of a report: exactly these nine keys, in this order."""
+    """The JSON form of a report: exactly these nine keys, in this order.
+
+    The CLI writes the same text without building the dict (``_ReportText``).
+    """
     return {
         "theorem": report.theorem,
         "variant": report.variant,
@@ -169,19 +178,6 @@ def report_from_dict(data: Mapping) -> InequalityReport:
     )
 
 
-def summary_to_dict(summary: SweepSummary) -> dict:
-    if summary.min_margin is None:
-        best = None
-    else:
-        best = {
-            "value": summary.min_margin.value,
-            "theorem": summary.min_margin.theorem,
-            "variant": summary.min_margin.variant,
-            "params": _params_to_dict(summary.min_margin.params),
-        }
-    return {"reports": [report_to_dict(r) for r in summary.reports], "min_margin": best}
-
-
 _CSV_COLUMNS = (
     "theorem", "variant", "a", "b", "alpha", "m", "family_params",
     "lhs", "rhs", "margin", "quad_err", "hypothesis", "verdict",
@@ -194,29 +190,100 @@ def _family_cell(params: ReportParams) -> str:
     return ";".join(f"{name}={_fmt_float(value)}" for name, value in params.family)
 
 
-def _reports_to_csv(reports: Sequence[InequalityReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(
-            [
-                r.theorem,
-                r.variant,
-                _fmt_float(r.params.a),
-                _fmt_float(r.params.b),
-                _fmt_float(r.params.alpha),
-                _fmt_float(r.params.m),
-                _family_cell(r.params),
-                "" if r.lhs is None else _fmt_float(r.lhs),
-                "" if r.rhs is None else _fmt_float(r.rhs),
-                "" if r.margin is None else _fmt_float(r.margin),
-                _fmt_float(r.quad_err),
-                r.hypothesis,
-                r.verdict,
-            ]
+_REPORT_JSON = (
+    '{"theorem":%s,"variant":%s,"params":%s,"hypothesis":%s,'
+    '"lhs":%s,"rhs":%s,"margin":%s,"quad_err":%s,"verdict":%s}'
+)
+_PARAMS_JSON = '{"a":%s,"b":%s,"alpha":%s,"m":%s,"family_params":%s}'
+_MIN_MARGIN_JSON = '{"value":%s,"theorem":%s,"variant":%s,"params":%s}'
+
+
+def _json_number(value) -> str:
+    """``_json_value(value)``, with finite plain floats on a fast path."""
+    if value.__class__ is float and math.isfinite(value):
+        return _fmt_float(value)
+    return _json_value(value)
+
+
+def _csv_number(value: Optional[float]) -> str:
+    return "" if value is None else _fmt_float(value)
+
+
+class _ReportText:
+    """Renders reports as JSON objects and CSV rows from fixed templates.
+
+    ``json(r)`` is the text of ``_json_value(report_to_dict(r))``, without
+    building a dict per report. One instance serves one command's output.
+    It memoises the text of each parameter point (its JSON object and its
+    a, b, alpha, m and family CSV cells) and of each family, keyed by the
+    identity of the ReportParams and of the family pairs: verify gives
+    every theorem at a point one ReportParams, and every point of a family
+    member one tuple of pairs. Identity rather than equality, since
+    0.0 == -0.0 but the two print differently; each entry holds its key
+    object, so no id is reused while the instance lives.
+    """
+
+    def __init__(self) -> None:
+        self._points: dict[int, tuple] = {}
+        self._families: dict[int, tuple] = {}
+        self._strings: dict[str, str] = {}
+
+    def _string(self, text: str) -> str:
+        out = self._strings.get(text)
+        if out is None:
+            out = self._strings[text] = _json_string(text)
+        return out
+
+    def _point(self, params: ReportParams) -> tuple:
+        """(params, JSON object, CSV cells a, b, alpha, m, family) of a point.
+
+        ``params`` is kept only to hold its id.
+        """
+        entry = self._points.get(id(params))
+        if entry is None:
+            family = self._families.get(id(params.family))
+            if family is None:
+                fam_json = _json_value(None if params.family is None else dict(params.family))
+                family = self._families[id(params.family)] = (params.family, fam_json, _family_cell(params))
+            values = (params.a, params.b, params.alpha, params.m)
+            json_text = _PARAMS_JSON % (*map(_json_number, values), family[1])
+            cells = (*map(_fmt_float, values), family[2])
+            entry = self._points[id(params)] = (params, json_text, cells)
+        return entry
+
+    def json(self, r: InequalityReport) -> str:
+        string = self._string
+        return _REPORT_JSON % (
+            string(r.theorem), string(r.variant), self._point(r.params)[1], string(r.hypothesis),
+            _json_number(r.lhs), _json_number(r.rhs), _json_number(r.margin), _json_number(r.quad_err),
+            string(r.verdict),
         )
-    return buf.getvalue()
+
+    def summary_json(self, summary: SweepSummary) -> str:
+        """The JSON ``sweep --json`` writes: the reports, then the minimum margin."""
+        best = summary.min_margin
+        if best is None:
+            best_json = "null"
+        else:
+            best_json = _MIN_MARGIN_JSON % (
+                _json_number(best.value), self._string(best.theorem), self._string(best.variant),
+                self._point(best.params)[1],
+            )
+        return '{"reports":[%s],"min_margin":%s}' % (",".join(map(self.json, summary.reports)), best_json)
+
+    def _csv_row(self, r: InequalityReport) -> tuple:
+        return (
+            r.theorem, r.variant, *self._point(r.params)[2],
+            _csv_number(r.lhs), _csv_number(r.rhs), _csv_number(r.margin), _fmt_float(r.quad_err),
+            r.hypothesis, r.verdict,
+        )
+
+    def csv(self, reports: Sequence[InequalityReport]) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(_CSV_COLUMNS)
+        writer.writerows(map(self._csv_row, reports))
+        return buf.getvalue()
 
 
 def _emit(text: str, destination: str) -> None:
@@ -357,8 +424,7 @@ def _parse_theorems(items: Sequence[str]) -> list[str]:
     if not names:
         raise _CliError("at least one --theorem is required")
     for name in names:
-        if name not in THEOREMS:
-            raise _CliError(f"unknown theorem {name!r} (known: {', '.join(THEOREMS)})")
+        _require_theorem(name)
     return names
 
 
@@ -386,12 +452,13 @@ def _exit_code(reports: Sequence[InequalityReport]) -> int:
 
 def _emit_reports(args, reports: Sequence[InequalityReport], with_params: bool) -> None:
     wrote = False
+    text = _ReportText()
     if args.json is not None:
-        payload = report_to_dict(reports[0]) if len(reports) == 1 else [report_to_dict(r) for r in reports]
-        _emit(_json_value(payload), args.json)
+        payload = text.json(reports[0]) if len(reports) == 1 else "[%s]" % ",".join(map(text.json, reports))
+        _emit(payload, args.json)
         wrote = True
     if getattr(args, "csv", None) is not None:
-        _emit(_reports_to_csv(reports), args.csv)
+        _emit(text.csv(reports), args.csv)
         wrote = True
     if not wrote:
         print(_report_rows(reports, with_params))
@@ -416,12 +483,12 @@ def _cmd_check(args) -> int:
     return _exit_code(reports)
 
 
-def _chain_to_dict(theorem: str, terms: Sequence[ChainTerm], report: InequalityReport) -> dict:
-    return {
-        "theorem": theorem,
-        "terms": [{"label": t.label, "value": t.value, "err_est": t.err_est} for t in terms],
-        "report": report_to_dict(report),
-    }
+def _chain_json(theorem: str, terms: Sequence[ChainTerm], report: InequalityReport) -> str:
+    return '{"theorem":%s,"terms":%s,"report":%s}' % (
+        _json_string(theorem),
+        _json_value([{"label": t.label, "value": t.value, "err_est": t.err_est} for t in terms]),
+        _ReportText().json(report),
+    )
 
 
 def _cmd_chain(args) -> int:
@@ -443,7 +510,7 @@ def _cmd_chain(args) -> int:
         # time, like every other callee.
         terms = {"dr1": chain_dr1, "dr2": chain_dr2}[args.theorem](f, iv, args.tol).terms
     if args.json is not None:
-        _emit(_json_value(_chain_to_dict(args.theorem, terms, report)), args.json)
+        _emit(_chain_json(args.theorem, terms, report), args.json)
     else:
         rows = [["term", "value", "err_est"]]
         rows.extend([t.label, _g12(t.value), _g12(t.err_est)] for t in terms)
@@ -509,11 +576,12 @@ def _cmd_sweep(args) -> int:
         seed=seed,
     )
     wrote = False
+    text = _ReportText()
     if args.json is not None:
-        _emit(_json_value(summary_to_dict(summary)), args.json)
+        _emit(text.summary_json(summary), args.json)
         wrote = True
     if args.csv is not None:
-        _emit(_reports_to_csv(summary.reports), args.csv)
+        _emit(text.csv(summary.reports), args.csv)
         wrote = True
     if not wrote:
         if summary.reports:
@@ -531,13 +599,13 @@ def _cmd_sweep(args) -> int:
     return _exit_code(summary.reports)
 
 
-def _search_to_dict(result: SearchResult) -> dict:
-    return {
-        "best_params": {name: result.best_params[name] for name in sorted(result.best_params)},
-        "best_margin": result.best_margin if math.isfinite(result.best_margin) else None,
-        "evals": result.evals,
-        "report": report_to_dict(result.report),
-    }
+def _search_json(result: SearchResult) -> str:
+    return '{"best_params":%s,"best_margin":%s,"evals":%s,"report":%s}' % (
+        _json_value({name: result.best_params[name] for name in sorted(result.best_params)}),
+        _json_value(result.best_margin if math.isfinite(result.best_margin) else None),
+        _json_value(result.evals),
+        _ReportText().json(result.report),
+    )
 
 
 def _cmd_search(args) -> int:
@@ -554,7 +622,7 @@ def _cmd_search(args) -> int:
         seed=seed,
     )
     if args.json is not None:
-        _emit(_json_value(_search_to_dict(result)), args.json)
+        _emit(_search_json(result), args.json)
     else:
         point = "  ".join(f"{name}={result.best_params[name]:.12g}" for name in sorted(result.best_params))
         margin = "%.12g" % result.best_margin if math.isfinite(result.best_margin) else "none"

@@ -432,9 +432,11 @@ def _point_reports(
     """The reports of ``theorems`` at one (alpha, m) point on ``cache``'s interval.
 
     Each distinct effective class is looked up once, however many theorems
-    require it.
+    require it, and the reports that carry the same parameters share one
+    ReportParams (the CLI memoises its text by identity).
     """
     hyp_cache: dict[tuple[float, float], _HypOutcome] = {}
+    params: dict[bool, ReportParams] = {}
     reports: list[InequalityReport] = []
     for theorem in theorems:
         spec = _TABLE[theorem]
@@ -443,7 +445,9 @@ def _point_reports(
         if key not in hyp_cache:
             hyp_cache[key] = hyp_lookup(eff)
         outcome = hyp_cache[key]
-        rp = spec.report_params(cache.iv.a, cache.iv.b, m, alpha, family)
+        if spec.chain not in params:
+            params[spec.chain] = spec.report_params(cache.iv.a, cache.iv.b, m, alpha, family)
+        rp = params[spec.chain]
         diagnostics = outcome.diagnostics
         if outcome.proceed:
             try:

@@ -33,7 +33,7 @@ from hhverify import (
     sweep,
     verify_theorem,
 )
-from hhverify.cli import _json_value, summary_to_dict
+from hhverify.cli import _json_value, _ReportText
 
 UNIT = Interval(0.0, 1.0)
 
@@ -218,8 +218,8 @@ def test_criterion_7_quadrature_and_mean_foundations():
 
 def test_criterion_8_byte_identical_reruns(gated_sweeps):
     results, _ = gated_sweeps
-    first = [_json_value(summary_to_dict(s)) for _, s in results]
-    second = [_json_value(summary_to_dict(s)) for _, s in _run_gated_sweeps()]
+    first = [_ReportText().summary_json(s) for _, s in results]
+    second = [_ReportText().summary_json(s) for _, s in _run_gated_sweeps()]
 
     def classification_blob() -> str:
         reports = [check_m_log_convex(parse("exp(x)"), 2.0, i / 10.0) for i in range(1, 11)]

@@ -59,6 +59,20 @@ class TestExitCodes:
     def test_unknown_theorem_is_usage(self, capsys):
         assert run(["check", "--theorem", "eq99", "--f", "exp(x)"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "--f", "exp(x)"],
+        ["sweep", "--family", "const", "--param", "c=1"],
+    ])
+    def test_unknown_theorem_message_comes_before_tol_and_seed(self, capsys, monkeypatch, argv):
+        unknown = ("error: unknown theorem 'eq99' (known: dr1, dr2, eq4, eq11, eq22, eq31, eq42)\n")
+        assert run(argv + ["--theorem", "eq4,eq99"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", unknown)
+        monkeypatch.setenv("HH_SEED", "not-a-number")
+        assert run(argv + ["--theorem", "eq99", "--tol", "0"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", unknown)
+        assert run(argv + ["--theorem", "eq4", "--tol", "0"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: HH_SEED must be an integer, got 'not-a-number'\n")
+
     def test_conflicting_function_flags(self, capsys):
         code = run(["check", "--theorem", "eq4", "--f", "exp(x)", "--param", "c=1"])
         assert code == EXIT_USAGE

@@ -1,11 +1,14 @@
 """Byte-for-byte golden output.
 
-The digests pin the exact JSON, CSV, table and error text of the sweep and
-chain paths, as produced before the per-theorem switches were folded into
-one theorem table. Any change to a byte of that output fails here, so a
-refactor that claims to change nothing can be checked against them; a
-change that means to alter the output must update the digests and say why.
-Each digest is the sha256 of the concatenated UTF-8 text.
+The digests pin the exact JSON, CSV, table and error text of every path
+that emits a report: the sweep and chain digests as produced before the
+per-theorem switches were folded into one theorem table, and the check and
+search digests as produced by the generic recursive JSON encoder, before
+reports were rendered from one template. Any change to a byte of that
+output fails here, so a refactor that claims to change nothing can be
+checked against them; a change that means to alter the output must update
+the digests and say why. Each digest is the sha256 of the concatenated
+UTF-8 text.
 """
 import hashlib
 from collections import Counter
@@ -16,7 +19,7 @@ import pytest
 
 from hhverify import THEOREMS, sweep
 from hhverify.bounds import VARIANTS
-from hhverify.cli import _json_value, _reports_to_csv, run, summary_to_dict
+from hhverify.cli import _ReportText, run
 
 SWEEP_CASES = (
     ("const", {"c": (0.5, 2.0)}, "off"),
@@ -25,6 +28,33 @@ SWEEP_CASES = (
 )
 SWEEP_SHA256 = "9f3cf453963f6381dba20dc4708537fe733782edd9fcb207fd98a74aaaecc89b"
 CHAIN_SHA256 = "a107c52ea95b17b59c645552529288fd845072ded4ad2a2738c729e9801371c9"
+
+FIVE = "eq4,eq11,eq22,eq31,eq42"
+# check requests with one theorem (a bare JSON object) and five (a list);
+# the comments give the verdicts
+CHECK_CASES = (
+    ["--theorem", "eq4", "--f", "exp(x)", "--m", "0.5"],  # holds
+    ["--theorem", "eq31", "--f", "2", "--m", "0.5", "--hypothesis", "off"],  # inapplicable (exit 0)
+    ["--theorem", "eq31", "--f", "2", "--m", "0.5"],  # inconclusive: class check fails
+    ["--theorem", "eq22", "--variant", "printed", "--family", "const", "--param", "c=0.5"],  # violated
+    # holds x3, then inconclusive x2 from the failed (alpha, m)-class check
+    ["--theorem", FIVE, "--f", "exp(x)", "--m", "0.5", "--alpha", "0.5"],
+    # violated x3, inapplicable x2
+    ["--theorem", FIVE, "--family", "const", "--param", "c=2", "--m", "0.5", "--hypothesis", "off"],
+    # inconclusive x5: the class check fails
+    ["--theorem", FIVE, "--family", "const", "--param", "c=2", "--m", "0.5"],
+    # holds x5, two family parameters
+    ["--theorem", FIVE, "--family", "exp_affine", "--param", "k=2", "--param", "c=0.5",
+     "--a", "0.25", "--b", "1.5", "--m", "0.75"],
+)
+CHECK_SHA256 = "39dbc37513d75e88f1a44890fe5fe0ac9515159c7fd98dec5188386237c80d24"
+SEARCH_CASES = (
+    ["--family", "const", "--range", "c=0.05:0.95", "--theorem", "eq22", "--variant", "printed",
+     "--budget", "60"],
+    ["--family", "exp_affine", "--range", "c=0.25:2", "--range", "k=-1:2", "--range", "m=0.25:1",
+     "--theorem", "eq42", "--budget", "60"],
+)
+SEARCH_SHA256 = "d25131af18b6a0b054aebcec2bc789bcd2115bf9a8fee0576e3003aa96bf9bae"
 
 
 @pytest.fixture(autouse=True)
@@ -39,11 +69,45 @@ def test_all_theorem_sweeps_are_byte_identical():
         for variant in VARIANTS:
             summary = sweep(family, grids, (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0), THEOREMS,
                             variant=variant, hypothesis=hypothesis)
-            digest.update(_json_value(summary_to_dict(summary)).encode())
-            digest.update(_reports_to_csv(summary.reports).encode())
+            # one memo for both, as `sweep --json --csv` uses it
+            text = _ReportText()
+            digest.update(text.summary_json(summary).encode())
+            digest.update(text.csv(summary.reports).encode())
             verdicts.update(r.verdict for r in summary.reports)
     assert verdicts == {"holds": 1009, "violated": 111, "inapplicable": 32, "inconclusive": 1088}
     assert digest.hexdigest() == SWEEP_SHA256
+
+
+def _run(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_check_output_is_byte_identical():
+    digest = hashlib.sha256()
+    codes = []
+    for case in CHECK_CASES:
+        for output in (["--json", "-"], ["--csv", "-"]):
+            code, out, err = _run(["check"] + case + output)
+            codes.append(code)
+            digest.update(out.encode())
+            digest.update(err.encode())
+    assert codes == [0, 0, 0, 0, 3, 3, 1, 1, 3, 3, 1, 1, 3, 3, 0, 0]
+    assert digest.hexdigest() == CHECK_SHA256
+
+
+def test_search_output_is_byte_identical():
+    digest = hashlib.sha256()
+    codes = []
+    for case in SEARCH_CASES:
+        code, out, err = _run(["search"] + case + ["--json", "-"])
+        codes.append(code)
+        digest.update(out.encode())
+        digest.update(err.encode())
+    assert codes == [1, 0]
+    assert digest.hexdigest() == SEARCH_SHA256
 
 
 def test_chain_output_is_byte_identical():
@@ -52,10 +116,9 @@ def test_chain_output_is_byte_identical():
     for theorem in ("dr1", "dr2"):
         for expr in ("exp(x^2)", "1+x", "ln(x-0.5)"):
             for extra in ([], ["--json", "-"]):
-                out, err = StringIO(), StringIO()
-                with redirect_stdout(out), redirect_stderr(err):
-                    codes.append(run(["chain", "--theorem", theorem, "--f", expr] + extra))
-                digest.update(out.getvalue().encode())
-                digest.update(err.getvalue().encode())
+                code, out, err = _run(["chain", "--theorem", theorem, "--f", expr] + extra)
+                codes.append(code)
+                digest.update(out.encode())
+                digest.update(err.encode())
     assert codes == [0, 0, 3, 3, 3, 3, 0, 0, 3, 3, 3, 3]
     assert digest.hexdigest() == CHAIN_SHA256
