@@ -8,10 +8,10 @@ inequality on a deterministic grid plus seeded random triples; the verifier
 runs it first and refuses to produce a numeric verdict when it fails.
 """
 
-from hhverify import ClassParams, Interval, check_alpha_m_log_convex, check_m_log_convex, parse, verify_theorem
+from hhverify import ClassParams, Interval, check_alpha_m_log_convex, parse, verify_theorem
 
 # exp(x) passes for any m at alpha = 1 ...
-report = check_m_log_convex(parse("exp(x)"), 2.0, 0.5)
+report = check_alpha_m_log_convex(parse("exp(x)"), 2.0, ClassParams(m=0.5))
 print(f"exp(x), m=0.5:      {report.verdict} ({report.samples} samples)")
 
 # ... but not with alpha = 0.5, and the report carries a replayable witness.

@@ -24,7 +24,6 @@ from .classify import (
     SampleEvaluationError,
     Violation,
     check_alpha_m_log_convex,
-    check_m_log_convex,
 )
 from .funcspec import (
     DomainError,
@@ -81,7 +80,7 @@ __all__ = [
     "PositivityError", "FamilyError",
     # classification
     "ClassParams", "ClassificationReport", "Violation", "SampleEvaluationError",
-    "check_m_log_convex", "check_alpha_m_log_convex",
+    "check_alpha_m_log_convex",
     # bounds and chains
     "BoundSide", "RatioSet", "ChainTerm", "ChainValues", "exp_mean_factor",
     "ratio_set", "chain_dr1", "chain_dr2",

@@ -17,9 +17,9 @@ inputs produce byte-identical JSON and CSV across runs. Each report's JSON
 object is rendered from one % template (``_ReportText``), with the text of
 its parameters (a, b, alpha, m and the family) memoised per call and shared
 by every theorem at a point and every point of a family member; the CSV
-rows reuse the same memo. The bytes are those of the generic recursive
-encoder ``_json_value`` applied to ``report_to_dict``, which still encodes
-the payloads that are not reports (classify, chain terms, search points).
+rows reuse the same memo. The generic recursive encoder ``_json_value``
+serves only the payloads that are not reports (classify, chain terms,
+search points).
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import io
 import math
 import os
 import sys
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from .bounds import VARIANTS, ChainTerm, chain_dr1, chain_dr2
 from .classify import DEFAULT_SEED, ClassParams, SampleEvaluationError, check_alpha_m_log_convex
@@ -66,7 +66,6 @@ __all__ = [
     "EXIT_VIOLATED",
     "EXIT_USAGE",
     "EXIT_INCONCLUSIVE",
-    "report_to_dict",
     "report_from_dict",
     "run",
     "main",
@@ -124,34 +123,6 @@ def _json_value(value) -> str:
     if isinstance(value, dict):
         return "{" + ",".join(f"{_json_string(key)}:{_json_value(item)}" for key, item in value.items()) + "}"
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _params_to_dict(params: ReportParams) -> dict:
-    return {
-        "a": params.a,
-        "b": params.b,
-        "alpha": params.alpha,
-        "m": params.m,
-        "family_params": None if params.family is None else dict(params.family),
-    }
-
-
-def report_to_dict(report: InequalityReport) -> dict:
-    """The JSON form of a report: exactly these nine keys, in this order.
-
-    The CLI writes the same text without building the dict (``_ReportText``).
-    """
-    return {
-        "theorem": report.theorem,
-        "variant": report.variant,
-        "params": _params_to_dict(report.params),
-        "hypothesis": report.hypothesis,
-        "lhs": report.lhs,
-        "rhs": report.rhs,
-        "margin": report.margin,
-        "quad_err": report.quad_err,
-        "verdict": report.verdict,
-    }
 
 
 def report_from_dict(data: Mapping) -> InequalityReport:
@@ -212,8 +183,10 @@ def _csv_number(value: Optional[float]) -> str:
 class _ReportText:
     """Renders reports as JSON objects and CSV rows from fixed templates.
 
-    ``json(r)`` is the text of ``_json_value(report_to_dict(r))``, without
-    building a dict per report. One instance serves one command's output.
+    ``json(r)`` is a report's JSON object: the keys theorem, variant,
+    params, hypothesis, lhs, rhs, margin, quad_err and verdict, in this
+    order, as ``_json_value`` would encode them, but without building a
+    dict per report. One instance serves one command's output.
     It memoises the text of each parameter point (its JSON object and its
     a, b, alpha, m and family CSV cells) and of each family, keyed by the
     identity of the ReportParams and of the family pairs: verify gives
@@ -367,13 +340,17 @@ def _split_assignment(item: str, what: str) -> tuple[str, str]:
     return name, value
 
 
-def _parse_param_values(items: Sequence[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
+_Value = TypeVar("_Value")
+
+
+def _parse_params(items: Sequence[str], convert: Callable[[str], _Value]) -> dict[str, _Value]:
+    """The ``--param NAME=VALUE`` items, each value through ``convert`` (``float`` or ``_parse_grid``)."""
+    out: dict[str, _Value] = {}
     for item in items:
         name, value = _split_assignment(item, "--param")
         if name in out:
             raise _CliError(f"duplicate --param {name!r}")
-        out[name] = float(value)
+        out[name] = convert(value)
     return out
 
 
@@ -392,16 +369,6 @@ def _parse_grid(text: str) -> list[float]:
         values[-1] = hi
         return values
     return [float(part) for part in text.split(",")]
-
-
-def _parse_param_grids(items: Sequence[str]) -> dict[str, list[float]]:
-    out: dict[str, list[float]] = {}
-    for item in items:
-        name, value = _split_assignment(item, "--param")
-        if name in out:
-            raise _CliError(f"duplicate --param {name!r}")
-        out[name] = _parse_grid(value)
-    return out
 
 
 def _parse_ranges(items: Sequence[str]) -> dict[str, tuple[float, float]]:
@@ -436,7 +403,7 @@ def _resolve_function(args) -> tuple[FunctionExpr, Optional[FamilySpec]]:
             raise _CliError("--param only applies with --family")
         return parse(args.f), None
     if args.family is not None:
-        spec = FamilySpec(args.family, _parse_param_values(args.param))
+        spec = FamilySpec(args.family, _parse_params(args.param, float))
         return family_instantiate(spec), spec
     raise _CliError("a function is required: --f EXPR or --family NAME --param NAME=VALUE")
 
@@ -562,7 +529,7 @@ def _cmd_sweep(args) -> int:
     _validate_tol(args.tol)
     summary = sweep(
         args.family,
-        _parse_param_grids(args.param),
+        _parse_params(args.param, _parse_grid),
         _parse_grid(args.a),
         _parse_grid(args.b),
         _parse_grid(args.m),
@@ -618,7 +585,7 @@ def _cmd_search(args) -> int:
         variant=args.variant,
         budget=args.budget,
         tol=args.tol,
-        fixed=_parse_param_values(args.param),
+        fixed=_parse_params(args.param, float),
         seed=seed,
     )
     if args.json is not None:

@@ -55,7 +55,6 @@ __all__ = [
     "MAX_DEPTH",
     "parse",
     "unparse",
-    "evaluate",
     "generate",
     "family_instantiate",
     "registered_families",
@@ -539,11 +538,6 @@ class FunctionExpr:
 
     def __str__(self) -> str:
         return unparse(self)
-
-
-def evaluate(f: FunctionExpr, x: float) -> float:
-    """Module-level alias for :meth:`FunctionExpr.evaluate`."""
-    return f.evaluate(x)
 
 
 # ---------------------------------------------------------------------------

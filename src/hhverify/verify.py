@@ -204,27 +204,38 @@ def _no_class_check(eff: ClassParams) -> _HypOutcome:
     return _HYP_OFF
 
 
-def _run_class_check(
-    f: FunctionExpr,
-    domain_upper: float,
-    eff: ClassParams,
-    grid_n: int,
-    tol_rel: float,
-    seed: int,
-) -> _HypOutcome:
-    try:
-        report = check_alpha_m_log_convex(f, domain_upper, eff, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
-    except SampleEvaluationError as err:
-        return _HypOutcome(HYP_SKIPPED, proceed=False, diagnostics=f"class check aborted: {err}")
-    if report.verdict == "pass":
-        return _HypOutcome(HYP_PASS, proceed=True)
-    w = report.worst_violation
-    assert w is not None
-    detail = (
-        f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
-        f" with deficit {w.deficit!r}"
-    )
-    return _HypOutcome(HYP_FAIL, proceed=False, diagnostics=detail)
+def _class_checks(
+    f: FunctionExpr, grid_n: int, tol_rel: float, seed: int
+) -> Callable[[float, ClassParams], _HypOutcome]:
+    """The class checks of ``f``: ``check(upper, eff)`` samples ``eff`` on [0, upper / eff.m].
+
+    Outcomes are memoised on (upper / m_eff, m_eff, alpha_eff), the only
+    inputs that vary, so each is sampled once however many theorems,
+    points or intervals need it. A memo lives for one call of the public
+    entry points only.
+    """
+
+    @functools.cache
+    def on_domain(domain_upper: float, m: float, alpha: float) -> _HypOutcome:
+        eff = ClassParams(m=m, alpha=alpha)
+        try:
+            report = check_alpha_m_log_convex(f, domain_upper, eff, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
+        except SampleEvaluationError as err:
+            return _HypOutcome(HYP_SKIPPED, proceed=False, diagnostics=f"class check aborted: {err}")
+        if report.verdict == "pass":
+            return _HypOutcome(HYP_PASS, proceed=True)
+        w = report.worst_violation
+        assert w is not None
+        detail = (
+            f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
+            f" with deficit {w.deficit!r}"
+        )
+        return _HypOutcome(HYP_FAIL, proceed=False, diagnostics=detail)
+
+    def check(upper: float, eff: ClassParams) -> _HypOutcome:
+        return on_domain(upper / eff.m, eff.m, eff.alpha)
+
+    return check
 
 
 class _IntegralCache:
@@ -292,10 +303,10 @@ def _assembled(
     assert rhs.value is not None
     margin = rhs.value - lhs_value
     quad_err = lhs_err + rhs.err_est
-    verdict = HOLDS if margin >= -margin_tolerance(lhs_value, rhs.value, quad_err) else VIOLATED
     return InequalityReport(
         theorem, variant, rp, hyp,
-        lhs=lhs_value, rhs=rhs.value, margin=margin, quad_err=quad_err, verdict=verdict,
+        lhs=lhs_value, rhs=rhs.value, margin=margin, quad_err=quad_err,
+        verdict=replay_verdict(lhs_value, rhs.value, margin, quad_err),
     )
 
 
@@ -366,30 +377,24 @@ def _eq42(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
     return lhs.value, lhs.err_est, eq42_rhs(cache.f, cache.iv, eff, variant)
 
 
-def _log_convex(m: float, alpha: float) -> ClassParams:
-    return ClassParams(m=1.0, alpha=1.0)
-
-
-def _m_class(m: float, alpha: float) -> ClassParams:
-    return ClassParams(m=m, alpha=1.0)
-
-
-def _alpha_m_class(m: float, alpha: float) -> ClassParams:
-    return ClassParams(m=m, alpha=alpha)
-
-
 @dataclass(frozen=True)
 class _Theorem:
     """What verify knows about one theorem.
 
-    effective_class maps the requested (m, alpha) to the class the
-    hypothesis needs. A chain does not depend on (alpha, m), so its
-    reports carry (1, 1).
+    A chain assumes plain log-convexity and does not depend on (alpha, m),
+    so its reports carry (1, 1). uses_alpha marks the bounds whose
+    hypothesis needs the (alpha, m)-class; the others need only the m-class.
     """
 
     compute: Callable[[_IntegralCache, ClassParams, str], ChainValues | _Sides]
-    effective_class: Callable[[float, float], ClassParams]
     chain: bool = False
+    uses_alpha: bool = False
+
+    def effective_class(self, m: float, alpha: float) -> ClassParams:
+        """The class the hypothesis needs at the requested (m, alpha)."""
+        if self.chain:
+            return ClassParams(m=1.0, alpha=1.0)
+        return ClassParams(m=m, alpha=alpha if self.uses_alpha else 1.0)
 
     def report_params(
         self, a: float, b: float, m: float, alpha: float, family: Optional[tuple[tuple[str, float], ...]]
@@ -407,13 +412,13 @@ class _Theorem:
 
 
 _TABLE = {
-    "dr1": _Theorem(_dr1, _log_convex, chain=True),
-    "dr2": _Theorem(_dr2, _log_convex, chain=True),
-    "eq4": _Theorem(_eq4, _m_class),
-    "eq11": _Theorem(_eq11, _m_class),
-    "eq22": _Theorem(_eq22, _m_class),
-    "eq31": _Theorem(_eq31, _alpha_m_class),
-    "eq42": _Theorem(_eq42, _alpha_m_class),
+    "dr1": _Theorem(_dr1, chain=True),
+    "dr2": _Theorem(_dr2, chain=True),
+    "eq4": _Theorem(_eq4),
+    "eq11": _Theorem(_eq11),
+    "eq22": _Theorem(_eq22),
+    "eq31": _Theorem(_eq31, uses_alpha=True),
+    "eq42": _Theorem(_eq42, uses_alpha=True),
 }
 THEOREMS = tuple(_TABLE)
 CHAIN_THEOREMS = tuple(name for name, spec in _TABLE.items() if spec.chain)
@@ -431,20 +436,15 @@ def _point_reports(
 ) -> list[InequalityReport]:
     """The reports of ``theorems`` at one (alpha, m) point on ``cache``'s interval.
 
-    Each distinct effective class is looked up once, however many theorems
-    require it, and the reports that carry the same parameters share one
-    ReportParams (the CLI memoises its text by identity).
+    The reports that carry the same parameters share one ReportParams (the
+    CLI memoises its text by identity).
     """
-    hyp_cache: dict[tuple[float, float], _HypOutcome] = {}
     params: dict[bool, ReportParams] = {}
     reports: list[InequalityReport] = []
     for theorem in theorems:
         spec = _TABLE[theorem]
         eff = spec.effective_class(m, alpha)
-        key = (eff.m, eff.alpha)
-        if key not in hyp_cache:
-            hyp_cache[key] = hyp_lookup(eff)
-        outcome = hyp_cache[key]
+        outcome = hyp_lookup(eff)
         if spec.chain not in params:
             params[spec.chain] = spec.report_params(cache.iv.a, cache.iv.b, m, alpha, family)
         rp = params[spec.chain]
@@ -501,13 +501,12 @@ def verify_theorems(
         _require_theorem(theorem)
     check_variant(variant)
     ClassParams(m=m, alpha=alpha)  # range-check even for theorems that ignore one of them
-
-    def lookup(eff: ClassParams) -> _HypOutcome:
-        return _run_class_check(f, iv.b / eff.m, eff, grid_n, tol_rel, seed)
-
+    lookup: _HypLookup = _no_class_check
+    if check_hypothesis:
+        lookup = functools.partial(_class_checks(f, grid_n, tol_rel, seed), iv.b)
     return _point_reports(
         theorems, _IntegralCache(f, iv, tol), m=m, alpha=alpha, variant=variant,
-        hyp_lookup=lookup if check_hypothesis else _no_class_check, family=_family_pairs(family),
+        hyp_lookup=lookup, family=_family_pairs(family),
     )
 
 
@@ -591,14 +590,7 @@ def sweep(
         spec = FamilySpec(family, dict(zip(names, combo)))
         f = family_instantiate(spec)
         fam_pairs = _family_pairs(spec)
-        checked: dict[tuple[float, float, float], _HypOutcome] = {}
-
-        def class_check(upper: float, eff: ClassParams) -> _HypOutcome:
-            key = (upper / eff.m, eff.m, eff.alpha)
-            if key not in checked:
-                checked[key] = _run_class_check(f, key[0], eff, grid_n, tol_rel, seed)
-            return checked[key]
-
+        class_checks = _class_checks(f, grid_n, tol_rel, seed)
         for a in a_values:
             for b in b_values:
                 if a >= b:
@@ -608,7 +600,7 @@ def sweep(
                 if hypothesis == "off":
                     lookup: _HypLookup = _no_class_check
                 else:
-                    lookup = functools.partial(class_check, b if hypothesis == "per-point" else max_b)
+                    lookup = functools.partial(class_checks, b if hypothesis == "per-point" else max_b)
                 for alpha in alpha_values:
                     for m in m_values:
                         reports.extend(
@@ -746,7 +738,7 @@ def search_min_margin(
     best_margin = math.inf
     best_report: Optional[InequalityReport] = None
 
-    coarse_n = min(budget, math.ceil(budget / 2))
+    coarse_n = math.ceil(budget / 2)
     for i in range(coarse_n):
         coords = [
             lo + ((offsets[j] + i * gammas[j]) % 1.0) * (hi - lo)
@@ -758,7 +750,7 @@ def search_min_margin(
             best_coords, best_margin, best_report = coords, margin, report
     assert best_report is not None
 
-    def line_minimize(j: int, cap: int) -> tuple[float, float, Optional[InequalityReport], int]:
+    def line_minimize(j: int, cap: int) -> tuple[float, float, InequalityReport, int]:
         """Golden-section along coordinate j from the current best point."""
         lo, hi = ranges[j]
         base = list(best_coords)
@@ -802,7 +794,7 @@ def search_min_margin(
                 break
             x, fx, report_x, used = line_minimize(j, cap)
             evals += used
-            if fx < best_margin and report_x is not None:
+            if fx < best_margin:
                 best_coords[j] = x
                 best_margin = fx
                 best_report = report_x

@@ -24,7 +24,6 @@ from hhverify import (
     VIOLATED,
     chain_dr2,
     check_alpha_m_log_convex,
-    check_m_log_convex,
     exp_mean_factor,
     family_instantiate,
     integrate,
@@ -176,8 +175,8 @@ def test_criterion_6_classifier_certificates():
     quad = parse("x^2+1")
     ok = True
     for i in range(1, 11):
-        ok = ok and check_m_log_convex(exp, 2.0, i / 10.0).verdict == "pass"
-    fail_quad = check_m_log_convex(quad, 2.0, 1.0)
+        ok = ok and check_alpha_m_log_convex(exp, 2.0, ClassParams(i / 10.0)).verdict == "pass"
+    fail_quad = check_alpha_m_log_convex(quad, 2.0, ClassParams(1.0))
     ok = ok and fail_quad.verdict == "fail"
     ok = ok and _replay_violation(quad, fail_quad.worst_violation, 1.0, 1.0)
     fail_exp = check_alpha_m_log_convex(exp, 2.0, ClassParams(m=1.0, alpha=0.5))
@@ -222,8 +221,8 @@ def test_criterion_8_byte_identical_reruns(gated_sweeps):
     second = [_ReportText().summary_json(s) for _, s in _run_gated_sweeps()]
 
     def classification_blob() -> str:
-        reports = [check_m_log_convex(parse("exp(x)"), 2.0, i / 10.0) for i in range(1, 11)]
-        reports.append(check_m_log_convex(parse("x^2+1"), 2.0, 1.0))
+        reports = [check_alpha_m_log_convex(parse("exp(x)"), 2.0, ClassParams(i / 10.0)) for i in range(1, 11)]
+        reports.append(check_alpha_m_log_convex(parse("x^2+1"), 2.0, ClassParams(1.0)))
         reports.append(check_alpha_m_log_convex(parse("exp(x)"), 2.0, ClassParams(1.0, 0.5)))
         payload = []
         for r in reports:

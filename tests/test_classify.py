@@ -6,7 +6,6 @@ from hhverify import (
     ClassParams,
     SampleEvaluationError,
     check_alpha_m_log_convex,
-    check_m_log_convex,
     parse,
 )
 
@@ -18,23 +17,23 @@ def scalar_rhs(f, x, y, t, m, alpha):
 
 
 def test_exp_is_m_log_convex():
-    report = check_m_log_convex(parse("exp(x)"), 2.0, 0.5)
+    report = check_alpha_m_log_convex(parse("exp(x)"), 2.0, ClassParams(0.5))
     assert report.verdict == "pass"
     assert report.worst_violation is None
 
 
 def test_small_constant_is_m_log_convex():
-    assert check_m_log_convex(parse("0.5"), 2.0, 0.7).verdict == "pass"
+    assert check_alpha_m_log_convex(parse("0.5"), 2.0, ClassParams(0.7)).verdict == "pass"
 
 
 def test_sample_count_is_twice_grid_cubed():
-    report = check_m_log_convex(parse("exp(x)"), 1.0, 1.0, grid_n=9)
+    report = check_alpha_m_log_convex(parse("exp(x)"), 1.0, ClassParams(1.0), grid_n=9)
     assert report.samples == 2 * 9**3
 
 
 def test_shifted_square_fails_and_witness_replays():
     f = parse("x^2+1")
-    report = check_m_log_convex(f, 2.0, 1.0)
+    report = check_alpha_m_log_convex(f, 2.0, ClassParams(1.0))
     assert report.verdict == "fail"
     w = report.worst_violation
     assert w is not None
@@ -54,51 +53,31 @@ def test_exp_fails_for_alpha_below_one():
     assert w.lhs > scalar_rhs(f, w.x, w.y, w.t, 1.0, 0.5) * (1.0 + 1e-9)
 
 
-def test_alpha_one_specializes_bitwise():
-    # the m-only checker and the (alpha, m) checker at alpha=1 must agree
-    # sample for sample, not just verdict for verdict
-    cases = [
-        ("exp(x)", 0.5, 2.0),
-        ("exp(x)", 1.0, 2.0),
-        ("x^2+1", 1.0, 2.0),
-        ("0.5", 0.25, 1.5),
-        ("0.5*exp(2*x)", 1.0, 1.0),
-        ("x^2+1", 0.5, 3.0),
-        ("exp(x^2)", 1.0, 1.0),
-        ("2", 1.0, 2.0),
-        ("exp(3*x)", 0.75, 1.25),
-        ("1.5", 0.9, 0.5),
-    ]
-    for text, m, upper in cases:
-        f = parse(text)
-        plain = check_m_log_convex(f, upper, m, grid_n=9)
-        general = check_alpha_m_log_convex(f, upper, ClassParams(m=m, alpha=1.0), grid_n=9)
-        assert plain == general, text
-
-
 def test_refinement_keeps_failing():
     verdicts = [
-        check_m_log_convex(parse("x^2+1"), 2.0, 1.0, grid_n=n).verdict for n in (17, 33, 65)
+        check_alpha_m_log_convex(parse("x^2+1"), 2.0, ClassParams(1.0), grid_n=n).verdict
+        for n in (17, 33, 65)
     ]
     assert verdicts == ["fail", "fail", "fail"]
 
 
 def test_deterministic_reports():
     f = parse("x^2+1")
-    assert check_m_log_convex(f, 2.0, 1.0) == check_m_log_convex(f, 2.0, 1.0)
+    params = ClassParams(1.0)
+    assert check_alpha_m_log_convex(f, 2.0, params) == check_alpha_m_log_convex(f, 2.0, params)
 
 
 def test_seed_changes_random_block_only():
     f = parse("exp(x)")
-    a = check_m_log_convex(f, 2.0, 0.5, seed=1)
-    b = check_m_log_convex(f, 2.0, 0.5, seed=2)
+    a = check_alpha_m_log_convex(f, 2.0, ClassParams(0.5), seed=1)
+    b = check_alpha_m_log_convex(f, 2.0, ClassParams(0.5), seed=2)
     assert a.verdict == b.verdict == "pass"
     assert a.samples == b.samples
 
 
 def test_overflowing_function_reports_offending_triple():
     with pytest.raises(SampleEvaluationError) as info:
-        check_m_log_convex(parse("exp(x^2)"), 40.0, 1.0)
+        check_alpha_m_log_convex(parse("exp(x^2)"), 40.0, ClassParams(1.0))
     x, y, t = info.value.triple
     assert 0.0 <= x <= 40.0 and 0.0 <= y <= 40.0 and 0.0 <= t <= 1.0
 
@@ -111,4 +90,4 @@ def test_class_params_validation(m, alpha):
 
 def test_domain_upper_must_be_positive():
     with pytest.raises(ValueError):
-        check_m_log_convex(parse("exp(x)"), 0.0, 1.0)
+        check_alpha_m_log_convex(parse("exp(x)"), 0.0, ClassParams(1.0))

@@ -12,8 +12,8 @@ from hhverify.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATED,
+    _ReportText,
     report_from_dict,
-    report_to_dict,
     run,
 )
 
@@ -129,7 +129,7 @@ class TestCheckOutput:
         payload = json.loads(capsys.readouterr().out)
         direct = verify_theorem("eq4", parse("exp(x)"), Interval(0.0, 1.0))
         assert report_from_dict(payload) == direct
-        assert report_from_dict(report_to_dict(direct)) == direct
+        assert report_from_dict(json.loads(_ReportText().json(direct))) == direct
 
     def test_family_params_serialized(self, capsys):
         run([
@@ -290,6 +290,39 @@ class TestSearch:
             "--theorem", "eq4",
         ])
         assert code == EXIT_USAGE
+
+
+PARAM_COMMANDS = {
+    "check": ["check", "--theorem", "eq4", "--family", "exp_affine"],
+    "sweep": ["sweep", "--theorem", "eq4", "--family", "exp_affine"],
+    "search": ["search", "--theorem", "eq4", "--family", "exp_affine", "--range", "k=0:1"],
+}
+PARAM_ERRORS = [
+    (["c=1", "c=2"], "error: duplicate --param 'c'\n"),
+    (["c=1", "c=abc"], "error: duplicate --param 'c'\n"),  # names are checked before values
+    (["c"], "error: --param expects NAME=VALUE, got 'c'\n"),
+    (["c=1", "c"], "error: --param expects NAME=VALUE, got 'c'\n"),  # split before the duplicate check
+    (["c=abc"], "error: could not convert string to float: 'abc'\n"),
+]
+
+
+class TestParamErrors:
+    @pytest.mark.parametrize("command", sorted(PARAM_COMMANDS))
+    @pytest.mark.parametrize("params,stderr", PARAM_ERRORS)
+    def test_param_error_is_usage(self, capsys, command, params, stderr):
+        argv = list(PARAM_COMMANDS[command])
+        for param in params:
+            argv += ["--param", param]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", stderr)
+
+    @pytest.mark.parametrize("grid,stderr", [
+        ("1:2", "error: grid must be 'lo:hi:n', a value, or a comma list, got '1:2'\n"),
+        ("1,x", "error: could not convert string to float: 'x'\n"),
+    ])
+    def test_malformed_sweep_grid_is_usage(self, capsys, grid, stderr):
+        assert run(PARAM_COMMANDS["sweep"] + ["--param", f"c={grid}"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", stderr)
 
 
 def test_module_entry_point_subprocess():

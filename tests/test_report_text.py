@@ -2,7 +2,7 @@
 
 ``_ReportText`` renders a report's JSON object from one template and its CSV
 row from memoised parameter cells. The references here are the generic
-recursive walk ``_json_value(report_to_dict(r))`` and a plain ``csv.writer``
+recursive walk ``_json_value(_reference_dict(r))`` and a plain ``csv.writer``
 fed each report's cells, every number through ``_fmt_float``.
 """
 import csv
@@ -11,7 +11,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from hhverify.cli import _fmt_float, _json_value, _ReportText, report_to_dict
+from hhverify.cli import _fmt_float, _json_value, _ReportText
 from hhverify.verify import InequalityReport, MinMargin, ReportParams, SweepSummary
 
 SPECIAL = [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1, -2.75]
@@ -50,6 +50,25 @@ def report_lists(draw):
     ]
 
 
+def _reference_dict(r) -> dict:
+    """A report's JSON form as a dict: exactly these nine keys, in this order."""
+    p = r.params
+    return {
+        "theorem": r.theorem,
+        "variant": r.variant,
+        "params": {
+            "a": p.a, "b": p.b, "alpha": p.alpha, "m": p.m,
+            "family_params": None if p.family is None else dict(p.family),
+        },
+        "hypothesis": r.hypothesis,
+        "lhs": r.lhs,
+        "rhs": r.rhs,
+        "margin": r.margin,
+        "quad_err": r.quad_err,
+        "verdict": r.verdict,
+    }
+
+
 def _reference_csv(reports) -> str:
     def number(value):
         return "" if value is None else _fmt_float(value)
@@ -71,7 +90,7 @@ def _reference_csv(reports) -> str:
 def test_json_and_csv_match_the_generic_encoders(reports):
     text = _ReportText()
     for r in reports:
-        assert text.json(r) == _json_value(report_to_dict(r))
+        assert text.json(r) == _json_value(_reference_dict(r))
     # the same memo then serves the CSV rows, as in `sweep --json --csv`
     assert text.csv(reports) == _reference_csv(reports)
     assert _ReportText().csv(reports) == _reference_csv(reports)
@@ -86,7 +105,7 @@ def test_summary_json_matches_the_generic_encoder(reports, best_value):
     summary = SweepSummary(reports=tuple(reports), min_margin=best, counts={})
     best_dict = None if best is None else {
         "value": best.value, "theorem": best.theorem, "variant": best.variant,
-        "params": report_to_dict(reports[-1])["params"],
+        "params": _reference_dict(reports[-1])["params"],
     }
-    expected = _json_value({"reports": [report_to_dict(r) for r in reports], "min_margin": best_dict})
+    expected = _json_value({"reports": [_reference_dict(r) for r in reports], "min_margin": best_dict})
     assert _ReportText().summary_json(summary) == expected
