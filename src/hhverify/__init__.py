@@ -12,11 +12,10 @@ from .bounds import (
     BoundSide,
     ChainTerm,
     ChainValues,
-    RatioSet,
+    Endpoints,
     chain_dr1,
     chain_dr2,
     exp_mean_factor,
-    ratio_set,
 )
 from .classify import (
     ClassificationReport,
@@ -82,8 +81,8 @@ __all__ = [
     "ClassParams", "ClassificationReport", "Violation", "SampleEvaluationError",
     "check_alpha_m_log_convex",
     # bounds and chains
-    "BoundSide", "RatioSet", "ChainTerm", "ChainValues", "exp_mean_factor",
-    "ratio_set", "chain_dr1", "chain_dr2",
+    "BoundSide", "Endpoints", "ChainTerm", "ChainValues", "exp_mean_factor",
+    "chain_dr1", "chain_dr2",
     # verification
     "THEOREMS", "HOLDS", "VIOLATED", "INAPPLICABLE", "INCONCLUSIVE",
     "HYP_PASS", "HYP_FAIL", "HYP_SKIPPED",

@@ -3,10 +3,12 @@
 Every theorem handled by this package compares an integral mean of a
 positive function f against closed forms built from endpoint values, the
 scaled endpoint values f(a/m)**m and f(b/m)**m, and averages of the
-exponential family t -> r**(t**alpha). All products and powers of function
-values are computed in log space so that nothing overflows before it has
-to. Inapplicable sides (endpoint ratios above one, where the closed form
-stops being an upper bound) are reported as data, never raised.
+exponential family t -> r**(t**alpha). The closed forms do not evaluate f;
+they read one ``Endpoints`` record, built once per interval and m. All
+products and powers of function values are computed in log space so that
+nothing overflows before it has to. Inapplicable sides (endpoint ratios
+above one, where the closed form stops being an upper bound) are reported
+as data, never raised.
 
 Two inequalities exist in a printed and a corrected variant. The printed
 closed forms compare the geometric-mean integral
@@ -40,12 +42,11 @@ __all__ = [
     "RATIO_ABOVE_ONE",
     "VARIANTS",
     "BoundSide",
-    "RatioSet",
+    "Endpoints",
     "ChainTerm",
     "ChainValues",
     "exp_mean_factor",
     "check_variant",
-    "ratio_set",
     "chain_dr1",
     "chain_dr2",
 ]
@@ -69,15 +70,6 @@ class BoundSide:
     @staticmethod
     def inapplicable(reason: str) -> "BoundSide":
         return BoundSide(value=None, err_est=0.0, applicable=False, reason=reason)
-
-
-@dataclass(frozen=True)
-class RatioSet:
-    """Endpoint ratios phi = f(a)/f(b/m)**m, ell = f(b)/f(a/m)**m, theta = phi*ell."""
-
-    phi: float
-    ell: float
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -118,28 +110,44 @@ def exp_mean_factor(r: float, alpha: float) -> BoundSide:
     return BoundSide(value=math.expm1(u) / u)
 
 
-def _log_f(f: FunctionExpr, x: float) -> float:
-    return math.log(f.evaluate(x))
+@dataclass(frozen=True)
+class Endpoints:
+    """f(a), f(b) and the logs la, lb, lam, lbm of f at a, b, a/m, b/m: all the closed forms read.
 
-
-def ratio_set(f: FunctionExpr, iv: Interval, m: float) -> RatioSet:
-    """Compute the endpoint ratios of ``f`` on ``iv`` in log space.
-
-    theta is formed from the sum of the log ratios, so it agrees with
+    phi = f(a)/f(b/m)**m, ell = f(b)/f(a/m)**m and theta = phi*ell are formed
+    in log space, theta from the sum of the log ratios, so it agrees with
     phi*ell to rounding even when the factors are extreme.
     """
-    ClassParams(m)  # range-check m
-    la = _log_f(f, iv.a)
-    lb = _log_f(f, iv.b)
-    lam = _log_f(f, iv.a / m)
-    lbm = _log_f(f, iv.b / m)
-    log_phi = la - m * lbm
-    log_ell = lb - m * lam
-    return RatioSet(
-        phi=math.exp(log_phi),
-        ell=math.exp(log_ell),
-        theta=math.exp(log_phi + log_ell),
-    )
+
+    m: float
+    fa: float
+    fb: float
+    la: float
+    lb: float
+    lam: float
+    lbm: float
+
+    @staticmethod
+    def of(f: FunctionExpr, iv: Interval, m: float) -> "Endpoints":
+        """Evaluate f at a, b, a/m and b/m, in this order, so the first bad abscissa raises."""
+        ClassParams(m)  # range-check m
+        fa = f.evaluate(iv.a)
+        fb = f.evaluate(iv.b)
+        lam = math.log(f.evaluate(iv.a / m))
+        lbm = math.log(f.evaluate(iv.b / m))
+        return Endpoints(m, fa, fb, math.log(fa), math.log(fb), lam, lbm)
+
+    @property
+    def phi(self) -> float:
+        return math.exp(self.la - self.m * self.lbm)
+
+    @property
+    def ell(self) -> float:
+        return math.exp(self.lb - self.m * self.lam)
+
+    @property
+    def theta(self) -> float:
+        return math.exp((self.la - self.m * self.lbm) + (self.lb - self.m * self.lam))
 
 
 def check_variant(variant: str) -> None:
@@ -207,27 +215,21 @@ def log_integrand(f: FunctionExpr) -> Callable[[float], float]:
     return generate(f, _LOG_F, evaluate=f.evaluate)
 
 
-def eq4_rhs(f: FunctionExpr, iv: Interval, m: float) -> BoundSide:
+def eq4_rhs(ends: Endpoints) -> BoundSide:
     """min of L(f(a), f(b/m)**m) and L(f(b), f(a/m)**m)."""
-    ClassParams(m)  # range-check m
-    fa = f.evaluate(iv.a)
-    fb = f.evaluate(iv.b)
-    fam_m = math.exp(m * _log_f(f, iv.a / m))
-    fbm_m = math.exp(m * _log_f(f, iv.b / m))
-    return BoundSide(value=min(logarithmic_mean(fa, fbm_m), logarithmic_mean(fb, fam_m)))
+    fam_m = math.exp(ends.m * ends.lam)
+    fbm_m = math.exp(ends.m * ends.lbm)
+    return BoundSide(value=min(logarithmic_mean(ends.fa, fbm_m), logarithmic_mean(ends.fb, fam_m)))
 
 
-def eq22_rhs(f: FunctionExpr, iv: Interval, m: float, variant: str = "corrected") -> BoundSide:
-    ClassParams(m)  # range-check m
+def eq22_rhs(ends: Endpoints, variant: str = "corrected") -> BoundSide:
     check_variant(variant)
-    la, lb = _log_f(f, iv.a), _log_f(f, iv.b)
-    lam, lbm = _log_f(f, iv.a / m), _log_f(f, iv.b / m)
     if variant == "printed":
-        p = math.exp(la + lb)
-        q = math.exp(m * (lam + lbm))
+        p = math.exp(ends.la + ends.lb)
+        q = math.exp(ends.m * (ends.lam + ends.lbm))
     else:
-        p = math.exp(0.5 * (la + lb))
-        q = math.exp(0.5 * m * (lam + lbm))
+        p = math.exp(0.5 * (ends.la + ends.lb))
+        q = math.exp(0.5 * ends.m * (ends.lam + ends.lbm))
     return BoundSide(value=logarithmic_mean(p, q))
 
 
@@ -237,36 +239,31 @@ def _scaled(side: BoundSide, coefficient: float) -> BoundSide:
     return BoundSide(value=coefficient * side.value, err_est=coefficient * side.err_est)
 
 
-def eq31_branches(f: FunctionExpr, iv: Interval, params: ClassParams) -> tuple[BoundSide, dict[str, BoundSide]]:
+def eq31_branches(ends: Endpoints, alpha: float) -> tuple[BoundSide, dict[str, BoundSide]]:
     """rhs and both labeled branches of the endpoint-ratio mean bound.
 
     The "phi" branch scales the kernel at phi by f(b/m)**m, the "ell"
     branch scales the kernel at ell by f(a/m)**m; the rhs is the minimum
     of the applicable branches, or inapplicable when both ratios exceed 1.
     """
-    ratios = ratio_set(f, iv, params.m)
-    coef_phi = math.exp(params.m * _log_f(f, iv.b / params.m))
-    coef_ell = math.exp(params.m * _log_f(f, iv.a / params.m))
     branches = {
-        "phi": _scaled(exp_mean_factor(ratios.phi, params.alpha), coef_phi),
-        "ell": _scaled(exp_mean_factor(ratios.ell, params.alpha), coef_ell),
+        "phi": _scaled(exp_mean_factor(ends.phi, alpha), math.exp(ends.m * ends.lbm)),
+        "ell": _scaled(exp_mean_factor(ends.ell, alpha), math.exp(ends.m * ends.lam)),
     }
     usable = [side.value for side in branches.values() if side.applicable]
     rhs = BoundSide(value=min(usable)) if usable else BoundSide.inapplicable(RATIO_ABOVE_ONE)
     return rhs, branches
 
 
-def eq42_rhs(f: FunctionExpr, iv: Interval, params: ClassParams, variant: str = "corrected") -> BoundSide:
+def eq42_rhs(ends: Endpoints, alpha: float, variant: str = "corrected") -> BoundSide:
     check_variant(variant)
-    ratios = ratio_set(f, iv, params.m)
-    lam, lbm = _log_f(f, iv.a / params.m), _log_f(f, iv.b / params.m)
     if variant == "printed":
-        coefficient = math.exp(params.m * (lam + lbm))
-        ratio = ratios.theta
+        coefficient = math.exp(ends.m * (ends.lam + ends.lbm))
+        ratio = ends.theta
     else:
-        coefficient = math.exp(0.5 * params.m * (lam + lbm))
-        ratio = math.sqrt(ratios.theta)
-    return _scaled(exp_mean_factor(ratio, params.alpha), coefficient)
+        coefficient = math.exp(0.5 * ends.m * (ends.lam + ends.lbm))
+        ratio = math.sqrt(ends.theta)
+    return _scaled(exp_mean_factor(ratio, alpha), coefficient)
 
 
 # ---------------------------------------------------------------------------

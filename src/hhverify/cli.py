@@ -76,6 +76,9 @@ EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# The most points one ``lo:hi:n`` grid may ask for; the list is built eagerly.
+MAX_GRID_POINTS = 10_000
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = EXIT_USAGE):
@@ -361,8 +364,8 @@ def _parse_grid(text: str) -> list[float]:
             raise _CliError(f"grid must be 'lo:hi:n', a value, or a comma list, got {text!r}")
         lo, hi = float(parts[0]), float(parts[1])
         n = int(parts[2])
-        if n < 1:
-            raise _CliError(f"grid count must be >= 1, got {n}")
+        if not 1 <= n <= MAX_GRID_POINTS:
+            raise _CliError(f"grid count must lie in [1, {MAX_GRID_POINTS}], got {n}")
         if n == 1:
             return [lo]
         values = [lo + (hi - lo) * i / (n - 1) for i in range(n)]

@@ -32,12 +32,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from .bounds import (
     BoundSide,
     ChainTerm,
     ChainValues,
+    Endpoints,
     chain_dr1,
     chain_dr2,
     check_variant,
@@ -239,22 +240,22 @@ def _class_checks(
 
 
 class _IntegralCache:
-    """Lazily computed integrals of ``f`` on ``iv``, shared by every report that needs them.
+    """Integrals and endpoint values of ``f`` on ``iv``, computed lazily and shared by every report.
 
-    None of the integrals depends on alpha, and the mixed kernel is keyed by
-    m, so one cache serves all theorems and all (alpha, m) points on one
-    interval. An integral that raised is cached too, so a second theorem
-    needing it re-raises instead of re-integrating up to the same bad
-    abscissa. A cache lives for one call of the public entry points only.
+    Neither depends on alpha, and the mixed kernel and the endpoints are
+    keyed by m, so one cache serves all theorems and all (alpha, m) points
+    on one interval. A value that raised is cached too, so a second theorem
+    needing it re-raises instead of evaluating up to the same bad abscissa
+    again. A cache lives for one call of the public entry points only.
     """
 
     def __init__(self, f: FunctionExpr, iv: Interval, tol: float):
         self.f = f
         self.iv = iv
         self.tol = tol
-        self._store: dict[str, QuadResult | Exception] = {}
+        self._store: dict[str, QuadResult | Endpoints | Exception] = {}
 
-    def _get(self, key: str, thunk: Callable[[], QuadResult]) -> QuadResult:
+    def _get(self, key: str, thunk: Callable[[], Any]) -> Any:
         if key not in self._store:
             try:
                 self._store[key] = thunk()
@@ -283,6 +284,9 @@ class _IntegralCache:
             f"mixed_geometric:{m!r}",
             lambda: mean_integral(mixed_geometric_integrand(self.f, s, m), self.iv, self.tol),
         )
+
+    def endpoints(self, m: float) -> Endpoints:
+        return self._get(f"endpoints:{m!r}", lambda: Endpoints.of(self.f, self.iv, m))
 
 
 def _assembled(
@@ -353,7 +357,7 @@ def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> ChainValues:
 
 def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
     lhs = cache.mean_f()
-    return lhs.value, lhs.err_est, eq4_rhs(cache.f, cache.iv, eff.m)
+    return lhs.value, lhs.err_est, eq4_rhs(cache.endpoints(eff.m))
 
 
 def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
@@ -364,17 +368,17 @@ def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
 
 def _eq22(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
     lhs = cache.sym_geometric()
-    return lhs.value, lhs.err_est, eq22_rhs(cache.f, cache.iv, eff.m, variant)
+    return lhs.value, lhs.err_est, eq22_rhs(cache.endpoints(eff.m), variant)
 
 
 def _eq31(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
     lhs = cache.mean_f()
-    return lhs.value, lhs.err_est, eq31_branches(cache.f, cache.iv, eff)[0]
+    return lhs.value, lhs.err_est, eq31_branches(cache.endpoints(eff.m), eff.alpha)[0]
 
 
 def _eq42(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
     lhs = cache.sym_geometric()
-    return lhs.value, lhs.err_est, eq42_rhs(cache.f, cache.iv, eff, variant)
+    return lhs.value, lhs.err_est, eq42_rhs(cache.endpoints(eff.m), eff.alpha, variant)
 
 
 @dataclass(frozen=True)
@@ -437,7 +441,9 @@ def _point_reports(
     """The reports of ``theorems`` at one (alpha, m) point on ``cache``'s interval.
 
     The reports that carry the same parameters share one ReportParams (the
-    CLI memoises its text by identity).
+    CLI memoises its text by identity). A report whose evaluation of f or
+    integral fails, or whose closed form overflows, is inconclusive, with
+    the error in its diagnostics.
     """
     params: dict[bool, ReportParams] = {}
     reports: list[InequalityReport] = []
@@ -455,6 +461,8 @@ def _point_reports(
                 continue
             except (EvaluationError, IntegrandError) as err:
                 diagnostics = str(err)
+            except OverflowError as err:
+                diagnostics = f"closed form overflowed: {err}"
         reports.append(
             InequalityReport(
                 theorem, variant, rp, outcome.status,

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from hhverify import (
-    ClassParams,
+    Endpoints,
     FamilySpec,
     Interval,
     arithmetic_mean,
@@ -15,7 +16,6 @@ from hhverify import (
     geometric_mean,
     mean_integral,
     parse,
-    ratio_set,
 )
 from hhverify.bounds import (
     RATIO_ABOVE_ONE,
@@ -59,9 +59,9 @@ class TestExpMeanFactor:
         assert 0.0 < side.value < 1.0
 
 
-class TestRatioSet:
+class TestEndpoints:
     def test_exp_on_unit_interval(self):
-        rs = ratio_set(parse("exp(x)"), UNIT, 1.0)
+        rs = Endpoints.of(parse("exp(x)"), UNIT, 1.0)
         assert rs.phi == pytest.approx(1.0 / math.e, rel=1e-15)
         assert rs.ell == pytest.approx(math.e, rel=1e-15)
         assert rs.theta == pytest.approx(1.0, abs=1e-15)
@@ -74,19 +74,19 @@ class TestRatioSet:
             )
             iv = Interval(rng.uniform(0.0, 0.5), rng.uniform(0.6, 2.0))
             m = rng.uniform(0.1, 1.0)
-            rs = ratio_set(f, iv, m)
+            rs = Endpoints.of(f, iv, m)
             assert rs.theta == pytest.approx(rs.phi * rs.ell, rel=1e-12)
 
     def test_exp_linear_theta_is_one_for_any_m(self):
         rng = random.Random(10)
         for _ in range(20):
             f = family_instantiate(FamilySpec("exp_linear", {"k": rng.uniform(-2.0, 3.0)}))
-            rs = ratio_set(f, Interval(0.25, 1.5), rng.uniform(0.05, 1.0))
+            rs = Endpoints.of(f, Interval(0.25, 1.5), rng.uniform(0.05, 1.0))
             assert rs.theta == pytest.approx(1.0, rel=1e-12)
 
     def test_m_validation(self):
         with pytest.raises(ValueError, match=r"m must lie in \(0, 1\], got 0.0"):
-            ratio_set(parse("exp(x)"), UNIT, 0.0)
+            Endpoints.of(parse("exp(x)"), UNIT, 0.0)
 
 
 def _sym_mean(f, iv):
@@ -96,14 +96,14 @@ def _sym_mean(f, iv):
 def test_eq4_exp_is_equality():
     f, iv = parse("exp(x)"), Interval(0.0, 2.0)
     assert mean_integral(f, iv, 1e-10).value == pytest.approx(3.194528049465325, rel=1e-12)
-    assert eq4_rhs(f, iv, 0.5).value == pytest.approx(3.194528049465325, rel=1e-12)
+    assert eq4_rhs(Endpoints.of(f, iv, 0.5)).value == pytest.approx(3.194528049465325, rel=1e-12)
 
 
 def test_eq4_const_frozen_bound():
     f = parse("0.5")
     assert mean_integral(f, UNIT, 1e-10).value == 0.5
     # L(0.5, 0.5^0.5), both orderings coincide here
-    assert eq4_rhs(f, UNIT, 0.5).value == pytest.approx(0.5975838523046155, rel=1e-14)
+    assert eq4_rhs(Endpoints.of(f, UNIT, 0.5)).value == pytest.approx(0.5975838523046155, rel=1e-14)
 
 
 def _eq11_sides(f, iv, m):
@@ -127,22 +127,22 @@ def test_eq11_const_frozen_bound():
 def test_eq22_variants_on_a_constant():
     f = parse("0.5")
     assert _sym_mean(f, UNIT).value == pytest.approx(0.5, abs=1e-14)
-    assert eq22_rhs(f, UNIT, 1.0, variant="printed").value == pytest.approx(0.25, abs=1e-14)
-    assert eq22_rhs(f, UNIT, 1.0, variant="corrected").value == pytest.approx(0.5, abs=1e-14)
+    assert eq22_rhs(Endpoints.of(f, UNIT, 1.0), variant="printed").value == pytest.approx(0.25, abs=1e-14)
+    assert eq22_rhs(Endpoints.of(f, UNIT, 1.0), variant="corrected").value == pytest.approx(0.5, abs=1e-14)
 
 
 def test_eq22_corrected_m_one_reduces_to_endpoint_geometric_mean():
     f = parse("exp(2*x)")
     iv = Interval(0.2, 1.7)
     expected = geometric_mean(f.evaluate(iv.a), f.evaluate(iv.b))
-    assert eq22_rhs(f, iv, 1.0, variant="corrected").value == pytest.approx(expected, rel=1e-13)
+    assert eq22_rhs(Endpoints.of(f, iv, 1.0), variant="corrected").value == pytest.approx(expected, rel=1e-13)
 
 
 def test_eq31_const_worked_example():
     # f = 1/2, m = alpha = 1/2 on [0, 1]: both endpoint ratios are 2^-1/2,
     # the kernel value is 0.91815..., and each branch scales it by 2^-1/2.
     f = parse("0.5")
-    rhs, branches = eq31_branches(f, UNIT, ClassParams(m=0.5, alpha=0.5))
+    rhs, branches = eq31_branches(Endpoints.of(f, UNIT, 0.5), 0.5)
     assert mean_integral(f, UNIT, 1e-10).value == 0.5
     for side in branches.values():
         assert side.value == pytest.approx(0.6492313715785641, rel=1e-13)
@@ -151,7 +151,7 @@ def test_eq31_const_worked_example():
 
 def test_eq31_exp_keeps_only_the_phi_branch():
     f = parse("exp(x)")
-    rhs, branches = eq31_branches(f, UNIT, ClassParams(m=1.0, alpha=1.0))
+    rhs, branches = eq31_branches(Endpoints.of(f, UNIT, 1.0), 1.0)
     assert branches["ell"].reason == RATIO_ABOVE_ONE
     assert branches["phi"].value == pytest.approx(math.e - 1.0, rel=1e-13)
     assert rhs.value == pytest.approx(math.e - 1.0, rel=1e-13)
@@ -159,18 +159,19 @@ def test_eq31_exp_keeps_only_the_phi_branch():
 
 
 def test_eq31_large_constant_is_fully_inapplicable():
-    rhs, branches = eq31_branches(parse("2"), UNIT, ClassParams(m=0.5, alpha=1.0))
+    rhs, branches = eq31_branches(Endpoints.of(parse("2"), UNIT, 0.5), 1.0)
     assert not rhs.applicable
     assert rhs.reason == RATIO_ABOVE_ONE
     assert not any(side.applicable for side in branches.values())
 
 
 def test_eq42_const_variants():
-    f, params = parse("0.5"), ClassParams(m=0.5, alpha=0.5)
+    f = parse("0.5")
+    ends = Endpoints.of(f, UNIT, 0.5)
     lhs = _sym_mean(f, UNIT)
     assert lhs.value == 0.5
-    assert eq42_rhs(f, UNIT, params, variant="corrected").value == pytest.approx(0.6492313715785641, rel=1e-13)
-    printed = eq42_rhs(f, UNIT, params, variant="printed")
+    assert eq42_rhs(ends, 0.5, variant="corrected").value == pytest.approx(0.6492313715785641, rel=1e-13)
+    printed = eq42_rhs(ends, 0.5, variant="printed")
     assert printed.value == pytest.approx(0.42255559429217393, rel=1e-13)
     # the printed closed form dips below the left side here
     assert printed.value < lhs.value
@@ -178,7 +179,50 @@ def test_eq42_const_variants():
 
 def test_eq42_variant_validation():
     with pytest.raises(ValueError):
-        eq42_rhs(parse("0.5"), UNIT, ClassParams(m=0.5), variant="fixed")
+        eq42_rhs(Endpoints.of(parse("0.5"), UNIT, 0.5), 1.0, variant="fixed")
+
+
+# f -> c*f at m = 1: every corrected closed form is homogeneous of degree
+# one, and the ratios phi and ell do not change, so neither does
+# applicability. (The printed forms are homogeneous of degree two in f and
+# are left out.) At m = 1, theta is exactly 1.
+_SCALABLE = {
+    "exp(k*x)": lambda p: f"exp({p!r}*x)",
+    "q+x^2": lambda p: f"{abs(p) + 0.1!r}+x^2",
+    "(x+0.5)^p": lambda p: f"(x+0.5)^{abs(p) + 0.25!r}",
+}
+
+
+def _corrected_sides(ends, alpha):
+    return {
+        "eq4": eq4_rhs(ends),
+        "eq22": eq22_rhs(ends, "corrected"),
+        "eq31": eq31_branches(ends, alpha)[0],
+        "eq42": eq42_rhs(ends, alpha, "corrected"),
+    }
+
+
+@given(
+    st.sampled_from(sorted(_SCALABLE)),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.floats(min_value=0.05, max_value=1.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_scaling_f_scales_the_corrected_closed_forms_at_m_one(family, p, a, width, alpha, c):
+    text = _SCALABLE[family](p)
+    iv = Interval(a, a + width)
+    ends = Endpoints.of(parse(text), iv, 1.0)
+    scaled = Endpoints.of(parse(f"{c!r}*({text})"), iv, 1.0)
+    assert ends.theta == scaled.theta == 1.0
+    for ratios in (ends, scaled):
+        assume(abs(ratios.phi - 1.0) > 1e-12 and abs(ratios.ell - 1.0) > 1e-12)
+    expected, actual = _corrected_sides(ends, alpha), _corrected_sides(scaled, alpha)
+    for name, side in expected.items():
+        assert actual[name].applicable == side.applicable, name
+        if side.applicable:
+            assert actual[name].value == pytest.approx(c * side.value, rel=1e-13), name
 
 
 def test_chain_dr1_exp_collapses_to_equality():

@@ -12,6 +12,9 @@ from hhverify.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATED,
+    MAX_GRID_POINTS,
+    _CliError,
+    _parse_grid,
     _ReportText,
     report_from_dict,
     run,
@@ -42,6 +45,19 @@ class TestExitCodes:
     def test_inconclusive(self, capsys):
         code = run(["check", "--theorem", "eq4", "--f", "1/(1-x)", "--b", "2"])
         assert code == EXIT_INCONCLUSIVE
+
+    @pytest.mark.parametrize("theorem,function", [
+        ("eq22", ["--family", "const", "--param", "c=1e200"]),
+        ("eq42", ["--family", "const", "--param", "c=1e200"]),
+        ("eq22", ["--f", "exp(700*x)", "--a", "0.9", "--b", "1"]),
+    ])
+    def test_closed_form_overflow_is_inconclusive(self, capsys, theorem, function):
+        code = run(["check", "--theorem", theorem, "--variant", "printed", "--hypothesis", "off", *function])
+        assert code == EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert "inconclusive" in out
+        assert f"note ({theorem}): closed form overflowed: math range error" in out
+        assert err == ""
 
     def test_syntax_error_is_usage(self, capsys):
         assert run(["check", "--theorem", "eq4", "--f", "exp("]) == EXIT_USAGE
@@ -323,6 +339,26 @@ class TestParamErrors:
     def test_malformed_sweep_grid_is_usage(self, capsys, grid, stderr):
         assert run(PARAM_COMMANDS["sweep"] + ["--param", f"c={grid}"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", stderr)
+
+
+class TestGridCap:
+    def test_largest_grid_is_built(self):
+        values = _parse_grid(f"0:1:{MAX_GRID_POINTS}")
+        assert len(values) == MAX_GRID_POINTS
+        assert (values[0], values[-1]) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("n", [0, MAX_GRID_POINTS + 1])
+    def test_count_outside_the_cap_is_refused(self, n):
+        with pytest.raises(_CliError) as exc:
+            _parse_grid(f"0:1:{n}")
+        assert str(exc.value) == f"grid count must lie in [1, {MAX_GRID_POINTS}], got {n}"
+        assert exc.value.code == EXIT_USAGE
+
+    def test_count_above_the_cap_is_usage(self, capsys):
+        n = MAX_GRID_POINTS + 1
+        argv = ["sweep", "--family", "const", "--param", "c=1", "--theorem", "eq4", "--a", f"0:1:{n}", "--b", "0"]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: grid count must lie in [1, {MAX_GRID_POINTS}], got {n}\n")
 
 
 def test_module_entry_point_subprocess():

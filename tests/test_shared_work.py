@@ -1,10 +1,11 @@
 """Exact work counts: one class check per effective class, one integral per kind.
 
-Class checks are counted at ``hhverify.verify.check_alpha_m_log_convex``
-and integrals at ``hhverify.quadrature.integrate``, the names the verifier
-reaches them through. Every count is deterministic, so the tests pin exact
-numbers, and each one also checks that sharing the work leaves the reports
-equal to those computed without it.
+Class checks are counted at ``hhverify.verify.check_alpha_m_log_convex``,
+integrals at ``hhverify.quadrature.integrate`` and evaluations of f at
+``FunctionExpr.evaluate``, the names the verifier reaches them through.
+Every count is deterministic, so the tests pin exact numbers, and each one
+also checks that sharing the work leaves the reports equal to those
+computed without it.
 """
 import dataclasses
 import json
@@ -18,6 +19,7 @@ from hhverify import (
     HYP_PASS,
     HYP_SKIPPED,
     FamilySpec,
+    FunctionExpr,
     Interval,
     family_instantiate,
     parse,
@@ -42,6 +44,7 @@ def _no_ambient_seed(monkeypatch):
 def work(monkeypatch) -> Counter:
     counts: Counter = Counter()
     check, integrate = hhverify.verify.check_alpha_m_log_convex, hhverify.quadrature.integrate
+    evaluate = FunctionExpr.evaluate
 
     def counted_check(*args, **kwargs):
         counts["class_checks"] += 1
@@ -51,8 +54,13 @@ def work(monkeypatch) -> Counter:
         counts["integrals"] += 1
         return integrate(*args, **kwargs)
 
+    def counted_evaluate(self, x):
+        counts["evaluations"] += 1
+        return evaluate(self, x)
+
     monkeypatch.setattr(hhverify.verify, "check_alpha_m_log_convex", counted_check)
     monkeypatch.setattr(hhverify.quadrature, "integrate", counted_integrate)
+    monkeypatch.setattr(FunctionExpr, "evaluate", counted_evaluate)
     return counts
 
 
@@ -114,6 +122,28 @@ def test_sweep_integrates_once_per_member_and_interval(work):
         for report in verify_theorems(GATE_THEOREMS, f, Interval(a, b), m=m, check_hypothesis=False, family=spec)
     ]
     assert [dataclasses.replace(r, hypothesis=HYP_SKIPPED) for r in summary.reports] == fresh
+
+
+def test_sweep_evaluates_the_endpoints_once_per_interval_and_m(work):
+    a_values, b_values, m_values, alpha_values = (0.0, 0.5), (1.5,), (0.5, 1.0), (0.5, 1.0)
+    summary = sweep("exp_linear", {"k": [1.0]}, a_values, b_values, m_values, alpha_values, ("eq22", "eq42"))
+    assert len(summary.reports) == len(a_values) * len(m_values) * len(alpha_values) * 2
+    # both theorems' integrals inline f, so only the endpoint values reach
+    # evaluate: f at a, b, a/m and b/m, once per (interval, m) for both
+    # theorems and both alphas
+    assert work["evaluations"] == len(a_values) * len(m_values) * 4
+
+    spec = FamilySpec("exp_linear", {"k": 1.0})
+    fresh = [
+        report
+        for a in a_values for b in b_values
+        for alpha in alpha_values for m in m_values
+        for report in verify_theorems(
+            ("eq22", "eq42"), family_instantiate(spec), Interval(a, b), m=m, alpha=alpha,
+            check_hypothesis=False, family=spec,
+        )
+    ]
+    assert list(summary.reports) == fresh
 
 
 def test_per_point_sweep_checks_each_domain_once(work):

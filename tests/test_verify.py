@@ -199,15 +199,21 @@ class TestSweep:
         assert summary.min_margin is None
         assert set(summary.counts.values()) == {0}
 
-    def test_errors_do_not_abort(self):
+    @pytest.mark.parametrize("family,grid,theorem,variant,diagnostics", [
         # exp(1000 x) overflows the positivity range at x = 1
+        ("exp_linear", {"k": (1.0, 1000.0)}, "eq4", "corrected", "value overflowed to non-finite"),
+        # f(a) f(b) = 1e400 overflows the printed closed form
+        ("const", {"c": (1.0, 1e200)}, "eq22", "printed", "closed form overflowed: math range error"),
+    ], ids=["evaluation", "closed_form"])
+    def test_errors_do_not_abort(self, family, grid, theorem, variant, diagnostics):
         summary = sweep(
-            "exp_linear", {"k": (1.0, 1000.0)},
-            (0.0,), (1.0,), (1.0,), (1.0,), ("eq4",),
-            hypothesis="off",
+            family, grid,
+            (0.0,), (1.0,), (1.0,), (1.0,), (theorem,),
+            variant=variant, hypothesis="off",
         )
         assert [r.verdict for r in summary.reports] == [HOLDS, INCONCLUSIVE]
         assert summary.counts[INCONCLUSIVE] == 1
+        assert diagnostics in summary.reports[1].diagnostics
 
     def test_hypothesis_off_labels_reports_skipped(self):
         summary = sweep(
