@@ -42,6 +42,7 @@ __all__ = [
     "RATIO_ABOVE_ONE",
     "VARIANTS",
     "BoundSide",
+    "ClosedFormUnderflow",
     "Endpoints",
     "ChainTerm",
     "ChainValues",
@@ -56,6 +57,18 @@ RATIO_ONE_REL = 1e-14
 
 RATIO_ABOVE_ONE = "ratio_above_one"
 VARIANTS = ("printed", "corrected")
+
+
+class ClosedFormUnderflow(ArithmeticError):
+    """A quantity that a closed form needs positive rounded to 0.0."""
+
+
+def _exp_positive(u: float, name: str) -> float:
+    """exp(u), raising ClosedFormUnderflow where it rounds to 0.0; ``name`` says what it is."""
+    value = math.exp(u)
+    if value == 0.0:
+        raise ClosedFormUnderflow(f"{name} = exp({u!r}) rounds to 0.0")
+    return value
 
 
 @dataclass(frozen=True)
@@ -116,7 +129,8 @@ class Endpoints:
 
     phi = f(a)/f(b/m)**m, ell = f(b)/f(a/m)**m and theta = phi*ell are formed
     in log space, theta from the sum of the log ratios, so it agrees with
-    phi*ell to rounding even when the factors are extreme.
+    phi*ell to rounding even when the factors are extreme. A ratio that
+    rounds to 0.0 raises ClosedFormUnderflow.
     """
 
     m: float
@@ -139,15 +153,15 @@ class Endpoints:
 
     @property
     def phi(self) -> float:
-        return math.exp(self.la - self.m * self.lbm)
+        return _exp_positive(self.la - self.m * self.lbm, "phi")
 
     @property
     def ell(self) -> float:
-        return math.exp(self.lb - self.m * self.lam)
+        return _exp_positive(self.lb - self.m * self.lam, "ell")
 
     @property
     def theta(self) -> float:
-        return math.exp((self.la - self.m * self.lbm) + (self.lb - self.m * self.lam))
+        return _exp_positive((self.la - self.m * self.lbm) + (self.lb - self.m * self.lam), "theta")
 
 
 def check_variant(variant: str) -> None:
@@ -225,8 +239,9 @@ def eq4_rhs(ends: Endpoints) -> BoundSide:
 def eq22_rhs(ends: Endpoints, variant: str = "corrected") -> BoundSide:
     check_variant(variant)
     if variant == "printed":
-        p = math.exp(ends.la + ends.lb)
-        q = math.exp(ends.m * (ends.lam + ends.lbm))
+        # products of two values of f can underflow; the square roots below cannot
+        p = _exp_positive(ends.la + ends.lb, "f(a)*f(b)")
+        q = _exp_positive(ends.m * (ends.lam + ends.lbm), "(f(a/m)*f(b/m))**m")
     else:
         p = math.exp(0.5 * (ends.la + ends.lb))
         q = math.exp(0.5 * ends.m * (ends.lam + ends.lbm))

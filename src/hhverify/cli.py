@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import os
@@ -32,7 +33,7 @@ import sys
 from typing import Callable, Mapping, Optional, Sequence, TypeVar
 
 from .bounds import VARIANTS, ChainTerm, chain_dr1, chain_dr2
-from .classify import DEFAULT_SEED, ClassParams, SampleEvaluationError, check_alpha_m_log_convex
+from .classify import DEFAULT_SEED, MAX_GRID_N, ClassParams, SampleEvaluationError, check_alpha_m_log_convex
 from .funcspec import (
     EvaluationError,
     ExprSyntaxError,
@@ -613,12 +614,19 @@ def _add_function_options(p: argparse.ArgumentParser, param_help: str) -> None:
 
 
 def _add_sampling_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-n", type=int, default=33, help="membership grid resolution per axis (default 33)")
+    p.add_argument("--grid-n", type=int, default=33,
+                   help=f"membership grid resolution per axis, 2 to {MAX_GRID_N} (default 33)")
     p.add_argument("--tol-rel", type=float, default=1e-9, help="membership violation tolerance (default 1e-9)")
     p.add_argument("--seed", type=int, default=None, help="sampling seed; overrides HH_SEED (default 0x5EED)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process.
+
+    Parsing leaves it unchanged: each call fills a fresh namespace, and the
+    ``append`` options copy their default list before appending to it.
+    """
     parser = argparse.ArgumentParser(
         prog="hhverify",
         description="Numerical verifier for integral-mean inequalities of log-convex type functions.",

@@ -38,6 +38,7 @@ from .bounds import (
     BoundSide,
     ChainTerm,
     ChainValues,
+    ClosedFormUnderflow,
     Endpoints,
     chain_dr1,
     chain_dr2,
@@ -442,8 +443,8 @@ def _point_reports(
 
     The reports that carry the same parameters share one ReportParams (the
     CLI memoises its text by identity). A report whose evaluation of f or
-    integral fails, or whose closed form overflows, is inconclusive, with
-    the error in its diagnostics.
+    integral fails, or whose closed form overflows or underflows, is
+    inconclusive, with the error in its diagnostics.
     """
     params: dict[bool, ReportParams] = {}
     reports: list[InequalityReport] = []
@@ -463,6 +464,8 @@ def _point_reports(
                 diagnostics = str(err)
             except OverflowError as err:
                 diagnostics = f"closed form overflowed: {err}"
+            except ClosedFormUnderflow as err:
+                diagnostics = f"closed form underflowed: {err}"
         reports.append(
             InequalityReport(
                 theorem, variant, rp, outcome.status,

@@ -19,6 +19,7 @@ from hhverify import (
 )
 from hhverify.bounds import (
     RATIO_ABOVE_ONE,
+    ClosedFormUnderflow,
     eq4_rhs,
     eq22_rhs,
     eq31_branches,
@@ -87,6 +88,13 @@ class TestEndpoints:
     def test_m_validation(self):
         with pytest.raises(ValueError, match=r"m must lie in \(0, 1\], got 0.0"):
             Endpoints.of(parse("exp(x)"), UNIT, 0.0)
+
+    def test_ratio_underflow_is_not_a_validation_error(self):
+        # f(a) = 1e-300 and f(b) = 1e300 at m = 1: phi = exp(-1380) rounds to 0
+        rs = Endpoints(1.0, 1e-300, 1e300, -690.0, 690.0, -690.0, 690.0)
+        with pytest.raises(ClosedFormUnderflow, match=r"^phi = exp\(-1380\.0\) rounds to 0\.0$"):
+            rs.phi
+        assert not issubclass(ClosedFormUnderflow, ValueError)
 
 
 def _sym_mean(f, iv):

@@ -1,13 +1,22 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhverify import (
     ClassParams,
+    ClassificationReport,
+    FamilySpec,
     SampleEvaluationError,
+    Violation,
     check_alpha_m_log_convex,
+    family_instantiate,
     parse,
 )
+from hhverify import classify
+from hhverify.classify import MAX_GRID_N
 
 
 def scalar_rhs(f, x, y, t, m, alpha):
@@ -91,3 +100,168 @@ def test_class_params_validation(m, alpha):
 def test_domain_upper_must_be_positive():
     with pytest.raises(ValueError):
         check_alpha_m_log_convex(parse("exp(x)"), 0.0, ClassParams(1.0))
+
+
+# ---------------------------------------------------------------------------
+# the chunked, factored checker against the one-block algorithm it replaced
+
+
+def _reference_eval_checked(f, pts, x, y, t):
+    values = f.evaluate_array(pts)
+    bad = ~np.isfinite(values) | (values <= 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SampleEvaluationError(
+            (float(x[i]), float(y[i]), float(t[i])),
+            f"f({float(pts[i])!r}) = {float(values[i])!r} is not strictly positive",
+        )
+    return values
+
+
+def reference_check(f, domain_upper, params, grid_n, tol_rel, seed=classify.DEFAULT_SEED):
+    """The checker as one block: every sample drawn, evaluated and compared at once."""
+    m, alpha = params.m, params.alpha
+    base = np.arange(grid_n, dtype=float) / (grid_n - 1)
+    axis = domain_upper * base
+    gx, gy, gt = (arr.ravel() for arr in np.meshgrid(axis, axis, base, indexing="ij"))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = rng.random((grid_n**3, 3))
+    x = np.concatenate([gx, domain_upper * u[:, 0]])
+    y = np.concatenate([gy, domain_upper * u[:, 1]])
+    t = np.concatenate([gt, u[:, 2]])
+    t_alpha = t if alpha == 1.0 else t**alpha
+    z = t * x + m * (1.0 - t) * y
+    lhs = _reference_eval_checked(f, z, x, y, t)
+    fx = _reference_eval_checked(f, x, x, y, t)
+    fy = _reference_eval_checked(f, y, x, y, t)
+    with np.errstate(over="ignore"):
+        rhs = np.exp(t_alpha * np.log(fx) + m * (1.0 - t_alpha) * np.log(fy))
+    violating = lhs > rhs * (1.0 + tol_rel)
+    if not violating.any():
+        return ClassificationReport(verdict="pass", samples=int(x.size))
+    deficit = lhs - rhs
+    worst = np.max(deficit[violating])
+    ties = np.flatnonzero(violating & (deficit == worst))
+    i = int(ties[np.lexsort((t[ties], y[ties], x[ties]))[0]])
+    violation = Violation(
+        float(x[i]), float(y[i]), float(t[i]), float(lhs[i]), float(rhs[i]), float(deficit[i])
+    )
+    return ClassificationReport(verdict="fail", samples=int(x.size), worst_violation=violation)
+
+
+def _outcome(check, *args):
+    """A report's repr (so -0.0 differs from 0.0), or the error's text and triple."""
+    try:
+        return repr(check(*args))
+    except SampleEvaluationError as err:
+        return str(err), err.triple
+
+
+_MEMBERS = [
+    family_instantiate(FamilySpec(name, params))
+    for name, params in [
+        ("const", {"c": 0.5}),
+        ("const", {"c": 2.0}),  # m < 1: every t = 0 grid triple ties for the worst deficit
+        ("exp_linear", {"k": 1.5}),
+        ("exp_linear", {"k": -0.7}),
+        ("exp_affine", {"c": 0.3, "k": 2.0}),
+        ("poly_shift", {"p": 2.5, "q": 0.5}),
+        ("poly_shift", {"p": 0.5, "q": 1.0}),
+    ]
+]
+_FAILING = [parse(text) for text in ("ln(x)", "x-0.5", "1/(x-0.3)", "exp(x^2)", "x^2+1")]
+_unit_or_random = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0))
+
+
+@pytest.mark.parametrize("chunk", [classify.CHUNK, 200], ids=["default_chunk", "many_chunks"])
+@settings(deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from(_MEMBERS), st.sampled_from([1.0, 2.0, 3.5])),
+        st.tuples(st.sampled_from(_FAILING), st.just(40.0)),
+    ),
+    grid_n=st.sampled_from([2, 3, 5, 9, 17, 33]),
+    m=_unit_or_random,
+    alpha=_unit_or_random,
+    tol_rel=st.sampled_from([0.0, 1e-9]),
+)
+def test_matches_one_block_reference(chunk, case, grid_n, m, alpha, tol_rel):
+    f, domain_upper = case
+    args = (f, domain_upper, ClassParams(m, alpha), grid_n, tol_rel)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "CHUNK", chunk)
+        assert _outcome(check_alpha_m_log_convex, *args) == _outcome(reference_check, *args)
+
+
+def test_ties_across_chunks_keep_the_least_triple(monkeypatch):
+    # f = 2 at m = 0.5: the deficit depends on t alone, so the t = 0 grid
+    # triples of every x-plane tie; the least one sits in the first chunk.
+    monkeypatch.setattr(classify, "CHUNK", 200)
+    report = check_alpha_m_log_convex(parse("2"), 2.0, ClassParams(0.5), grid_n=9)
+    w = report.worst_violation
+    assert (w.x, w.y, w.t) == (0.0, 0.0, 0.0)
+    assert repr(report) == repr(reference_check(parse("2"), 2.0, ClassParams(0.5), 9, 1e-9))
+
+
+def test_offender_in_a_later_chunk_is_found(monkeypatch):
+    # exp(x^2) overflows only above x = 26.6; at m = 0.3 the x = 0 plane
+    # keeps z below 12, so the first bad f(z) lies in a later chunk.
+    monkeypatch.setattr(classify, "CHUNK", 200)
+    args = (parse("exp(x^2)"), 40.0, ClassParams(0.3), 9, 1e-9)
+    new = _outcome(check_alpha_m_log_convex, *args)
+    assert new == _outcome(reference_check, *args)
+    assert new[1][0] > 0.0
+
+
+def test_bad_f_x_outranks_an_earlier_bad_f_y(monkeypatch):
+    # f has poles exactly at the x of random triple 5 and the y of random
+    # triple 0, and nowhere on the grid or at any z; with chunks of 4 the
+    # two offenders fall in different chunks, the f(y) one first.
+    u = np.random.Generator(np.random.PCG64(classify.DEFAULT_SEED)).random((8, 3))
+    x0, y0 = float(u[5, 0]), float(u[0, 1])
+    f = parse(f"1/((x-{x0!r})^2*(x-{y0!r})^2)")
+    monkeypatch.setattr(classify, "CHUNK", 4)
+    args = (f, 1.0, ClassParams(1.0), 2, 1e-9)
+    new = _outcome(check_alpha_m_log_convex, *args)
+    assert new == _outcome(reference_check, *args)
+    assert new[1] == tuple(map(float, u[5]))
+
+
+# ---------------------------------------------------------------------------
+# bounds on grid_n and on memory
+
+
+class _NeverEvaluated:
+    def evaluate_array(self, xs):
+        raise AssertionError("a rejected grid_n must not reach evaluation")
+
+
+@pytest.mark.parametrize("grid_n", [1, MAX_GRID_N + 1])
+def test_grid_n_outside_the_cap_is_refused_before_any_work(grid_n):
+    with pytest.raises(ValueError) as info:
+        check_alpha_m_log_convex(_NeverEvaluated(), 1.0, ClassParams(1.0), grid_n=grid_n)
+    assert str(info.value) == f"grid_n must lie in [2, {MAX_GRID_N}], got {grid_n}"
+
+
+def test_largest_grid_n_runs():
+    assert MAX_GRID_N == 257
+    report = check_alpha_m_log_convex(parse("exp(x)"), 1.0, ClassParams(1.0), grid_n=MAX_GRID_N)
+    assert report.verdict == "pass"
+    assert report.samples == 2 * MAX_GRID_N**3
+
+
+def _peak_bytes(grid_n):
+    f = parse("x^2+1")
+    tracemalloc.start()
+    try:
+        check_alpha_m_log_convex(f, 2.0, ClassParams(0.5, 0.7), grid_n=grid_n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_is_bounded_by_the_chunk():
+    # One block needed 61.5 MB at grid_n 65 and about 200 MB at 97.
+    peak65, peak97 = _peak_bytes(65), _peak_bytes(97)
+    assert peak65 < 32e6 and peak97 < 32e6
+    assert peak97 <= 1.1 * peak65

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from hhverify import Interval, parse, verify_theorem
+from hhverify.classify import MAX_GRID_N
 from hhverify.funcspec import MAX_DEPTH
 from hhverify.cli import (
     EXIT_INCONCLUSIVE,
@@ -58,6 +60,34 @@ class TestExitCodes:
         assert "inconclusive" in out
         assert f"note ({theorem}): closed form overflowed: math range error" in out
         assert err == ""
+
+    @pytest.mark.parametrize("argv,note", [
+        (["--theorem", "eq22", "--family", "const", "--param", "c=1e-200"],
+         "closed form underflowed: f(a)*f(b) = exp(-921.0340371976183) rounds to 0.0"),
+        # exp_mean_factor's ratio: theta for eq42, phi for eq31
+        (["--theorem", "eq42", "--family", "const", "--param", "c=1e-300", "--m", "0.001"],
+         "closed form underflowed: theta = exp(-1380.1695047406308) rounds to 0.0"),
+        (["--theorem", "eq31", "--f", "exp(13*x^2-690)", "--m", "0.1"],
+         "closed form underflowed: phi = exp(-751.0) rounds to 0.0"),
+    ])
+    def test_closed_form_underflow_is_inconclusive(self, capsys, argv, note):
+        code = run(["check", "--variant", "printed", "--hypothesis", "off", *argv])
+        assert code == EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert "inconclusive" in out
+        assert f"note ({argv[1]}): {note}" in out
+        assert err == ""
+
+    def test_closed_form_underflow_does_not_abort_a_sweep(self, capsys):
+        code = run([
+            "sweep", "--family", "const", "--param", "c=1,1e-200",
+            "--theorem", "eq22", "--variant", "printed", "--json", "-",
+        ])
+        assert code == EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert err == ""
+        verdicts = [r["verdict"] for r in json.loads(out)["reports"]]
+        assert verdicts == ["holds", "inconclusive"]
 
     def test_syntax_error_is_usage(self, capsys):
         assert run(["check", "--theorem", "eq4", "--f", "exp("]) == EXIT_USAGE
@@ -359,6 +389,52 @@ class TestGridCap:
         argv = ["sweep", "--family", "const", "--param", "c=1", "--theorem", "eq4", "--a", f"0:1:{n}", "--b", "0"]
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: grid count must lie in [1, {MAX_GRID_POINTS}], got {n}\n")
+
+
+class TestGridNCap:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--f", "exp(x)", "--domain-upper", "1"],
+        ["check", "--theorem", "eq4", "--f", "exp(x)"],
+        ["chain", "--theorem", "dr1", "--f", "exp(x)"],
+    ])
+    @pytest.mark.parametrize("grid_n", [1, MAX_GRID_N + 1])
+    def test_grid_n_outside_the_cap_is_usage(self, capsys, argv, grid_n):
+        assert run(argv + ["--grid-n", str(grid_n)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: grid_n must lie in [2, {MAX_GRID_N}], got {grid_n}\n")
+
+
+# One process serves these one after another with a single parser; each
+# must print and exit as a fresh process does.
+REUSED_PARSER_ARGVS = [
+    ["check", "--theorem", "eq4,eq22", "--family", "exp_affine", "--param", "c=0.5", "--param", "k=1.5",
+     "--hypothesis", "off", "--json", "-"],
+    ["check", "--theorem", "eq31", "--theorem", "eq42", "--family", "poly_shift", "--param", "p=2",
+     "--param", "q=0.5", "--m", "0.8", "--alpha", "0.6", "--grid-n", "9", "--csv", "-"],
+    ["check", "--theorem", "eq4", "--family", "const", "--param", "c=0.5"],
+    ["sweep", "--family", "const", "--param", "c=0.5,2", "--theorem", "eq4", "--m", "0.5,1"],
+    ["sweep", "--family", "exp_affine", "--param", "c=1", "--param", "k=0:1:3", "--theorem", "eq11"],
+    ["classify", "--f", "x^2+1", "--domain-upper", "2", "--grid-n", "5", "--seed", "7"],
+    ["chain", "--theorem", "dr2", "--f", "exp(x)"],
+    ["search", "--family", "const", "--range", "c=0.2:1", "--theorem", "eq22", "--variant", "printed",
+     "--budget", "20"],
+    ["--help"],
+    ["check", "--help"],
+    ["check", "--theorem", "eq4", "--f", "exp(x)", "--grid-n", "many"],
+    ["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--param", "c=1"],
+]
+
+
+def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
+    env = {**os.environ, "COLUMNS": "80"}
+    env.pop("HH_SEED", None)
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in REUSED_PARSER_ARGVS:
+        code = run(argv)
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hhverify", *argv], capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_module_entry_point_subprocess():
