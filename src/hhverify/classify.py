@@ -34,11 +34,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from .funcspec import FunctionExpr
+
+if TYPE_CHECKING:  # numpy is imported by the first check, not with the package
+    import numpy as np
+
+    # Maps sample indices within a chunk to their x, y and t arrays.
+    _Coords = Callable[[np.ndarray], tuple[np.ndarray, ...]]
 
 __all__ = [
     "DEFAULT_SEED",
@@ -99,17 +103,17 @@ class ClassificationReport:
     worst_violation: Optional[Violation] = None
 
 
-# Maps sample indices within a chunk to their x, y and t arrays.
-_Coords = Callable[[np.ndarray], tuple[np.ndarray, ...]]
-
-
 def _triple(coords: _Coords, i: int) -> tuple[float, float, float]:
+    import numpy as np
+
     x, y, t = coords(np.array([i]))
     return float(x[0]), float(y[0]), float(t[0])
 
 
 def _first_bad(values: np.ndarray, pts: np.ndarray) -> Optional[tuple[int, str]]:
     """Index and message of the first value that is not finite and positive, or None."""
+    import numpy as np
+
     bad = ~np.isfinite(values) | (values <= 0.0)
     if not bad.any():
         return None
@@ -121,6 +125,8 @@ def _chunk_worst(
     lhs: np.ndarray, rhs: np.ndarray, tol_rel: float, coords: _Coords
 ) -> Optional[Violation]:
     """The chunk's violation of largest deficit, ties broken by the least (x, y, t)."""
+    import numpy as np
+
     violating = lhs > rhs * (1.0 + tol_rel)
     if not violating.any():
         return None
@@ -162,6 +168,8 @@ def check_alpha_m_log_convex(
             It is the first bad f(z) in sampling order, else the first bad
             f(x), else the first bad f(y).
     """
+    import numpy as np
+
     m, alpha = params.m, params.alpha
     if not (math.isfinite(domain_upper) and domain_upper > 0.0):
         raise ValueError(f"domain_upper must be a positive finite real, got {domain_upper!r}")

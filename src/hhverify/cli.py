@@ -13,11 +13,14 @@ errors, 3 when some verdict is inconclusive or an output path cannot be
 written.
 
 Reports serialize with %.17g floats and a fixed key order, so identical
-inputs produce byte-identical JSON and CSV across runs. Each report's JSON
-object is rendered from one % template (``_ReportText``), with the text of
-its parameters (a, b, alpha, m and the family) memoised per call and shared
-by every theorem at a point and every point of a family member; the CSV
-rows reuse the same memo. The generic recursive encoder ``_json_value``
+inputs produce byte-identical JSON and CSV across runs. ``_ReportText``
+renders each report once per command: its four numbers go through one
+%.17g format, and when a command writes both JSON and CSV the two read
+that same text. Each report's JSON object and CSV row come from one %
+template, with the text of its parameters (a, b, alpha, m and the family)
+memoised per call and shared by every theorem at a point and every point
+of a family member, and each string cell escaped for JSON and quoted by
+``csv.writer``'s rules once. The generic recursive encoder ``_json_value``
 serves only the payloads that are not reports (classify, chain terms,
 search points).
 """
@@ -30,7 +33,7 @@ import io
 import math
 import os
 import sys
-from typing import Callable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .bounds import VARIANTS, ChainTerm, chain_dr1, chain_dr2
 from .classify import DEFAULT_SEED, MAX_GRID_N, ClassParams, SampleEvaluationError, check_alpha_m_log_convex
@@ -153,10 +156,7 @@ def report_from_dict(data: Mapping) -> InequalityReport:
     )
 
 
-_CSV_COLUMNS = (
-    "theorem", "variant", "a", "b", "alpha", "m", "family_params",
-    "lhs", "rhs", "margin", "quad_err", "hypothesis", "verdict",
-)
+_CSV_HEADER = "theorem,variant,a,b,alpha,m,family_params,lhs,rhs,margin,quad_err,hypothesis,verdict\n"
 
 
 def _family_cell(params: ReportParams) -> str:
@@ -165,23 +165,53 @@ def _family_cell(params: ReportParams) -> str:
     return ";".join(f"{name}={_fmt_float(value)}" for name, value in params.family)
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it among other cells of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
+
+
 _REPORT_JSON = (
     '{"theorem":%s,"variant":%s,"params":%s,"hypothesis":%s,'
     '"lhs":%s,"rhs":%s,"margin":%s,"quad_err":%s,"verdict":%s}'
 )
+_REPORT_CSV = "%s,%s,%s,%s,%s,%s\n"
 _PARAMS_JSON = '{"a":%s,"b":%s,"alpha":%s,"m":%s,"family_params":%s}'
 _MIN_MARGIN_JSON = '{"value":%s,"theorem":%s,"variant":%s,"params":%s}'
 
 
-def _json_number(value) -> str:
-    """``_json_value(value)``, with finite plain floats on a fast path."""
-    if value.__class__ is float and math.isfinite(value):
-        return _fmt_float(value)
-    return _json_value(value)
+def _number(value) -> tuple[str, str]:
+    """``_json_value(value)`` and its CSV cell: empty for None, else ``%.17g`` (``inf``, ``nan``)."""
+    if value is None:
+        return "null", ""
+    text = _fmt_float(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return text, text
+    return _json_value(value), text
 
 
-def _csv_number(value: Optional[float]) -> str:
-    return "" if value is None else _fmt_float(value)
+def _numbers(values: tuple) -> tuple[str, str]:
+    """The JSON and CSV text of four numbers, each formatted once, joined by commas.
+
+    Four finite plain floats, the usual case, take one ``%`` format and
+    share their text; the rest, and finite floats whose sum overflows,
+    take ``_number``. No number's text has a comma, so each splits back.
+    """
+    w, x, y, z = values
+    if w.__class__ is x.__class__ is y.__class__ is z.__class__ is float and math.isfinite(w + x + y + z):
+        text = "%.17g,%.17g,%.17g,%.17g" % values
+        return text, text
+    json_text, csv_text = zip(*map(_number, values))
+    return ",".join(json_text), ",".join(csv_text)
+
+
+class _StringText(dict):
+    """str -> (its JSON string literal, its CSV cell), each made on first use."""
+
+    def __missing__(self, text: str) -> tuple[str, str]:
+        out = self[text] = (_json_string(text), _csv_cell(text))
+        return out
 
 
 class _ReportText:
@@ -190,29 +220,30 @@ class _ReportText:
     ``json(r)`` is a report's JSON object: the keys theorem, variant,
     params, hypothesis, lhs, rhs, margin, quad_err and verdict, in this
     order, as ``_json_value`` would encode them, but without building a
-    dict per report. One instance serves one command's output.
-    It memoises the text of each parameter point (its JSON object and its
-    a, b, alpha, m and family CSV cells) and of each family, keyed by the
-    identity of the ReportParams and of the family pairs: verify gives
-    every theorem at a point one ReportParams, and every point of a family
-    member one tuple of pairs. Identity rather than equality, since
-    0.0 == -0.0 but the two print differently; each entry holds its key
-    object, so no id is reused while the instance lives.
+    dict per report. ``csv`` writes the rows ``csv.writer`` would, from a
+    ``%`` template. One instance serves one command's output. With
+    ``shared``, for a command that writes both, the text of the last
+    sequence of reports rendered is kept, so the two outputs format each
+    number once, in either order; without, nothing more is kept.
+    It also memoises the text of each string, of each family and of each
+    parameter point (its JSON object and its joined a, b, alpha, m and
+    family CSV cells), keyed by the identity of the ReportParams and of
+    the family pairs: verify gives every theorem at a point one
+    ReportParams, and every point of a family member one tuple of pairs.
+    Identity rather than equality, since 0.0 == -0.0 but the two print
+    differently; each entry holds its key object, so no id is reused while
+    the instance lives.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, shared: bool = False) -> None:
+        self._shared = shared
         self._points: dict[int, tuple] = {}
         self._families: dict[int, tuple] = {}
-        self._strings: dict[str, str] = {}
-
-    def _string(self, text: str) -> str:
-        out = self._strings.get(text)
-        if out is None:
-            out = self._strings[text] = _json_string(text)
-        return out
+        self._strings = _StringText()
+        self._rendered: tuple = (None, [])
 
     def _point(self, params: ReportParams) -> tuple:
-        """(params, JSON object, CSV cells a, b, alpha, m, family) of a point.
+        """(params, JSON object, joined CSV cells a, b, alpha, m, family) of a point.
 
         ``params`` is kept only to hold its id.
         """
@@ -221,20 +252,39 @@ class _ReportText:
             family = self._families.get(id(params.family))
             if family is None:
                 fam_json = _json_value(None if params.family is None else dict(params.family))
-                family = self._families[id(params.family)] = (params.family, fam_json, _family_cell(params))
-            values = (params.a, params.b, params.alpha, params.m)
-            json_text = _PARAMS_JSON % (*map(_json_number, values), family[1])
-            cells = (*map(_fmt_float, values), family[2])
-            entry = self._points[id(params)] = (params, json_text, cells)
+                fam_csv = _csv_cell(_family_cell(params))
+                family = self._families[id(params.family)] = (params.family, fam_json, fam_csv)
+            json_text, csv_text = _numbers((params.a, params.b, params.alpha, params.m))
+            entry = self._points[id(params)] = (
+                params, _PARAMS_JSON % (*json_text.split(","), family[1]), f"{csv_text},{family[2]}"
+            )
         return entry
 
-    def json(self, r: InequalityReport) -> str:
-        string = self._string
+    def _text(self, r: InequalityReport) -> tuple:
+        """(point entry, JSON numbers, CSV numbers) of a report."""
+        return (self._point(r.params),) + _numbers((r.lhs, r.rhs, r.margin, r.quad_err))
+
+    def _texts(self, reports: Sequence[InequalityReport]) -> Iterable[tuple]:
+        """Each report's ``_text``; if shared, the last sequence's is kept for its other output."""
+        if not self._shared:
+            return map(self._text, reports)
+        if self._rendered[0] is not reports:
+            self._rendered = (reports, list(map(self._text, reports)))
+        return self._rendered[1]
+
+    def _json(self, r: InequalityReport, text: tuple) -> str:
+        s = self._strings
         return _REPORT_JSON % (
-            string(r.theorem), string(r.variant), self._point(r.params)[1], string(r.hypothesis),
-            _json_number(r.lhs), _json_number(r.rhs), _json_number(r.margin), _json_number(r.quad_err),
-            string(r.verdict),
+            s[r.theorem][0], s[r.variant][0], text[0][1], s[r.hypothesis][0], *text[1].split(","),
+            s[r.verdict][0],
         )
+
+    def json(self, r: InequalityReport) -> str:
+        return self._json(r, self._text(r))
+
+    def json_items(self, reports: Sequence[InequalityReport]) -> list[str]:
+        """Each report's JSON object; a shared instance keeps their numbers' text for ``csv``."""
+        return list(map(self._json, reports, self._texts(reports)))
 
     def summary_json(self, summary: SweepSummary) -> str:
         """The JSON ``sweep --json`` writes: the reports, then the minimum margin."""
@@ -243,24 +293,19 @@ class _ReportText:
             best_json = "null"
         else:
             best_json = _MIN_MARGIN_JSON % (
-                _json_number(best.value), self._string(best.theorem), self._string(best.variant),
+                _number(best.value)[0], self._strings[best.theorem][0], self._strings[best.variant][0],
                 self._point(best.params)[1],
             )
-        return '{"reports":[%s],"min_margin":%s}' % (",".join(map(self.json, summary.reports)), best_json)
-
-    def _csv_row(self, r: InequalityReport) -> tuple:
-        return (
-            r.theorem, r.variant, *self._point(r.params)[2],
-            _csv_number(r.lhs), _csv_number(r.rhs), _csv_number(r.margin), _fmt_float(r.quad_err),
-            r.hypothesis, r.verdict,
-        )
+        return '{"reports":[%s],"min_margin":%s}' % (",".join(self.json_items(summary.reports)), best_json)
 
     def csv(self, reports: Sequence[InequalityReport]) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        writer.writerows(map(self._csv_row, reports))
-        return buf.getvalue()
+        s = self._strings
+        return _CSV_HEADER + "".join([
+            _REPORT_CSV % (
+                s[r.theorem][1], s[r.variant][1], text[0][2], text[2], s[r.hypothesis][1], s[r.verdict][1]
+            )
+            for r, text in zip(reports, self._texts(reports))
+        ])
 
 
 def _emit(text: str, destination: str) -> None:
@@ -423,9 +468,10 @@ def _exit_code(reports: Sequence[InequalityReport]) -> int:
 
 def _emit_reports(args, reports: Sequence[InequalityReport], with_params: bool) -> None:
     wrote = False
-    text = _ReportText()
+    text = _ReportText(shared=args.json is not None and getattr(args, "csv", None) is not None)
     if args.json is not None:
-        payload = text.json(reports[0]) if len(reports) == 1 else "[%s]" % ",".join(map(text.json, reports))
+        items = text.json_items(reports)
+        payload = items[0] if len(items) == 1 else "[%s]" % ",".join(items)
         _emit(payload, args.json)
         wrote = True
     if getattr(args, "csv", None) is not None:
@@ -547,7 +593,7 @@ def _cmd_sweep(args) -> int:
         seed=seed,
     )
     wrote = False
-    text = _ReportText()
+    text = _ReportText(shared=args.json is not None and args.csv is not None)
     if args.json is not None:
         _emit(text.summary_json(summary), args.json)
         wrote = True

@@ -29,14 +29,16 @@ of evaluating the tree node by node with those functions.
 from __future__ import annotations
 
 import functools
+import importlib
 import itertools
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported on first use, not with the package
+    import numpy as np
 
 __all__ = [
     "Const",
@@ -339,9 +341,11 @@ def unparse(f: "FunctionExpr") -> str:
 # compilation and evaluation
 
 
-# operator -> source template, and the names the generated code may use,
-# per backend; "numpy" calls ufuncs even on scalars, so 1/0 gives inf
-_BACKENDS: dict[str, tuple[dict[str, str], dict[str, object]]] = {
+# operator -> source template, and the names of the backend's module the
+# generated code may use; "numpy" calls ufuncs even on scalars, so 1/0 gives
+# inf. The module is imported by the first compilation, so that importing
+# the package does not import numpy.
+_BACKENDS: dict[str, tuple[dict[str, str], tuple[str, ...]]] = {
     "math": (
         {
             "neg": "-{0}", "exp": "exp({0})", "ln": "log({0})", "sqrt": "sqrt({0})",
@@ -349,7 +353,7 @@ _BACKENDS: dict[str, tuple[dict[str, str], dict[str, object]]] = {
         },
         # math.pow, not **: ** turns a negative base with a fractional
         # exponent into a complex number instead of raising
-        {"exp": math.exp, "log": math.log, "sqrt": math.sqrt, "pow": math.pow, "inf": math.inf, "nan": math.nan},
+        ("exp", "log", "sqrt", "pow", "inf", "nan"),
     ),
     "numpy": (
         {
@@ -357,10 +361,7 @@ _BACKENDS: dict[str, tuple[dict[str, str], dict[str, object]]] = {
             "+": "add({0}, {1})", "-": "subtract({0}, {1})", "*": "multiply({0}, {1})",
             "/": "divide({0}, {1})", "^": "power({0}, {1})",
         },
-        {
-            "negative": np.negative, "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "add": np.add,
-            "subtract": np.subtract, "multiply": np.multiply, "divide": np.divide, "power": np.power,
-        },
+        ("negative", "exp", "log", "sqrt", "add", "subtract", "multiply", "divide", "power"),
     ),
 }
 
@@ -437,7 +438,8 @@ def _factory(template: str, backend: str, shape: _Shape, n_consts: int, names: t
     The factory takes the constants, then the ``names`` values, and returns
     ``g`` with those bound.
     """
-    ops, namespace = _BACKENDS[backend]
+    ops, module_names = _BACKENDS[backend]
+    module = importlib.import_module(backend)
 
     def inline(match: re.Match) -> str:
         indent, out, arg = match.groups()
@@ -447,7 +449,7 @@ def _factory(template: str, backend: str, shape: _Shape, n_consts: int, names: t
     source = f"def _factory({', '.join(params)}):\n" + "".join(
         f"    {line}\n" for line in _INLINE_RE.sub(inline, template).splitlines()
     ) + "    return g\n"
-    scope = dict(namespace)
+    scope = {name: getattr(module, name) for name in module_names}
     exec(compile(source, "<hhverify generated>", "exec"), scope)
     return scope["_factory"]
 
@@ -529,6 +531,8 @@ class FunctionExpr:
         callers that need the strict contract must mask for finiteness and
         positivity themselves (the grid classifier does exactly that).
         """
+        import numpy as np
+
         xs = np.asarray(xs, dtype=float)
         with np.errstate(all="ignore"):
             ys = self._vector(xs)

@@ -111,6 +111,11 @@ def _adaptive(
     delta = (left + right) - whole
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0, abs(delta) / 15.0, True, 2
+    if not isfinite(delta):
+        # Finite values whose Simpson sum overflows leave the panel's error
+        # unmeasurable; where the values stay that large, every panel
+        # below would refine to MAX_DEPTH, so the panel fails here.
+        raise IntegrandError(m, f"Simpson sum on [{a!r}, {b!r}] is not finite")
     if depth <= 0:
         return left + right + delta / 15.0, abs(delta), False, 2
     # Each half inherits half the budget: tolerance splits proportionally
@@ -142,7 +147,8 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
 
     Raises:
         ValueError: if tol is below 1e-13 or not finite.
-        IntegrandError: if g raises or returns a non-finite value.
+        IntegrandError: if g raises or returns a non-finite value, or if
+            the Simpson sum of a panel that must be refined overflows.
     """
     if not (math.isfinite(tol) and tol >= MIN_TOL):
         raise ValueError(f"tol must be a finite real >= {MIN_TOL}, got {tol!r}")
@@ -151,6 +157,8 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
     fm = _checked(g, 0.5 * (a + b))
     fb = _checked(g, b)
     whole = _simpson(b - a, fa, fm, fb)
+    if not isfinite(whole):
+        raise IntegrandError(0.5 * (a + b), f"Simpson sum on [{a!r}, {b!r}] is not finite")
     value, err, converged, evals = _adaptive(g, a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
     return QuadResult(value, err, 3 + evals, converged)
 

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -6,6 +9,7 @@ import sys
 
 import pytest
 
+import hhverify.cli as cli
 from hhverify import Interval, parse, verify_theorem
 from hhverify.classify import MAX_GRID_N
 from hhverify.funcspec import MAX_DEPTH
@@ -88,6 +92,31 @@ class TestExitCodes:
         assert err == ""
         verdicts = [r["verdict"] for r in json.loads(out)["reports"]]
         assert verdicts == ["holds", "inconclusive"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--f", "exp(709)", "--theorem", "eq4", "--hypothesis", "off"],
+        ["check", "--family", "const", "--param", "c=1e308", "--theorem", "eq4"],
+        ["check", "--family", "const", "--param", "c=1e308", "--theorem", "eq22,eq31,eq42,dr2"],
+    ])
+    def test_simpson_sum_overflow_is_inconclusive(self, argv):
+        # every value is finite but fa + 4*fm + fb is not; this used to refine to MAX_DEPTH, a hang
+        proc = subprocess.run(
+            [sys.executable, "-m", "hhverify", *argv], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_INCONCLUSIVE
+        assert "integrand failed at x=0.5: Simpson sum on [0.0, 1.0] is not finite" in proc.stdout
+        assert proc.stderr == ""
+
+    def test_largest_constant_whose_simpson_sum_is_finite_keeps_its_bytes(self, capsys):
+        code = run([
+            "check", "--family", "const", "--param", "c=2.9e307",
+            "--theorem", "eq4,eq11,eq22,eq31,eq42,dr1,dr2", "--hypothesis", "off", "--json", "-",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f58bed247fd227ee0e11df9bd1cb14871f37e23f551278a1753ad459d9cf5a65"
+        )
 
     def test_syntax_error_is_usage(self, capsys):
         assert run(["check", "--theorem", "eq4", "--f", "exp("]) == EXIT_USAGE
@@ -314,6 +343,75 @@ class TestSweep:
             "--theorem", "eq22,eq42", "--variant", "printed",
         ])
         assert code == EXIT_VIOLATED
+
+
+# holds, violated, inapplicable (rhs and margin None) and inconclusive (lhs None)
+MIXED_SWEEP_ARGS = [
+    "sweep", "--family", "const", "--param", "c=1e-300,1,1e200,1e308",
+    "--theorem", "eq4,eq11,eq22,eq31,eq42,dr1,dr2", "--variant", "printed",
+    "--m", "0.5,1", "--alpha", "0.5,1",
+]
+
+
+def _with_nonfinite_numbers(summary):
+    """``summary`` with inf, -inf, nan and an overflowing sum in place of some of its numbers."""
+    reports = list(summary.reports)
+    for i, (lhs, rhs, margin, quad_err) in enumerate([
+        (1.0, math.inf, math.inf, 0.0), (math.nan, 1.0, math.nan, 0.0), (1.0, 2.0, 1.0, math.inf),
+        (1e308, 1e308, 0.0, 1e308), (None, None, None, -math.inf),
+    ]):
+        reports[i] = dataclasses.replace(reports[i], lhs=lhs, rhs=rhs, margin=margin, quad_err=quad_err)
+    return dataclasses.replace(summary, reports=tuple(reports))
+
+
+class TestJsonAndCsvTogether:
+    """A command writing both outputs renders each report once, with the bytes of two separate runs."""
+
+    @staticmethod
+    def _outputs(argv, tmp_path, name, json_out, csv_out):
+        paths = {"--json": tmp_path / f"{name}.json", "--csv": tmp_path / f"{name}.csv"}
+        extra = []
+        for flag, wanted in (("--json", json_out), ("--csv", csv_out)):
+            if wanted:
+                extra += [flag, str(paths[flag])]
+        code = run(argv + extra)
+        return code, {flag: paths[flag].read_bytes() for flag in paths if paths[flag].exists()}
+
+    def _assert_together_equals_apart(self, argv, tmp_path):
+        code, together = self._outputs(argv, tmp_path, "both", True, True)
+        json_code, json_only = self._outputs(argv, tmp_path, "json", True, False)
+        csv_code, csv_only = self._outputs(argv, tmp_path, "csv", False, True)
+        assert code == json_code == csv_code
+        assert together == {**json_only, **csv_only}
+        return code, together
+
+    def test_sweep(self, tmp_path, capsys):
+        code, together = self._assert_together_equals_apart(MIXED_SWEEP_ARGS, tmp_path)
+        assert code == EXIT_VIOLATED
+        verdicts = {r["verdict"] for r in json.loads(together["--json"])["reports"]}
+        assert verdicts == {"holds", "violated", "inapplicable", "inconclusive"}
+        assert b",,," in together["--csv"]  # None numbers are empty cells
+
+    def test_sweep_with_nonfinite_numbers(self, tmp_path, capsys, monkeypatch):
+        computed = cli.sweep
+        monkeypatch.setattr(cli, "sweep", lambda *args, **kw: _with_nonfinite_numbers(computed(*args, **kw)))
+        _, together = self._assert_together_equals_apart(MIXED_SWEEP_ARGS, tmp_path)
+        rows = together["--csv"].decode().splitlines()[1:6]
+        assert [row.split(",")[7:11] for row in rows] == [
+            ["1", "inf", "inf", "0"], ["nan", "1", "nan", "0"], ["1", "2", "1", "inf"],
+            ["1e+308", "1e+308", "0", "1e+308"], ["", "", "", "-inf"],
+        ]
+        reports = json.loads(together["--json"])["reports"][:5]
+        assert [[r[k] for k in ("lhs", "rhs", "margin", "quad_err")] for r in reports] == [
+            [1, None, None, 0], [None, 1, None, 0], [1, 2, 1, None], [1e308, 1e308, 0, 1e308],
+            [None, None, None, None],
+        ]
+
+    @pytest.mark.parametrize("theorems", ["eq4", "eq4,eq22,eq31"])
+    def test_check(self, tmp_path, capsys, theorems):
+        argv = ["check", "--family", "const", "--param", "c=1e200", "--theorem", theorems,
+                "--variant", "printed", "--m", "0.5", "--alpha", "0.5", "--hypothesis", "off"]
+        self._assert_together_equals_apart(argv, tmp_path)
 
 
 class TestSearch:

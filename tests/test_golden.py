@@ -69,8 +69,8 @@ def test_all_theorem_sweeps_are_byte_identical():
         for variant in VARIANTS:
             summary = sweep(family, grids, (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0), THEOREMS,
                             variant=variant, hypothesis=hypothesis)
-            # one memo for both, as `sweep --json --csv` uses it
-            text = _ReportText()
+            # one renderer sharing each report's text, as `sweep --json --csv` uses it
+            text = _ReportText(shared=True)
             digest.update(text.summary_json(summary).encode())
             digest.update(text.csv(summary.reports).encode())
             verdicts.update(r.verdict for r in summary.reports)

@@ -2,11 +2,14 @@
 
 A deletion that leaves a stale ``__all__`` entry, or removes a name the
 tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
-traced benchmark run.
+traced benchmark run. Importing the package leaves numpy unloaded.
 """
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,12 @@ def test_benchmark_tracer_installs_and_restores():
     with tracer.Tracer():
         assert all(new is not old for new, old in zip(current(), before))
     assert all(new is old for new, old in zip(current(), before))
+
+
+@pytest.mark.parametrize("module_name", ["hhverify", "hhverify.cli"])
+def test_import_leaves_numpy_unloaded(module_name):
+    # numpy is most of the import time; only class checks and evaluate_array load it
+    code = f"import sys, {module_name}; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")

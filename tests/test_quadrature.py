@@ -122,3 +122,29 @@ def test_mean_integral_accepts_function_expr():
 def test_tol_below_floor_rejected():
     with pytest.raises(ValueError):
         integrate(math.exp, Interval(0.0, 1.0), tol=1e-14)
+
+
+def test_simpson_sum_that_overflows_at_the_root_raises():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return 1e308  # finite, but 1e308 + 4e308 + 1e308 is not
+
+    with pytest.raises(IntegrandError) as info:
+        integrate(g, Interval(0.0, 1.0))
+    assert str(info.value) == "integrand failed at x=0.5: Simpson sum on [0.0, 1.0] is not finite"
+    assert calls == [0.0, 0.5, 1.0]
+
+
+def test_simpson_sum_that_overflows_on_a_refined_panel_raises():
+    # the root's sum is finite; its right half, with 1e308 at 0.75 and 1, is not
+    with pytest.raises(IntegrandError) as info:
+        integrate(lambda x: 1e308 if x > 0.6 else 1.0, Interval(0.0, 1.0))
+    assert info.value.abscissa == 0.5
+    assert str(info.value) == "integrand failed at x=0.5: Simpson sum on [0.0, 1.0] is not finite"
+
+
+def test_largest_constant_whose_simpson_sum_is_finite_still_integrates():
+    r = integrate(lambda x: 2.9e307, Interval(0.0, 1.0))
+    assert (r.value, r.err_est, r.evals, r.converged) == (2.8999999999999995e307, 0.0, 5, True)
