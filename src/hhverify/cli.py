@@ -13,16 +13,15 @@ errors, 3 when some verdict is inconclusive or an output path cannot be
 written.
 
 Reports serialize with %.17g floats and a fixed key order, so identical
-inputs produce byte-identical JSON and CSV across runs. ``_ReportText``
-renders each report once per command: its four numbers go through one
-%.17g format, and when a command writes both JSON and CSV the two read
-that same text. Each report's JSON object and CSV row come from one %
-template, with the text of its parameters (a, b, alpha, m and the family)
-memoised per call and shared by every theorem at a point and every point
-of a family member, and each string cell escaped for JSON and quoted by
-``csv.writer``'s rules once. The generic recursive encoder ``_json_value``
-serves only the payloads that are not reports (classify, chain terms,
-search points).
+inputs produce byte-identical JSON and CSV across runs. ``_render``
+renders a command's reports in one pass: each report's four numbers go
+through one %.17g format that feeds both its JSON object and its CSV row,
+each made from a % template. A point's text (a, b, alpha, m and the
+family) is made once for each run of reports that share it, and each
+string cell is escaped for JSON and quoted by ``csv.writer``'s rules once.
+``check`` and ``sweep`` write their reports through one ``_emit_reports``.
+The generic recursive encoder ``_json_value`` serves only the payloads
+that are not reports (classify, chain terms, search points).
 """
 from __future__ import annotations
 
@@ -47,7 +46,7 @@ from .funcspec import (
     parse,
     registered_families,
 )
-from .quadrature import MIN_TOL, IntegrandError, Interval
+from .quadrature import IntegrandError, Interval
 from .verify import (
     CHAIN_THEOREMS,
     HYP_PASS,
@@ -214,108 +213,81 @@ class _StringText(dict):
         return out
 
 
-class _ReportText:
-    """Renders reports as JSON objects and CSV rows from fixed templates.
+def _point_text(params: ReportParams, family: tuple[str, str]) -> tuple[str, str]:
+    """A point's JSON object and its joined CSV cells a, b, alpha, m and family."""
+    json_text, csv_text = _numbers((params.a, params.b, params.alpha, params.m))
+    return _PARAMS_JSON % (*json_text.split(","), family[0]), f"{csv_text},{family[1]}"
 
-    ``json(r)`` is a report's JSON object: the keys theorem, variant,
-    params, hypothesis, lhs, rhs, margin, quad_err and verdict, in this
-    order, as ``_json_value`` would encode them, but without building a
-    dict per report. ``csv`` writes the rows ``csv.writer`` would, from a
-    ``%`` template. One instance serves one command's output. With
-    ``shared``, for a command that writes both, the text of the last
-    sequence of reports rendered is kept, so the two outputs format each
-    number once, in either order; without, nothing more is kept.
-    It also memoises the text of each string, of each family and of each
-    parameter point (its JSON object and its joined a, b, alpha, m and
-    family CSV cells), keyed by the identity of the ReportParams and of
-    the family pairs: verify gives every theorem at a point one
-    ReportParams, and every point of a family member one tuple of pairs.
-    Identity rather than equality, since 0.0 == -0.0 but the two print
-    differently; each entry holds its key object, so no id is reused while
-    the instance lives.
+
+def _family_text(params: ReportParams) -> tuple[str, str]:
+    """The JSON object and CSV cell of a point's family parameters."""
+    return _json_value(None if params.family is None else dict(params.family)), _csv_cell(_family_cell(params))
+
+
+def _render(
+    reports: Iterable[InequalityReport], want_json: bool = True, want_csv: bool = True
+) -> tuple[str, str]:
+    """The reports' JSON objects joined by commas, and their CSV text with its header.
+
+    Each object has the keys theorem, variant, params, hypothesis, lhs,
+    rhs, margin, quad_err and verdict, in this order, as ``_json_value``
+    would encode them; each row is what ``csv.writer`` would write. Both
+    come from ``%`` templates, and each report's numbers go through
+    ``_numbers`` once and feed both outputs. A point's text is made again
+    only when a report's params are not the previous report's object, and
+    its family text only when the family tuple is not: verify gives every
+    theorem at a point one ReportParams, and every point of a family member
+    one tuple of pairs. Identity rather than equality, since 0.0 == -0.0
+    but the two print differently. An output not wanted is empty.
     """
-
-    def __init__(self, shared: bool = False) -> None:
-        self._shared = shared
-        self._points: dict[int, tuple] = {}
-        self._families: dict[int, tuple] = {}
-        self._strings = _StringText()
-        self._rendered: tuple = (None, [])
-
-    def _point(self, params: ReportParams) -> tuple:
-        """(params, JSON object, joined CSV cells a, b, alpha, m, family) of a point.
-
-        ``params`` is kept only to hold its id.
-        """
-        entry = self._points.get(id(params))
-        if entry is None:
-            family = self._families.get(id(params.family))
-            if family is None:
-                fam_json = _json_value(None if params.family is None else dict(params.family))
-                fam_csv = _csv_cell(_family_cell(params))
-                family = self._families[id(params.family)] = (params.family, fam_json, fam_csv)
-            json_text, csv_text = _numbers((params.a, params.b, params.alpha, params.m))
-            entry = self._points[id(params)] = (
-                params, _PARAMS_JSON % (*json_text.split(","), family[1]), f"{csv_text},{family[2]}"
-            )
-        return entry
-
-    def _text(self, r: InequalityReport) -> tuple:
-        """(point entry, JSON numbers, CSV numbers) of a report."""
-        return (self._point(r.params),) + _numbers((r.lhs, r.rhs, r.margin, r.quad_err))
-
-    def _texts(self, reports: Sequence[InequalityReport]) -> Iterable[tuple]:
-        """Each report's ``_text``; if shared, the last sequence's is kept for its other output."""
-        if not self._shared:
-            return map(self._text, reports)
-        if self._rendered[0] is not reports:
-            self._rendered = (reports, list(map(self._text, reports)))
-        return self._rendered[1]
-
-    def _json(self, r: InequalityReport, text: tuple) -> str:
-        s = self._strings
-        return _REPORT_JSON % (
-            s[r.theorem][0], s[r.variant][0], text[0][1], s[r.hypothesis][0], *text[1].split(","),
-            s[r.verdict][0],
+    strings = _StringText()
+    objects: list[str] = []
+    rows = [_CSV_HEADER] if want_csv else []
+    params = family = point = family_text = None
+    for r in reports:
+        if r.params is not params:
+            params = r.params
+            if family_text is None or params.family is not family:
+                family, family_text = params.family, _family_text(params)
+            point = _point_text(params, family_text)
+        json_numbers, csv_numbers = _numbers((r.lhs, r.rhs, r.margin, r.quad_err))
+        theorem, variant, hypothesis, verdict = (
+            strings[r.theorem], strings[r.variant], strings[r.hypothesis], strings[r.verdict]
         )
+        if want_json:
+            objects.append(_REPORT_JSON % (
+                theorem[0], variant[0], point[0], hypothesis[0], *json_numbers.split(","), verdict[0]
+            ))
+        if want_csv:
+            rows.append(_REPORT_CSV % (theorem[1], variant[1], point[1], csv_numbers, hypothesis[1], verdict[1]))
+    json_text = ",".join(objects)
+    del objects  # freed before the CSV is joined
+    return json_text, "".join(rows)
 
-    def json(self, r: InequalityReport) -> str:
-        return self._json(r, self._text(r))
 
-    def json_items(self, reports: Sequence[InequalityReport]) -> list[str]:
-        """Each report's JSON object; a shared instance keeps their numbers' text for ``csv``."""
-        return list(map(self._json, reports, self._texts(reports)))
-
-    def summary_json(self, summary: SweepSummary) -> str:
-        """The JSON ``sweep --json`` writes: the reports, then the minimum margin."""
-        best = summary.min_margin
-        if best is None:
-            best_json = "null"
-        else:
-            best_json = _MIN_MARGIN_JSON % (
-                _number(best.value)[0], self._strings[best.theorem][0], self._strings[best.variant][0],
-                self._point(best.params)[1],
-            )
-        return '{"reports":[%s],"min_margin":%s}' % (",".join(self.json_items(summary.reports)), best_json)
-
-    def csv(self, reports: Sequence[InequalityReport]) -> str:
-        s = self._strings
-        return _CSV_HEADER + "".join([
-            _REPORT_CSV % (
-                s[r.theorem][1], s[r.variant][1], text[0][2], text[2], s[r.hypothesis][1], s[r.verdict][1]
-            )
-            for r, text in zip(reports, self._texts(reports))
-        ])
+def _summary_json(summary: SweepSummary, objects: str) -> str:
+    """The JSON ``sweep --json`` writes: the reports' joined ``objects``, then the minimum margin."""
+    best = summary.min_margin
+    if best is None:
+        best_json = "null"
+    else:
+        best_json = _MIN_MARGIN_JSON % (
+            _number(best.value)[0], _json_string(best.theorem), _json_string(best.variant),
+            _point_text(best.params, _family_text(best.params))[0],
+        )
+    return '{"reports":[%s],"min_margin":%s}' % (objects, best_json)
 
 
 def _emit(text: str, destination: str) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
+    # the newline is written apart, so the text is not copied to add it
+    newline = "" if text.endswith("\n") else "\n"
     if destination == "-":
         sys.stdout.write(text)
+        sys.stdout.write(newline)
     else:
         with open(destination, "w", encoding="utf-8") as fh:
             fh.write(text)
+            fh.write(newline)
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +347,6 @@ def _resolve_seed(cli_seed: Optional[int]) -> int:
         except ValueError:
             raise _CliError(f"HH_SEED must be an integer, got {env!r}") from None
     return DEFAULT_SEED
-
-
-def _validate_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise _CliError(f"--tol must be >= {MIN_TOL:g}, got {tol!r}")
 
 
 def _split_assignment(item: str, what: str) -> tuple[str, str]:
@@ -466,19 +433,21 @@ def _exit_code(reports: Sequence[InequalityReport]) -> int:
     return EXIT_OK
 
 
-def _emit_reports(args, reports: Sequence[InequalityReport], with_params: bool) -> None:
-    wrote = False
-    text = _ReportText(shared=args.json is not None and getattr(args, "csv", None) is not None)
-    if args.json is not None:
-        items = text.json_items(reports)
-        payload = items[0] if len(items) == 1 else "[%s]" % ",".join(items)
-        _emit(payload, args.json)
-        wrote = True
-    if getattr(args, "csv", None) is not None:
-        _emit(text.csv(reports), args.csv)
-        wrote = True
-    if not wrote:
-        print(_report_rows(reports, with_params))
+def _emit_reports(args, reports: Sequence[InequalityReport], wrap_json: Callable[[str], str]) -> bool:
+    """Write ``--json`` (the joined report objects through ``wrap_json``) and ``--csv``.
+
+    Both outputs come from one ``_render`` pass. False when neither was asked for.
+    """
+    want_json, want_csv = args.json is not None, args.csv is not None
+    if not (want_json or want_csv):
+        return False
+    json_text, csv_text = _render(reports, want_json, want_csv)
+    if want_json:
+        json_text = wrap_json(json_text)  # rebound, so the unwrapped text is freed before the write
+        _emit(json_text, args.json)
+    if want_csv:
+        _emit(csv_text, args.csv)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -489,14 +458,14 @@ def _cmd_check(args) -> int:
     f, family = _resolve_function(args)
     theorems = _parse_theorems(args.theorem)
     seed = _resolve_seed(args.seed)
-    _validate_tol(args.tol)
     iv = Interval(args.a, args.b)
     reports = verify_theorems(
         theorems, f, iv, m=args.m, alpha=args.alpha, variant=args.variant, tol=args.tol,
         check_hypothesis=args.hypothesis == "on", grid_n=args.grid_n, tol_rel=args.tol_rel,
         seed=seed, family=family,
     )
-    _emit_reports(args, reports, with_params=False)
+    if not _emit_reports(args, reports, lambda objects: objects if len(reports) == 1 else "[%s]" % objects):
+        print(_report_rows(reports, with_params=False))
     return _exit_code(reports)
 
 
@@ -504,14 +473,13 @@ def _chain_json(theorem: str, terms: Sequence[ChainTerm], report: InequalityRepo
     return '{"theorem":%s,"terms":%s,"report":%s}' % (
         _json_string(theorem),
         _json_value([{"label": t.label, "value": t.value, "err_est": t.err_est} for t in terms]),
-        _ReportText().json(report),
+        _render([report])[0],
     )
 
 
 def _cmd_chain(args) -> int:
     f, family = _resolve_function(args)
     seed = _resolve_seed(args.seed)
-    _validate_tol(args.tol)
     iv = Interval(args.a, args.b)
     report = verify_theorem(
         args.theorem, f, iv, tol=args.tol, check_hypothesis=args.hypothesis == "on",
@@ -539,8 +507,6 @@ def _cmd_chain(args) -> int:
 def _cmd_classify(args) -> int:
     f, _family = _resolve_function(args)
     seed = _resolve_seed(args.seed)
-    if not (math.isfinite(args.domain_upper) and args.domain_upper > 0.0):
-        raise _CliError(f"--domain-upper must be positive, got {args.domain_upper!r}")
     params = ClassParams(m=args.m, alpha=args.alpha)
     try:
         report = check_alpha_m_log_convex(
@@ -576,7 +542,6 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     theorems = _parse_theorems(args.theorem)
     seed = _resolve_seed(args.seed)
-    _validate_tol(args.tol)
     summary = sweep(
         args.family,
         _parse_params(args.param, _parse_grid),
@@ -592,15 +557,7 @@ def _cmd_sweep(args) -> int:
         tol_rel=args.tol_rel,
         seed=seed,
     )
-    wrote = False
-    text = _ReportText(shared=args.json is not None and args.csv is not None)
-    if args.json is not None:
-        _emit(text.summary_json(summary), args.json)
-        wrote = True
-    if args.csv is not None:
-        _emit(text.csv(summary.reports), args.csv)
-        wrote = True
-    if not wrote:
+    if not _emit_reports(args, summary.reports, functools.partial(_summary_json, summary)):
         if summary.reports:
             print(_report_rows(summary.reports, with_params=True))
         counts = "  ".join(f"{verdict}: {count}" for verdict, count in summary.counts.items())
@@ -621,13 +578,12 @@ def _search_json(result: SearchResult) -> str:
         _json_value({name: result.best_params[name] for name in sorted(result.best_params)}),
         _json_value(result.best_margin if math.isfinite(result.best_margin) else None),
         _json_value(result.evals),
-        _ReportText().json(result.report),
+        _render([result.report])[0],
     )
 
 
 def _cmd_search(args) -> int:
     seed = _resolve_seed(args.seed)
-    _validate_tol(args.tol)
     result = search_min_margin(
         args.family,
         _parse_ranges(args.range),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import Callable
 
-__all__ = ["Interval", "QuadResult", "IntegrandError", "integrate", "mean_integral"]
+__all__ = ["Interval", "QuadResult", "IntegrandError", "check_tol", "integrate", "mean_integral"]
 
 MIN_TOL = 1e-13
 MAX_DEPTH = 60
@@ -58,6 +58,12 @@ class QuadResult:
     err_est: float
     evals: int
     converged: bool = True
+
+
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is a finite real >= ``MIN_TOL``."""
+    if not (math.isfinite(tol) and tol >= MIN_TOL):
+        raise ValueError(f"tol must be a finite real >= {MIN_TOL}, got {tol!r}")
 
 
 def _checked(g: Callable[[float], float], x: float) -> float:
@@ -150,8 +156,7 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
         IntegrandError: if g raises or returns a non-finite value, or if
             the Simpson sum of a panel that must be refined overflows.
     """
-    if not (math.isfinite(tol) and tol >= MIN_TOL):
-        raise ValueError(f"tol must be a finite real >= {MIN_TOL}, got {tol!r}")
+    check_tol(tol)
     a, b = iv.a, iv.b
     fa = _checked(g, a)
     fm = _checked(g, 0.5 * (a + b))

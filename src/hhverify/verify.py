@@ -58,7 +58,7 @@ from .classify import (
 )
 from .funcspec import EvaluationError, FamilyError, FamilySpec, FunctionExpr, family_instantiate, registered_families
 from .means import arithmetic_mean
-from .quadrature import IntegrandError, Interval, QuadResult, mean_integral
+from .quadrature import IntegrandError, Interval, QuadResult, check_tol, mean_integral
 
 __all__ = [
     "THEOREMS",
@@ -482,6 +482,18 @@ def _family_pairs(family: Optional[FamilySpec]) -> Optional[tuple[tuple[str, flo
     return tuple(sorted((name, float(value)) for name, value in family.params.items()))
 
 
+def _check_class_values(m_values: Sequence[float], alpha_values: Sequence[float]) -> None:
+    """Range-check every m, then every alpha, through ClassParams.
+
+    A theorem whose effective class ignores m or alpha would otherwise
+    take any value without complaint.
+    """
+    for m in m_values:
+        ClassParams(m=m)
+    for alpha in alpha_values:
+        ClassParams(m=1.0, alpha=alpha)
+
+
 def verify_theorems(
     theorems: Sequence[str],
     f: FunctionExpr,
@@ -511,7 +523,8 @@ def verify_theorems(
     for theorem in theorems:
         _require_theorem(theorem)
     check_variant(variant)
-    ClassParams(m=m, alpha=alpha)  # range-check even for theorems that ignore one of them
+    check_tol(tol)  # no integral may run to check it, as on an interval where f fails
+    _check_class_values([m], [alpha])
     lookup: _HypLookup = _no_class_check
     if check_hypothesis:
         lookup = functools.partial(_class_checks(f, grid_n, tol_rel, seed), iv.b)
@@ -589,8 +602,10 @@ def sweep(
     for theorem in theorems:
         _require_theorem(theorem)
     check_variant(variant)
+    check_tol(tol)  # a sweep with no a < b point runs no integral to check it
     if hypothesis not in _HYPOTHESIS_MODES:
         raise ValueError(f"hypothesis mode must be one of {_HYPOTHESIS_MODES}, got {hypothesis!r}")
+    _check_class_values(m_values, alpha_values)
 
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]
@@ -669,6 +684,7 @@ def search_min_margin(
     """
     spec = _require_theorem(theorem)
     check_variant(variant)
+    check_tol(tol)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     families = registered_families()
@@ -699,9 +715,11 @@ def search_min_margin(
             raise ValueError(f"box range for {name!r} must be finite with lo < hi, got {(lo, hi)!r}")
         if name == "a" and lo < 0.0:
             raise ValueError("box range for 'a' must stay >= 0")
-        if name in ("alpha", "m") and not (0.0 < lo and hi <= 1.0):
-            raise ValueError(f"box range for {name!r} must lie inside (0, 1]")
         ranges.append((float(lo), float(hi)))
+    _check_class_values(
+        [fixed["m"]] if "m" in fixed else box.get("m", ()),
+        [fixed["alpha"]] if "alpha" in fixed else box.get("alpha", ()),
+    )
 
     def assemble(coords: Sequence[float]) -> dict[str, float]:
         point = dict(_POINT_DEFAULTS)

@@ -32,7 +32,7 @@ from hhverify import (
     sweep,
     verify_theorem,
 )
-from hhverify.cli import _json_value, _ReportText
+from hhverify.cli import _json_value, _render, _summary_json
 
 UNIT = Interval(0.0, 1.0)
 
@@ -217,8 +217,8 @@ def test_criterion_7_quadrature_and_mean_foundations():
 
 def test_criterion_8_byte_identical_reruns(gated_sweeps):
     results, _ = gated_sweeps
-    first = [_ReportText().summary_json(s) for _, s in results]
-    second = [_ReportText().summary_json(s) for _, s in _run_gated_sweeps()]
+    first = [_summary_json(s, _render(s.reports)[0]) for _, s in results]
+    second = [_summary_json(s, _render(s.reports)[0]) for _, s in _run_gated_sweeps()]
 
     def classification_blob() -> str:
         reports = [check_alpha_m_log_convex(parse("exp(x)"), 2.0, ClassParams(i / 10.0)) for i in range(1, 11)]

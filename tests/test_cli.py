@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,7 @@ from hhverify.cli import (
     MAX_GRID_POINTS,
     _CliError,
     _parse_grid,
-    _ReportText,
+    _render,
     report_from_dict,
     run,
 )
@@ -148,6 +150,36 @@ class TestExitCodes:
         assert run(argv + ["--theorem", "eq4", "--tol", "0"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: HH_SEED must be an integer, got 'not-a-number'\n")
 
+    @pytest.mark.parametrize("argv,stderr", [
+        # every command range-checks m and alpha, also where the theorem ignores them
+        (["check", "--f", "exp(x)", "--theorem", "eq4", "--alpha", "7"], "alpha must lie in (0, 1], got 7.0"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--alpha", "7",
+          "--hypothesis", "off"], "alpha must lie in (0, 1], got 7.0"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "dr1", "--m", "2", "--alpha", "5"],
+         "m must lie in (0, 1], got 2.0"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--m", "0.5,0"],
+         "m must lie in (0, 1], got 0.0"),
+        (["search", "--family", "const", "--range", "c=0.2:1", "--param", "alpha=3", "--theorem", "eq4",
+          "--budget", "3"], "alpha must lie in (0, 1], got 3.0"),
+        (["search", "--family", "const", "--range", "c=0.2:1", "--range", "m=0:1", "--theorem", "eq4"],
+         "m must lie in (0, 1], got 0.0"),
+        # one tolerance check for every command, also where no integral runs
+        (["check", "--f", "1/(1-x)", "--b", "2", "--theorem", "eq4", "--tol", "1e-16"],
+         "tol must be a finite real >= 1e-13, got 1e-16"),
+        (["check", "--f", "exp(x)", "--theorem", "eq4", "--tol", "nan"], "tol must be a finite real >= 1e-13, got nan"),
+        (["chain", "--f", "exp(x)", "--theorem", "dr1", "--tol", "0"], "tol must be a finite real >= 1e-13, got 0.0"),
+        (["sweep", "--family", "const", "--param", "c=1", "--theorem", "eq4", "--a", "1", "--tol", "0"],
+         "tol must be a finite real >= 1e-13, got 0.0"),
+        (["search", "--family", "const", "--range", "c=0.2:1", "--theorem", "eq4", "--tol", "0"],
+         "tol must be a finite real >= 1e-13, got 0.0"),
+        (["classify", "--f", "exp(x)", "--domain-upper", "0"], "domain_upper must be a positive finite real, got 0.0"),
+        (["classify", "--f", "exp(x)", "--domain-upper", "inf"],
+         "domain_upper must be a positive finite real, got inf"),
+    ])
+    def test_out_of_range_value_is_usage(self, capsys, argv, stderr):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {stderr}\n")
+
     def test_conflicting_function_flags(self, capsys):
         code = run(["check", "--theorem", "eq4", "--f", "exp(x)", "--param", "c=1"])
         assert code == EXIT_USAGE
@@ -204,7 +236,7 @@ class TestCheckOutput:
         payload = json.loads(capsys.readouterr().out)
         direct = verify_theorem("eq4", parse("exp(x)"), Interval(0.0, 1.0))
         assert report_from_dict(payload) == direct
-        assert report_from_dict(json.loads(_ReportText().json(direct))) == direct
+        assert report_from_dict(json.loads(_render([direct])[0])) == direct
 
     def test_family_params_serialized(self, capsys):
         run([
@@ -407,6 +439,15 @@ class TestJsonAndCsvTogether:
             [None, None, None, None],
         ]
 
+    def test_sweep_both_to_stdout(self, capsys):
+        outputs = []
+        for extra in (["--json", "-", "--csv", "-"], ["--json", "-"], ["--csv", "-"]):
+            outputs.append((run(MIXED_SWEEP_ARGS + extra), capsys.readouterr()))
+        (code, both), (json_code, json_only), (csv_code, csv_only) = outputs
+        assert code == json_code == csv_code == EXIT_VIOLATED
+        assert both.err == json_only.err == csv_only.err == ""
+        assert both.out == json_only.out + csv_only.out
+
     @pytest.mark.parametrize("theorems", ["eq4", "eq4,eq22,eq31"])
     def test_check(self, tmp_path, capsys, theorems):
         argv = ["check", "--family", "const", "--param", "c=1e200", "--theorem", theorems,
@@ -542,6 +583,20 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "holds" in proc.stdout
+
+
+def test_console_script_entry_point_runs(capsys, monkeypatch):
+    # what the installed script runs, read from pyproject.toml, so it is checked without an install
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["hhverify"]
+    module_name, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    monkeypatch.setattr(sys, "argv", ["hhverify", "check", "--theorem", "eq4", "--f", "exp(x)"])
+    with pytest.raises(SystemExit) as info:
+        entry()
+    assert info.value.code == EXIT_OK
+    assert "holds" in capsys.readouterr().out
 
 
 @pytest.mark.skipif(shutil.which("hhverify") is None, reason="console script not on PATH")

@@ -19,7 +19,7 @@ import pytest
 
 from hhverify import THEOREMS, sweep
 from hhverify.bounds import VARIANTS
-from hhverify.cli import _ReportText, run
+from hhverify.cli import _render, _summary_json, run
 
 SWEEP_CASES = (
     ("const", {"c": (0.5, 2.0)}, "off"),
@@ -69,10 +69,10 @@ def test_all_theorem_sweeps_are_byte_identical():
         for variant in VARIANTS:
             summary = sweep(family, grids, (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0), THEOREMS,
                             variant=variant, hypothesis=hypothesis)
-            # one renderer sharing each report's text, as `sweep --json --csv` uses it
-            text = _ReportText(shared=True)
-            digest.update(text.summary_json(summary).encode())
-            digest.update(text.csv(summary.reports).encode())
+            # one pass for both outputs, as `sweep --json --csv` renders them
+            json_text, csv_text = _render(summary.reports)
+            digest.update(_summary_json(summary, json_text).encode())
+            digest.update(csv_text.encode())
             verdicts.update(r.verdict for r in summary.reports)
     assert verdicts == {"holds": 1009, "violated": 111, "inapplicable": 32, "inconclusive": 1088}
     assert digest.hexdigest() == SWEEP_SHA256

@@ -1,7 +1,7 @@
 """The report template renderer against the generic encoder, character for character.
 
-``_ReportText`` renders a report's JSON object and its CSV row from templates,
-with each report's numbers formatted once and shared by the two outputs. The
+``_render`` renders reports' JSON objects and CSV rows from templates, in one
+pass, with each report's numbers formatted once and shared by the two outputs. The
 references here are the generic recursive walk
 ``_json_value(_reference_dict(r))`` and a plain ``csv.writer`` fed each
 report's cells, every number through ``_fmt_float``.
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hhverify.cli as cli
-from hhverify.cli import _fmt_float, _json_value, _ReportText
+from hhverify.cli import _fmt_float, _json_value, _render, _summary_json
 from hhverify.verify import InequalityReport, MinMargin, ReportParams, SweepSummary
 
 SPECIAL = [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1, -2.75]
@@ -98,21 +98,13 @@ def _reference_csv(reports) -> str:
 
 @given(report_lists())
 def test_json_and_csv_match_the_generic_encoders(reports):
-    expected_json = [_json_value(_reference_dict(r)) for r in reports]
+    expected_json = ",".join(_json_value(_reference_dict(r)) for r in reports)
     expected_csv = _reference_csv(reports)
-    text = _ReportText()
-    assert [text.json(r) for r in reports] == expected_json
-    assert text.csv(reports) == expected_csv
-    # a shared instance keeps each report's text for the other output, in either order
-    text = _ReportText(shared=True)
-    assert text.json_items(reports) == expected_json
-    assert text.csv(reports) == expected_csv
-    text = _ReportText(shared=True)
-    assert text.csv(reports) == expected_csv
-    assert text.json_items(reports) == expected_json
-    assert text.csv(reports) == expected_csv
-    assert _ReportText().csv(reports) == expected_csv
-    assert _ReportText(shared=True).csv(reports) == expected_csv
+    assert _render(reports) == (expected_json, expected_csv)
+    assert _render(reports, want_csv=False) == (expected_json, "")
+    assert _render(reports, want_json=False) == ("", expected_csv)
+    # one report at a time, as chain and search render theirs
+    assert ",".join(_render([r])[0] for r in reports) == expected_json
 
 
 @given(report_lists(), st.one_of(st.none(), present))
@@ -127,12 +119,12 @@ def test_summary_json_matches_the_generic_encoder(reports, best_value):
         "params": _reference_dict(reports[-1])["params"],
     }
     expected = _json_value({"reports": [_reference_dict(r) for r in reports], "min_margin": best_dict})
-    assert _ReportText().summary_json(summary) == expected
+    assert _summary_json(summary, _render(reports, want_csv=False)[0]) == expected
 
 
-@pytest.mark.parametrize("shared,renderings", [(True, 1), (False, 2)])
+@pytest.mark.parametrize("want_json,want_csv", [(True, True), (True, False), (False, True)])
 @given(reports=report_lists())
-def test_shared_outputs_format_each_report_once(shared, renderings, reports):
+def test_each_report_is_formatted_once(want_json, want_csv, reports):
     calls = []
     numbers = cli._numbers
 
@@ -140,13 +132,10 @@ def test_shared_outputs_format_each_report_once(shared, renderings, reports):
         calls.append(values)
         return numbers(values)
 
-    summary = SweepSummary(reports=tuple(reports), min_margin=None, counts={})
-    text = _ReportText(shared=shared)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_numbers", counted)
-        summary_json = text.summary_json(summary)
-        csv_text = text.csv(summary.reports)
-    assert summary_json == _ReportText().summary_json(summary)
-    assert csv_text == _reference_csv(reports)
-    points = {id(r.params) for r in reports}
-    assert len(calls) == renderings * len(reports) + len(points)
+        rendered = _render(reports, want_json, want_csv)
+    assert rendered == _render(reports, want_json, want_csv)
+    # one per report, and one per run of consecutive reports that share a ReportParams
+    runs = sum(1 for i, r in enumerate(reports) if i == 0 or r.params is not reports[i - 1].params)
+    assert len(calls) == len(reports) + runs

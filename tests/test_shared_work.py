@@ -28,7 +28,7 @@ from hhverify import (
     verify_theorems,
 )
 from hhverify.classify import DEFAULT_SEED
-from hhverify.cli import EXIT_INCONCLUSIVE, EXIT_USAGE, _exit_code, _ReportText, run
+from hhverify.cli import EXIT_INCONCLUSIVE, EXIT_USAGE, _exit_code, _render, run
 
 GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 GRID17 = tuple(i * 2.0 / 16 for i in range(17))
@@ -88,7 +88,7 @@ def test_check_samples_each_effective_class_once(work, capsys, f_text, alpha, cl
         verify_theorem(t, parse(f_text), Interval(0.5, 1.5), m=0.5, alpha=alpha, seed=DEFAULT_SEED)
         for t in GATE_THEOREMS
     ]
-    assert out == "[%s]\n" % ",".join(map(_ReportText().json, separate))
+    assert out == "[%s]\n" % _render(separate)[0]
     assert code == _exit_code(separate)
 
 

@@ -146,9 +146,18 @@ def test_verify_theorem_unknown_theorem():
         verify_theorem("eq99", parse("exp(x)"), UNIT)
 
 
-def test_verify_theorem_rejects_unreachable_tol():
-    with pytest.raises(ValueError):
-        verify_theorem("eq4", parse("exp(x)"), UNIT, tol=1e-16, check_hypothesis=False)
+TOL_ERROR = r"tol must be a finite real >= 1e-13"
+
+
+@pytest.mark.parametrize("text,iv,tol", [
+    ("exp(x)", UNIT, 1e-16),
+    # the class check fails on [0, 2], so no integral runs to check the tolerance
+    ("1/(1-x)", Interval(0.0, 2.0), 1e-16),
+    ("1/(1-x)", Interval(0.0, 2.0), math.nan),
+])
+def test_verify_theorem_rejects_unreachable_tol(text, iv, tol):
+    with pytest.raises(ValueError, match=TOL_ERROR):
+        verify_theorem("eq4", parse(text), iv, tol=tol)
 
 
 class TestSweep:
@@ -245,6 +254,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("const", {"c": (0.5,)}, (0.0,), (1.0,), (1.0,), (1.0,), ("eq4",), hypothesis="always")
 
+    @pytest.mark.parametrize("a_values,m_values,alpha_values,theorem,kwargs,message", [
+        ((1.0,), (1.0,), (1.0,), "eq4", {"tol": 0.0}, TOL_ERROR),  # no a < b point, so no integral
+        ((0.0,), (1.0,), (1.0,), "eq4", {"tol": math.inf}, TOL_ERROR),
+        ((0.0,), (1.0,), (0.5, 7.0), "eq4", {}, r"alpha must lie in \(0, 1\], got 7.0"),  # eq4 ignores alpha
+        ((0.0,), (2.0,), (5.0,), "dr1", {}, r"m must lie in \(0, 1\], got 2.0"),  # chains ignore both
+        ((1.0,), (0.0,), (1.0,), "eq4", {}, r"m must lie in \(0, 1\], got 0.0"),
+    ])
+    def test_value_validation(self, a_values, m_values, alpha_values, theorem, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            sweep("const", {"c": (0.5,)}, a_values, (1.0,), m_values, alpha_values, (theorem,), **kwargs)
+
 
 def test_replay_matches_every_reported_verdict():
     reports = [
@@ -313,6 +333,9 @@ class TestSearch:
             ({}, {}),                                  # missing family parameter
             ({"c": (0.9, 0.1)}, None),                 # lo >= hi
             ({"c": (0.1, 0.9), "m": (0.0, 2.0)}, None),  # m outside (0, 1]
+            ({"c": (0.1, 0.9), "alpha": (0.5, 2.0)}, None),  # alpha outside (0, 1], unused by eq4
+            ({"c": (0.1, 0.9)}, {"alpha": 3.0}),       # fixed alpha outside (0, 1]
+            ({"c": (0.1, 0.9)}, {"m": 0.0}),           # fixed m outside (0, 1]
             ({"c": (0.1, 0.9), "a": (-1.0, 1.0)}, None),  # negative a
         ],
     )
@@ -327,3 +350,7 @@ class TestSearch:
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             search_min_margin("const", {"c": (0.1, 0.9)}, "eq4", budget=0)
+
+    def test_bad_tol(self):
+        with pytest.raises(ValueError, match=TOL_ERROR):
+            search_min_margin("const", {"c": (0.1, 0.9)}, "eq4", tol=1e-16)
