@@ -11,10 +11,7 @@ class membership itself can be sampled. See the command line tool
 from .bounds import (
     BoundSide,
     ChainTerm,
-    ChainValues,
     Endpoints,
-    chain_dr1,
-    chain_dr2,
     exp_mean_factor,
 )
 from .classify import (
@@ -80,9 +77,8 @@ __all__ = [
     # classification
     "ClassParams", "ClassificationReport", "Violation", "SampleEvaluationError",
     "check_alpha_m_log_convex",
-    # bounds and chains
-    "BoundSide", "Endpoints", "ChainTerm", "ChainValues", "exp_mean_factor",
-    "chain_dr1", "chain_dr2",
+    # bounds and chain terms
+    "BoundSide", "Endpoints", "ChainTerm", "exp_mean_factor",
     # verification
     "THEOREMS", "HOLDS", "VIOLATED", "INAPPLICABLE", "INCONCLUSIVE",
     "HYP_PASS", "HYP_FAIL", "HYP_SKIPPED",

@@ -4,11 +4,13 @@ Every theorem handled by this package compares an integral mean of a
 positive function f against closed forms built from endpoint values, the
 scaled endpoint values f(a/m)**m and f(b/m)**m, and averages of the
 exponential family t -> r**(t**alpha). The closed forms do not evaluate f;
-they read one ``Endpoints`` record, built once per interval and m. All
-products and powers of function values are computed in log space so that
-nothing overflows before it has to. Inapplicable sides (endpoint ratios
-above one, where the closed form stops being an upper bound) are reported
-as data, never raised.
+they read one ``Endpoints`` record, built once per interval and m. The two
+refinement chains read that record and the integral means from the cache
+``verify`` keeps per interval; this module builds integrands but never
+integrates. All products and powers of function values are computed in log
+space so that nothing overflows before it has to. Inapplicable sides
+(endpoint ratios above one, where the closed form stops being an upper
+bound) are reported as data, never raised.
 
 Two inequalities exist in a printed and a corrected variant. The printed
 closed forms compare the geometric-mean integral
@@ -30,12 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .classify import ClassParams
 from .funcspec import FunctionExpr, generate
 from .means import arithmetic_mean, geometric_mean, logarithmic_mean
-from .quadrature import Interval, mean_integral
+from .quadrature import Interval
+
+if TYPE_CHECKING:
+    from .verify import _IntegralCache
 
 __all__ = [
     "RATIO_ONE_REL",
@@ -45,11 +50,8 @@ __all__ = [
     "ClosedFormUnderflow",
     "Endpoints",
     "ChainTerm",
-    "ChainValues",
     "exp_mean_factor",
     "check_variant",
-    "chain_dr1",
-    "chain_dr2",
 ]
 
 # Ratios within this relative distance of 1 take the exact limit value.
@@ -87,16 +89,11 @@ class BoundSide:
 
 @dataclass(frozen=True)
 class ChainTerm:
+    """One labeled term of a refinement chain; each term should not exceed the next."""
+
     label: str
     value: float
     err_est: float = 0.0
-
-
-@dataclass(frozen=True)
-class ChainValues:
-    """Ordered labeled terms of a refinement chain (each should not exceed the next)."""
-
-    terms: tuple[ChainTerm, ...]
 
 
 def exp_mean_factor(r: float, alpha: float) -> BoundSide:
@@ -285,19 +282,19 @@ def eq42_rhs(ends: Endpoints, alpha: float, variant: str = "corrected") -> Bound
 # refinement chains
 
 
-def chain_dr1(f: FunctionExpr, iv: Interval, tol: float = 1e-10) -> ChainValues:
+def chain_dr1(shared: _IntegralCache) -> tuple[ChainTerm, ...]:
     """Three-term chain: midpoint value, geometric-mean integral, endpoint geometric mean."""
-    gint = mean_integral(sym_geometric_integrand(f, iv.a + iv.b), iv, tol)
-    return ChainValues(
-        terms=(
-            ChainTerm("midpoint_value", f.evaluate(arithmetic_mean(iv.a, iv.b))),
-            ChainTerm("geometric_mean_integral", gint.value, gint.err_est),
-            ChainTerm("endpoint_geometric_mean", geometric_mean(f.evaluate(iv.a), f.evaluate(iv.b))),
-        )
+    gint = shared.sym_geometric()
+    mid = shared.f.evaluate(arithmetic_mean(shared.iv.a, shared.iv.b))
+    ends = shared.endpoints(1.0)
+    return (
+        ChainTerm("midpoint_value", mid),
+        ChainTerm("geometric_mean_integral", gint.value, gint.err_est),
+        ChainTerm("endpoint_geometric_mean", geometric_mean(ends.fa, ends.fb)),
     )
 
 
-def chain_dr2(f: FunctionExpr, iv: Interval, tol: float = 1e-10) -> ChainValues:
+def chain_dr2(shared: _IntegralCache) -> tuple[ChainTerm, ...]:
     """Six-term chain from the midpoint value up to the endpoint arithmetic mean.
 
     Terms, in order: f((a+b)/2); exp of the mean of ln f; the mean of
@@ -305,19 +302,17 @@ def chain_dr2(f: FunctionExpr, iv: Interval, tol: float = 1e-10) -> ChainValues:
     The error of the exponentiated log-mean term is propagated through the
     exponential (scaled by the value itself).
     """
-    fa = f.evaluate(iv.a)
-    fb = f.evaluate(iv.b)
-    log_mean = mean_integral(log_integrand(f), iv, tol)
+    ends = shared.endpoints(1.0)
+    log_mean = shared.mean_log()
     exp_log = math.exp(log_mean.value)
-    gint = mean_integral(sym_geometric_integrand(f, iv.a + iv.b), iv, tol)
-    fint = mean_integral(f, iv, tol)
-    return ChainValues(
-        terms=(
-            ChainTerm("midpoint_value", f.evaluate(arithmetic_mean(iv.a, iv.b))),
-            ChainTerm("exp_mean_log", exp_log, exp_log * log_mean.err_est),
-            ChainTerm("geometric_mean_integral", gint.value, gint.err_est),
-            ChainTerm("mean_integral", fint.value, fint.err_est),
-            ChainTerm("endpoint_logarithmic_mean", logarithmic_mean(fa, fb)),
-            ChainTerm("endpoint_arithmetic_mean", arithmetic_mean(fa, fb)),
-        )
+    gint = shared.sym_geometric()
+    fint = shared.mean_f()
+    mid = shared.f.evaluate(arithmetic_mean(shared.iv.a, shared.iv.b))
+    return (
+        ChainTerm("midpoint_value", mid),
+        ChainTerm("exp_mean_log", exp_log, exp_log * log_mean.err_est),
+        ChainTerm("geometric_mean_integral", gint.value, gint.err_est),
+        ChainTerm("mean_integral", fint.value, fint.err_est),
+        ChainTerm("endpoint_logarithmic_mean", logarithmic_mean(ends.fa, ends.fb)),
+        ChainTerm("endpoint_arithmetic_mean", arithmetic_mean(ends.fa, ends.fb)),
     )

@@ -57,6 +57,7 @@ from .verify import (
     ReportParams,
     SearchResult,
     SweepSummary,
+    _IntegralCache,
     _require_theorem,
     search_min_margin,
     sweep,
@@ -493,7 +494,7 @@ def _cmd_chain(args) -> int:
         # The class check kept verify from evaluating the chain; the table
         # still lists its terms. The chains are looked up by name at call
         # time, like every other callee.
-        terms = {"dr1": chain_dr1, "dr2": chain_dr2}[args.theorem](f, iv, args.tol).terms
+        terms = {"dr1": chain_dr1, "dr2": chain_dr2}[args.theorem](_IntegralCache(f, iv, args.tol))
     if args.json is not None:
         _emit(_chain_json(args.theorem, terms, report), args.json)
     else:

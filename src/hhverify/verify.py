@@ -37,7 +37,6 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 from .bounds import (
     BoundSide,
     ChainTerm,
-    ChainValues,
     ClosedFormUnderflow,
     Endpoints,
     chain_dr1,
@@ -47,6 +46,7 @@ from .bounds import (
     eq22_rhs,
     eq31_branches,
     eq42_rhs,
+    log_integrand,
     mixed_geometric_integrand,
     sym_geometric_integrand,
 )
@@ -243,11 +243,13 @@ def _class_checks(
 class _IntegralCache:
     """Integrals and endpoint values of ``f`` on ``iv``, computed lazily and shared by every report.
 
-    Neither depends on alpha, and the mixed kernel and the endpoints are
-    keyed by m, so one cache serves all theorems and all (alpha, m) points
-    on one interval. A value that raised is cached too, so a second theorem
-    needing it re-raises instead of evaluating up to the same bad abscissa
-    again. A cache lives for one call of the public entry points only.
+    The one place that integrates: every bound and both chains read their
+    means of f, ln f and the kernels here. Nothing depends on alpha, and the
+    mixed kernel and the endpoints are keyed by m, so one cache serves all
+    theorems and all (alpha, m) points on one interval. A value that raised
+    is cached too, so a second theorem needing it re-raises instead of
+    evaluating up to the same bad abscissa again. A cache lives for one call
+    of the public entry points (or of the CLI's chain fallback) only.
     """
 
     def __init__(self, f: FunctionExpr, iv: Interval, tol: float):
@@ -269,6 +271,9 @@ class _IntegralCache:
 
     def mean_f(self) -> QuadResult:
         return self._get("mean_f", lambda: mean_integral(self.f, self.iv, self.tol))
+
+    def mean_log(self) -> QuadResult:
+        return self._get("mean_log", lambda: mean_integral(log_integrand(self.f), self.iv, self.tol))
 
     def sym_geometric(self) -> QuadResult:
         s = self.iv.a + self.iv.b
@@ -315,10 +320,10 @@ def _assembled(
     )
 
 
-def _chain_report(theorem: str, chain: ChainValues, variant: str, rp: ReportParams, hyp: str) -> InequalityReport:
+def _chain_report(theorem: str, terms: _Chain, variant: str, rp: ReportParams, hyp: str) -> InequalityReport:
     best = None
     best_slack = math.inf
-    for first, second in itertools.pairwise(chain.terms):
+    for first, second in itertools.pairwise(terms):
         margin = second.value - first.value
         err = first.err_est + second.err_est
         slack = margin + margin_tolerance(first.value, second.value, err)
@@ -332,7 +337,7 @@ def _chain_report(theorem: str, chain: ChainValues, variant: str, rp: ReportPara
         theorem, variant, rp, hyp,
         lhs=first.value, rhs=second.value, margin=margin, quad_err=err, verdict=verdict,
         diagnostics=f"tightest adjacent pair: {first.label} <= {second.label}",
-        terms=chain.terms,
+        terms=terms,
     )
 
 
@@ -345,15 +350,16 @@ def _chain_report(theorem: str, chain: ChainValues, variant: str, rp: ReportPara
 # module's namespace at call time, so a wrapper installed on, say,
 # ``hhverify.verify.eq4_rhs`` sees every call.
 
+_Chain = tuple[ChainTerm, ...]
 _Sides = tuple[float, float, BoundSide]
 
 
-def _dr1(cache: _IntegralCache, eff: ClassParams, variant: str) -> ChainValues:
-    return chain_dr1(cache.f, cache.iv, cache.tol)
+def _dr1(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Chain:
+    return chain_dr1(cache)
 
 
-def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> ChainValues:
-    return chain_dr2(cache.f, cache.iv, cache.tol)
+def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Chain:
+    return chain_dr2(cache)
 
 
 def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
@@ -391,7 +397,7 @@ class _Theorem:
     hypothesis needs the (alpha, m)-class; the others need only the m-class.
     """
 
-    compute: Callable[[_IntegralCache, ClassParams, str], ChainValues | _Sides]
+    compute: Callable[[_IntegralCache, ClassParams, str], _Chain | _Sides]
     chain: bool = False
     uses_alpha: bool = False
 

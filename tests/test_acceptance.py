@@ -22,7 +22,6 @@ from hhverify import (
     INCONCLUSIVE,
     Interval,
     VIOLATED,
-    chain_dr2,
     check_alpha_m_log_convex,
     exp_mean_factor,
     family_instantiate,
@@ -101,10 +100,10 @@ DR2_EXPECTED = (
 
 
 def test_criterion_2_six_term_chain_oracle():
-    chain = chain_dr2(parse("exp(x^2)"), UNIT)
-    labels_ok = [t.label for t in chain.terms] == [label for label, _ in DR2_EXPECTED]
-    worst = max(abs(t.value - e) for t, (_, e) in zip(chain.terms, DR2_EXPECTED))
-    values = [t.value for t in chain.terms]
+    terms = verify_theorem("dr2", parse("exp(x^2)"), UNIT, check_hypothesis=False).terms
+    labels_ok = [t.label for t in terms] == [label for label, _ in DR2_EXPECTED]
+    worst = max(abs(t.value - e) for t, (_, e) in zip(terms, DR2_EXPECTED))
+    values = [t.value for t in terms]
     least_step = min(hi - lo for lo, hi in zip(values, values[1:]))
     _criterion(
         "six-term chain oracle",

@@ -1,21 +1,24 @@
 import math
 import random
+import re
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hhverify import (
     Endpoints,
     FamilySpec,
     Interval,
     arithmetic_mean,
-    chain_dr1,
-    chain_dr2,
     exp_mean_factor,
     family_instantiate,
     geometric_mean,
+    margin_tolerance,
     mean_integral,
     parse,
+    registered_families,
+    unparse,
+    verify_theorem,
 )
 from hhverify.bounds import (
     RATIO_ABOVE_ONE,
@@ -233,14 +236,19 @@ def test_scaling_f_scales_the_corrected_closed_forms_at_m_one(family, p, a, widt
             assert actual[name].value == pytest.approx(c * side.value, rel=1e-13), name
 
 
+def _chain_terms(theorem, f, iv=UNIT):
+    """The terms of a refinement chain, as the public API gives them."""
+    return verify_theorem(theorem, f, iv, check_hypothesis=False).terms
+
+
 def test_chain_dr1_exp_collapses_to_equality():
-    chain = chain_dr1(parse("exp(x)"), UNIT)
-    assert [t.label for t in chain.terms] == [
+    terms = _chain_terms("dr1", parse("exp(x)"))
+    assert [t.label for t in terms] == [
         "midpoint_value",
         "geometric_mean_integral",
         "endpoint_geometric_mean",
     ]
-    for term in chain.terms:
+    for term in terms:
         assert term.value == pytest.approx(math.exp(0.5), rel=1e-10)
 
 
@@ -255,18 +263,78 @@ DR2_ORACLE = {
 
 
 def test_chain_dr2_frozen_oracle():
-    chain = chain_dr2(parse("exp(x^2)"), UNIT)
-    assert [t.label for t in chain.terms] == list(DR2_ORACLE)
-    for term in chain.terms:
+    terms = _chain_terms("dr2", parse("exp(x^2)"))
+    assert [t.label for t in terms] == list(DR2_ORACLE)
+    for term in terms:
         assert term.value == pytest.approx(DR2_ORACLE[term.label], rel=1e-12), term.label
-    values = [t.value for t in chain.terms]
+    values = [t.value for t in terms]
     for lo, hi in zip(values, values[1:]):
         assert hi - lo >= -1e-12
 
 
 def test_chain_dr2_exp_endpoints():
-    chain = chain_dr2(parse("exp(x)"), UNIT)
-    by_label = {t.label: t.value for t in chain.terms}
+    by_label = {t.label: t.value for t in _chain_terms("dr2", parse("exp(x)"))}
     assert by_label["endpoint_logarithmic_mean"] == pytest.approx(math.e - 1.0, rel=1e-14)
     assert by_label["endpoint_arithmetic_mean"] == pytest.approx((1.0 + math.e) / 2.0, rel=1e-15)
     assert by_label["midpoint_value"] == pytest.approx(math.exp(0.5), rel=1e-15)
+
+
+# Metamorphic tests of the chains over registered family members. The
+# chains do not depend on (alpha, m). Reflecting f(x) to f(a+b-x) leaves
+# every term unchanged, and f -> c*f multiplies every term by c.
+_PARAM_RANGES = {"c": (0.1, 3.0), "k": (-3.0, 3.0), "p": (0.5, 3.0), "q": (0.1, 2.0)}
+# Reflection runs each Simpson panel on mirrored nodes, so the integrals
+# agree up to the order in which the same values are summed.
+_REFLECTION_ROUNDING_REL = 1e-14
+
+
+@st.composite
+def _family_members(draw):
+    name = draw(st.sampled_from(sorted(registered_families())))
+    params = {p: draw(st.floats(*_PARAM_RANGES[p])) for p in registered_families()[name]}
+    return family_instantiate(FamilySpec(name, params))
+
+
+@st.composite
+def _dyadic_intervals(draw):
+    # a, b and a+b on a grid of 1/32, so a+b-x is exact at every node
+    a = draw(st.integers(0, 64)) / 32.0
+    return Interval(a, a + draw(st.integers(1, 64)) / 32.0)
+
+
+def _reflected(f, iv):
+    """f(a+b-x), by substituting (a+b-x) for every x in f's text."""
+    return parse(re.sub(r"\bx\b", f"({iv.a + iv.b!r}-x)", unparse(f)))
+
+
+@settings(deadline=None)
+@given(_family_members(), _dyadic_intervals(), st.sampled_from(("dr1", "dr2")))
+def test_reflecting_f_leaves_every_chain_term_unchanged(f, iv, theorem):
+    terms = _chain_terms(theorem, f, iv)
+    mirrored = _chain_terms(theorem, _reflected(f, iv), iv)
+    assert terms and [t.label for t in mirrored] == [t.label for t in terms]
+    for term, image in zip(terms, mirrored):
+        allowance = term.err_est + image.err_est + _REFLECTION_ROUNDING_REL * abs(term.value)
+        assert abs(image.value - term.value) <= allowance, term.label
+
+
+@settings(deadline=None)
+@given(
+    _family_members(),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.01, max_value=2.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.sampled_from(("dr1", "dr2")),
+)
+def test_scaling_f_scales_every_chain_term(f, a, width, c, theorem):
+    iv = Interval(a, a + width)
+    terms = _chain_terms(theorem, f, iv)
+    scaled = _chain_terms(theorem, parse(f"{c!r}*({unparse(f)})"), iv)
+    assert terms and [t.label for t in scaled] == [t.label for t in terms]
+    # The integrals of c*f refine on other panels than those of f, so they
+    # agree to within the slack the verdict rule grants, not bit for bit.
+    for term, image in zip(terms, scaled):
+        expected = c * term.value
+        assert abs(image.value - expected) <= margin_tolerance(
+            expected, image.value, c * term.err_est + image.err_est
+        ), term.label

@@ -2,8 +2,10 @@
 
 A deletion that leaves a stale ``__all__`` entry, or removes a name the
 tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
-traced benchmark run. Importing the package leaves numpy unloaded.
+traced benchmark run. Importing the package leaves numpy unloaded, and
+only the shared integral cache integrates.
 """
+import ast
 import importlib
 import importlib.util
 import os
@@ -17,6 +19,7 @@ import pytest
 import hhverify
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+SRC = Path(hhverify.__file__).resolve().parent
 # every submodule but __main__, whose import runs the command line tool
 MODULES = ["hhverify"] + [
     f"hhverify.{info.name}" for info in pkgutil.iter_modules(hhverify.__path__) if info.name != "__main__"
@@ -57,3 +60,33 @@ def test_import_leaves_numpy_unloaded(module_name):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+def _uses_of(name: str, tree: ast.AST) -> list[ast.AST]:
+    """Every load of ``name``, bare or as an attribute: calls and any other use."""
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(getattr(node, "ctx", None), ast.Load)
+        and name in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+
+
+def test_only_the_integral_cache_integrates():
+    # One place per integral: a second path to mean_integral would compute
+    # again what _IntegralCache already holds for every theorem.
+    outside, in_cache = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "quadrature.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "_IntegralCache":
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        for use in _uses_of("mean_integral", tree):
+            if id(use) in allowed:
+                in_cache += 1
+            else:
+                outside.append(f"{path.name}:{use.lineno}")
+    assert outside == []
+    assert in_cache == 4  # the mean of f, of ln f and of the two kernels

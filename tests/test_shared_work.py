@@ -194,3 +194,61 @@ def test_chain_evaluates_the_chain_once(work, capsys, theorem, f_text, hypothesi
     else:
         assert out == ""
         assert err == "error: integrand failed at x=0.25: value 0.0 is not strictly positive at x=0.25\n"
+
+
+@pytest.mark.parametrize("theorems", [("eq4", "eq22", "dr1", "dr2"), ("dr1", "dr2")])
+def test_chains_share_the_integrals_of_the_bounds(work, theorems):
+    f = parse("exp(x)")
+    shared = verify_theorems(theorems, f, Interval(0.0, 1.0), check_hypothesis=False)
+    # the mean of f, of the symmetric kernel and of ln f, once each
+    assert work["integrals"] == 3
+    alone = [verify_theorem(t, f, Interval(0.0, 1.0), check_hypothesis=False) for t in theorems]
+    assert shared == alone
+    assert [(r.diagnostics, r.terms) for r in shared] == [(r.diagnostics, r.terms) for r in alone]
+
+
+def test_sweep_computes_the_chain_integrals_once_per_interval(work):
+    ks, a_values, b_values, m_values, alpha_values = (0.5, 2.0), (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0)
+    theorems = ("dr1", "dr2", "eq4", "eq22")
+    summary = sweep("exp_linear", {"k": ks}, a_values, b_values, m_values, alpha_values, theorems)
+    intervals = len(ks) * len(a_values) * len(b_values)
+    # chains do not depend on (alpha, m): mean of f, the symmetric kernel
+    # and the mean of ln f, once per member and interval
+    assert work["integrals"] == intervals * 3
+    assert len(summary.reports) == intervals * len(alpha_values) * len(m_values) * len(theorems) == 128
+
+    fresh = [
+        report
+        for k in ks
+        for a in a_values for b in b_values
+        for alpha in alpha_values for m in m_values
+        for report in verify_theorems(
+            theorems, family_instantiate(FamilySpec("exp_linear", {"k": k})), Interval(a, b),
+            m=m, alpha=alpha, check_hypothesis=False, family=FamilySpec("exp_linear", {"k": k}),
+        )
+    ]
+    assert list(summary.reports) == fresh
+    assert [(r.diagnostics, r.terms) for r in summary.reports] == [(r.diagnostics, r.terms) for r in fresh]
+
+
+_AT_ZERO = "integrand failed at x=0: math domain error at x=0"
+_AT_QUARTER = "integrand failed at x=0.25: value 0.0 is not strictly positive at x=0.25"
+
+
+@pytest.mark.parametrize(
+    "f_text,diagnostics",
+    [
+        # the chains integrate first, except dr2, which reads f(a) and f(b)
+        # before its integrals
+        ("(x-0.25)^2", [_AT_QUARTER] * 5),
+        ("ln(x-0.5)", [_AT_ZERO, _AT_ZERO, "math domain error at x=0", _AT_ZERO, _AT_ZERO]),
+        ("ln(x)", [_AT_ZERO, _AT_ZERO, "math domain error at x=0", _AT_ZERO, _AT_ZERO]),
+    ],
+)
+def test_a_failing_mixed_request_reports_each_theorem_its_own_first_error(f_text, diagnostics):
+    theorems = ["dr1", "eq22", "dr2", "eq4", "eq11"]
+    reports = verify_theorems(theorems, parse(f_text), Interval(0, 1), check_hypothesis=False)
+    assert [r.verdict for r in reports] == ["inconclusive"] * len(theorems)
+    assert [r.diagnostics for r in reports] == diagnostics
+    alone = [verify_theorem(t, parse(f_text), Interval(0, 1), check_hypothesis=False) for t in theorems]
+    assert [r.diagnostics for r in alone] == diagnostics
