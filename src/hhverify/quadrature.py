@@ -174,8 +174,14 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
     ``f`` may be a positive-function specification (anything with an
     ``evaluate(x)`` method) or a plain callable. Value and error estimate
     are both scaled by 1/(b-a).
+
+    Raises:
+        IntegrandError: if 1/(b-a) overflows (b - a below about 5.6e-309),
+            before ``f`` is evaluated, or for the reasons ``integrate`` gives.
     """
+    s = 1.0 / iv.width
+    if math.isinf(s):
+        raise IntegrandError(iv.a, f"interval width {iv.width!r} is too narrow to average over: 1/(b-a) overflows")
     g = f.evaluate if hasattr(f, "evaluate") else f
     r = integrate(g, iv, tol)
-    s = 1.0 / iv.width
     return QuadResult(r.value * s, r.err_est * s, r.evals, r.converged)

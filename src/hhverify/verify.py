@@ -24,6 +24,10 @@ failed check makes the verdict "inconclusive" rather than letting a bound
 that was never claimed count as violated; a check that cannot run because
 the function is not evaluable on the class domain does the same, with the
 failure recorded in diagnostics.
+
+Every report comes from one driver, the generator ``_reports``:
+verify_theorems runs it on one point, sweep once per family member and
+search_min_margin once per point it evaluates.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bounds import (
     BoundSide,
@@ -193,51 +197,40 @@ def _require_theorem(theorem: str) -> _Theorem:
 @dataclass(frozen=True)
 class _HypOutcome:
     status: str  # HYP_PASS | HYP_FAIL | HYP_SKIPPED
-    proceed: bool
-    diagnostics: Optional[str] = None
+    diagnostics: Optional[str] = None  # set when the check kept the bound from being evaluated
 
 
-_HYP_OFF = _HypOutcome(HYP_SKIPPED, proceed=True)
-
-_HypLookup = Callable[[ClassParams], _HypOutcome]
-
-
-def _no_class_check(eff: ClassParams) -> _HypOutcome:
-    return _HYP_OFF
+_HYP_OFF = _HypOutcome(HYP_SKIPPED)
 
 
 def _class_checks(
     f: FunctionExpr, grid_n: int, tol_rel: float, seed: int
 ) -> Callable[[float, ClassParams], _HypOutcome]:
-    """The class checks of ``f``: ``check(upper, eff)`` samples ``eff`` on [0, upper / eff.m].
+    """The memoised class checks of ``f``: ``checks(domain_upper, eff)`` samples ``eff`` on [0, domain_upper].
 
-    Outcomes are memoised on (upper / m_eff, m_eff, alpha_eff), the only
-    inputs that vary, so each is sampled once however many theorems,
-    points or intervals need it. A memo lives for one call of the public
-    entry points only.
+    The memo is keyed on (domain_upper, eff), so each is sampled once
+    however many theorems, points or intervals need it; the driver asks
+    for [0, upper / m_eff]. A memo lives for one call of the public entry
+    points only.
     """
 
     @functools.cache
-    def on_domain(domain_upper: float, m: float, alpha: float) -> _HypOutcome:
-        eff = ClassParams(m=m, alpha=alpha)
+    def checks(domain_upper: float, eff: ClassParams) -> _HypOutcome:
         try:
             report = check_alpha_m_log_convex(f, domain_upper, eff, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
         except SampleEvaluationError as err:
-            return _HypOutcome(HYP_SKIPPED, proceed=False, diagnostics=f"class check aborted: {err}")
+            return _HypOutcome(HYP_SKIPPED, diagnostics=f"class check aborted: {err}")
         if report.verdict == "pass":
-            return _HypOutcome(HYP_PASS, proceed=True)
+            return _HypOutcome(HYP_PASS)
         w = report.worst_violation
         assert w is not None
         detail = (
             f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
             f" with deficit {w.deficit!r}"
         )
-        return _HypOutcome(HYP_FAIL, proceed=False, diagnostics=detail)
+        return _HypOutcome(HYP_FAIL, diagnostics=detail)
 
-    def check(upper: float, eff: ClassParams) -> _HypOutcome:
-        return on_domain(upper / eff.m, eff.m, eff.alpha)
-
-    return check
+    return checks
 
 
 class _IntegralCache:
@@ -293,6 +286,14 @@ class _IntegralCache:
 
     def endpoints(self, m: float) -> Endpoints:
         return self._get(f"endpoints:{m!r}", lambda: Endpoints.of(self.f, self.iv, m))
+
+
+def _inconclusive(theorem: str, variant: str, rp: ReportParams, hyp: str, diagnostics: str) -> InequalityReport:
+    return InequalityReport(
+        theorem, variant, rp, hyp,
+        lhs=None, rhs=None, margin=None, quad_err=0.0,
+        verdict=INCONCLUSIVE, diagnostics=diagnostics,
+    )
 
 
 def _assembled(
@@ -435,57 +436,73 @@ THEOREMS = tuple(_TABLE)
 CHAIN_THEOREMS = tuple(name for name, spec in _TABLE.items() if spec.chain)
 
 
-def _point_reports(
+def _reports(
     theorems: Sequence[str],
-    cache: _IntegralCache,
-    *,
-    m: float,
-    alpha: float,
-    variant: str,
-    hyp_lookup: _HypLookup,
+    f: FunctionExpr,
     family: Optional[tuple[tuple[str, float], ...]],
-) -> list[InequalityReport]:
-    """The reports of ``theorems`` at one (alpha, m) point on ``cache``'s interval.
+    intervals: Iterable[Interval],
+    alpha_values: Sequence[float],
+    m_values: Sequence[float],
+    *,
+    variant: str,
+    tol: float,
+    class_checks: Optional[Callable[[float, ClassParams], _HypOutcome]],
+    domain_upper: Optional[float] = None,
+) -> Iterator[InequalityReport]:
+    """The reports of ``theorems`` for ``f``: by interval, then alpha, then m, then theorem.
 
-    The reports that carry the same parameters share one ReportParams (the
-    CLI memoises its text by identity). A report whose evaluation of f or
-    integral fails, or whose closed form overflows or underflows, is
-    inconclusive, with the error in its diagnostics.
+    Each interval gets one integral cache for all of its (alpha, m) points,
+    and the effective classes are worked out once per call. With
+    ``class_checks``, each is checked on [0, upper / m_eff], upper being
+    ``domain_upper`` or else the interval's b. A failed or aborted check,
+    a failed evaluation or integral, and a closed form that overflows or
+    underflows each make the report inconclusive, with the reason in its
+    diagnostics. The reports of one point that carry the same parameters
+    share one ReportParams (the CLI memoises its text by identity).
     """
-    params: dict[bool, ReportParams] = {}
-    reports: list[InequalityReport] = []
-    for theorem in theorems:
-        spec = _TABLE[theorem]
-        eff = spec.effective_class(m, alpha)
-        outcome = hyp_lookup(eff)
-        if spec.chain not in params:
-            params[spec.chain] = spec.report_params(cache.iv.a, cache.iv.b, m, alpha, family)
-        rp = params[spec.chain]
-        diagnostics = outcome.diagnostics
-        if outcome.proceed:
-            try:
-                reports.append(spec.report(theorem, cache, eff, variant, rp, outcome.status))
-                continue
-            except (EvaluationError, IntegrandError) as err:
-                diagnostics = str(err)
-            except OverflowError as err:
-                diagnostics = f"closed form overflowed: {err}"
-            except ClosedFormUnderflow as err:
-                diagnostics = f"closed form underflowed: {err}"
-        reports.append(
-            InequalityReport(
-                theorem, variant, rp, outcome.status,
-                lhs=None, rhs=None, margin=None, quad_err=0.0,
-                verdict=INCONCLUSIVE, diagnostics=diagnostics,
-            )
-        )
-    return reports
+    specs = [(theorem, _TABLE[theorem]) for theorem in theorems]
+    plan = [
+        (alpha, m, [(theorem, spec, spec.effective_class(m, alpha)) for theorem, spec in specs])
+        for alpha in alpha_values
+        for m in m_values
+    ]
+    for iv in intervals:
+        cache = _IntegralCache(f, iv, tol)
+        upper = iv.b if domain_upper is None else domain_upper
+        for alpha, m, steps in plan:
+            params: dict[bool, ReportParams] = {}
+            for theorem, spec, eff in steps:
+                outcome = _HYP_OFF if class_checks is None else class_checks(upper / eff.m, eff)
+                if spec.chain not in params:
+                    params[spec.chain] = spec.report_params(iv.a, iv.b, m, alpha, family)
+                rp = params[spec.chain]
+                diagnostics = outcome.diagnostics
+                if diagnostics is None:
+                    try:
+                        report = spec.report(theorem, cache, eff, variant, rp, outcome.status)
+                    except (EvaluationError, IntegrandError) as err:
+                        diagnostics = str(err)
+                    except OverflowError as err:
+                        diagnostics = f"closed form overflowed: {err}"
+                    except ClosedFormUnderflow as err:
+                        diagnostics = f"closed form underflowed: {err}"
+                if diagnostics is not None:
+                    report = _inconclusive(theorem, variant, rp, outcome.status, diagnostics)
+                yield report
 
 
 def _family_pairs(family: Optional[FamilySpec]) -> Optional[tuple[tuple[str, float], ...]]:
     if family is None:
         return None
     return tuple(sorted((name, float(value)) for name, value in family.params.items()))
+
+
+def _check_request(theorems: Sequence[str], variant: str, tol: float) -> None:
+    """Validate the theorem names, the variant and the tolerance, in that order."""
+    for theorem in theorems:
+        _require_theorem(theorem)
+    check_variant(variant)
+    check_tol(tol)  # no integral may run to check it, as on an interval where f fails
 
 
 def _check_class_values(m_values: Sequence[float], alpha_values: Sequence[float]) -> None:
@@ -526,17 +543,13 @@ def verify_theorems(
     labeling metadata only; it does not have to match ``f``, but the CLI
     always passes the spec it built the function from.
     """
-    for theorem in theorems:
-        _require_theorem(theorem)
-    check_variant(variant)
-    check_tol(tol)  # no integral may run to check it, as on an interval where f fails
+    _check_request(theorems, variant, tol)
     _check_class_values([m], [alpha])
-    lookup: _HypLookup = _no_class_check
-    if check_hypothesis:
-        lookup = functools.partial(_class_checks(f, grid_n, tol_rel, seed), iv.b)
-    return _point_reports(
-        theorems, _IntegralCache(f, iv, tol), m=m, alpha=alpha, variant=variant,
-        hyp_lookup=lookup, family=_family_pairs(family),
+    return list(
+        _reports(
+            theorems, f, _family_pairs(family), [iv], [alpha], [m], variant=variant, tol=tol,
+            class_checks=_class_checks(f, grid_n, tol_rel, seed) if check_hypothesis else None,
+        )
     )
 
 
@@ -598,55 +611,42 @@ def sweep(
     way a check runs once per distinct (family member, domain, effective
     class), since it does not depend on a, and its outcome is reused.
 
-    Integrals do not depend on alpha, and the mixed kernel is keyed by m,
-    so each (family member, interval) computes its integrals once for all
-    of its (alpha, m) points.
+    Each family member is one run of the shared report driver: its
+    effective classes are worked out once per (theorem, alpha, m), and
+    each interval computes its integrals once for all of its (alpha, m)
+    points, since integrals do not depend on alpha and the mixed kernel is
+    keyed by m. Verdict counts and the minimum margin come from one pass
+    over the reports.
 
     Inconclusive points never abort the sweep; they are reported and
     counted like any other verdict.
     """
-    for theorem in theorems:
-        _require_theorem(theorem)
-    check_variant(variant)
-    check_tol(tol)  # a sweep with no a < b point runs no integral to check it
+    _check_request(theorems, variant, tol)
     if hypothesis not in _HYPOTHESIS_MODES:
         raise ValueError(f"hypothesis mode must be one of {_HYPOTHESIS_MODES}, got {hypothesis!r}")
     _check_class_values(m_values, alpha_values)
 
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]
-    max_b = max(b_values) if len(b_values) else 0.0
+    domain_upper = max(b_values, default=None) if hypothesis == "once" else None
     reports: list[InequalityReport] = []
-
     for combo in itertools.product(*grids):
         spec = FamilySpec(family, dict(zip(names, combo)))
         f = family_instantiate(spec)
-        fam_pairs = _family_pairs(spec)
-        class_checks = _class_checks(f, grid_n, tol_rel, seed)
-        for a in a_values:
-            for b in b_values:
-                if a >= b:
-                    continue
-                iv = Interval(a, b)
-                cache = _IntegralCache(f, iv, tol)
-                if hypothesis == "off":
-                    lookup: _HypLookup = _no_class_check
-                else:
-                    lookup = functools.partial(class_checks, b if hypothesis == "per-point" else max_b)
-                for alpha in alpha_values:
-                    for m in m_values:
-                        reports.extend(
-                            _point_reports(
-                                theorems, cache, m=m, alpha=alpha, variant=variant,
-                                hyp_lookup=lookup, family=fam_pairs,
-                            )
-                        )
+        reports.extend(
+            _reports(
+                theorems, f, _family_pairs(spec),
+                (Interval(a, b) for a in a_values for b in b_values if a < b),
+                alpha_values, m_values, variant=variant, tol=tol,
+                class_checks=None if hypothesis == "off" else _class_checks(f, grid_n, tol_rel, seed),
+                domain_upper=domain_upper,
+            )
+        )
 
-    counts = {verdict: 0 for verdict in VERDICTS}
-    for report in reports:
-        counts[report.verdict] += 1
+    counts = dict.fromkeys(VERDICTS, 0)
     best: Optional[MinMargin] = None
     for report in reports:
+        counts[report.verdict] += 1
         if report.margin is not None and (best is None or report.margin < best.value):
             best = MinMargin(report.margin, report.theorem, report.variant, report.params)
     return SweepSummary(reports=tuple(reports), min_margin=best, counts=counts)
@@ -688,9 +688,7 @@ def search_min_margin(
     an infinite margin. Hypothesis checking is never run here; the point
     of the search is hunting violations, gated or not.
     """
-    spec = _require_theorem(theorem)
-    check_variant(variant)
-    check_tol(tol)
+    _check_request([theorem], variant, tol)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
     families = registered_families()
@@ -737,28 +735,18 @@ def search_min_margin(
     def evaluate_point(point: Mapping[str, float]) -> tuple[float, InequalityReport]:
         fam_pairs = tuple(sorted((name, point[name]) for name in param_names))
         a, b, alpha, m = point["a"], point["b"], point["alpha"], point["m"]
-        rp = spec.report_params(a, b, m, alpha, fam_pairs)
-
-        def stub(detail: str) -> tuple[float, InequalityReport]:
-            report = InequalityReport(
-                theorem, variant, rp, HYP_SKIPPED,
-                lhs=None, rhs=None, margin=None, quad_err=0.0,
-                verdict=INCONCLUSIVE, diagnostics=detail,
-            )
-            return math.inf, report
-
+        rp = _TABLE[theorem].report_params(a, b, m, alpha, fam_pairs)
         if not a < b:
-            return stub(f"empty interval: a={a!r} >= b={b!r}")
+            detail = f"empty interval: a={a!r} >= b={b!r}"
+            return math.inf, _inconclusive(theorem, variant, rp, HYP_SKIPPED, detail)
         try:
             f = family_instantiate(FamilySpec(family, {name: point[name] for name in param_names}))
         except FamilyError as err:
-            return stub(str(err))
-        report = _point_reports(
-            [theorem], _IntegralCache(f, Interval(a, b), tol), m=m, alpha=alpha, variant=variant,
-            hyp_lookup=_no_class_check, family=fam_pairs,
-        )[0]
-        margin = report.margin if report.margin is not None else math.inf
-        return margin, report
+            return math.inf, _inconclusive(theorem, variant, rp, HYP_SKIPPED, str(err))
+        report = next(_reports(
+            [theorem], f, fam_pairs, [Interval(a, b)], [alpha], [m], variant=variant, tol=tol, class_checks=None,
+        ))
+        return (report.margin if report.margin is not None else math.inf), report
 
     if not dims:
         margin, report = evaluate_point(assemble(()))

@@ -120,6 +120,23 @@ class TestExitCodes:
             "f58bed247fd227ee0e11df9bd1cb14871f37e23f551278a1753ad459d9cf5a65"
         )
 
+    @pytest.mark.parametrize("argv,reports", [
+        (["check", "--theorem", "eq4,eq11,eq22,eq31,eq42,dr1,dr2", "--f", "exp(x)", "--a", "0", "--b", "5e-324",
+          "--hypothesis", "off"], 7),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4,eq22,dr1", "--a", "0", "--b", "1e-320"],
+         3),
+        (["search", "--family", "const", "--param", "c=0.5", "--range", "b=1e-322:1e-320", "--theorem", "eq4",
+          "--budget", "4"], 1),
+    ])
+    def test_interval_too_narrow_to_average_over_is_inconclusive(self, capsys, argv, reports):
+        # 1/(b-a) overflows below a width of about 5.6e-309; these reports were
+        # certified violated from inf and nan
+        assert run(argv) == EXIT_INCONCLUSIVE
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.count("is too narrow to average over: 1/(b-a) overflows") == reports
+        assert "nan" not in out and "inf" not in out
+
     def test_syntax_error_is_usage(self, capsys):
         assert run(["check", "--theorem", "eq4", "--f", "exp("]) == EXIT_USAGE
         err = capsys.readouterr().err

@@ -90,3 +90,21 @@ def test_only_the_integral_cache_integrates():
                 outside.append(f"{path.name}:{use.lineno}")
     assert outside == []
     assert in_cache == 4  # the mean of f, of ln f and of the two kernels
+
+
+def test_one_driver_builds_the_integral_caches():
+    # Every report comes from verify._reports; the chain command's fallback
+    # only lists the terms of a chain its class check kept from running. A
+    # second per-point loop would construct its own cache.
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and "_IntegralCache" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    sites.append(f"{path.stem}.{function.name}")
+    assert sorted(sites) == ["cli._cmd_chain", "verify._reports"]

@@ -113,6 +113,13 @@ def test_mean_integral_scales_by_width():
     assert mean.evals == plain.evals
 
 
+def test_mean_integral_on_an_interval_too_narrow_to_average_over_raises_before_evaluating():
+    calls = []
+    with pytest.raises(IntegrandError, match=r"^integrand failed at x=0.0: interval width 5e-324 is too narrow"):
+        mean_integral(calls.append, Interval(0.0, 5e-324))
+    assert calls == []
+
+
 def test_mean_integral_accepts_function_expr():
     f = parse("exp(x)")
     r = mean_integral(f, Interval(0.0, 1.0), tol=1e-10)

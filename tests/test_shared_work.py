@@ -16,13 +16,17 @@ import pytest
 import hhverify.quadrature
 import hhverify.verify
 from hhverify import (
+    HYP_FAIL,
     HYP_PASS,
     HYP_SKIPPED,
+    THEOREMS,
     FamilySpec,
     FunctionExpr,
     Interval,
     family_instantiate,
     parse,
+    registered_families,
+    search_min_margin,
     sweep,
     verify_theorem,
     verify_theorems,
@@ -44,7 +48,7 @@ def _no_ambient_seed(monkeypatch):
 def work(monkeypatch) -> Counter:
     counts: Counter = Counter()
     check, integrate = hhverify.verify.check_alpha_m_log_convex, hhverify.quadrature.integrate
-    evaluate = FunctionExpr.evaluate
+    evaluate, effective_class = FunctionExpr.evaluate, hhverify.verify._Theorem.effective_class
 
     def counted_check(*args, **kwargs):
         counts["class_checks"] += 1
@@ -58,9 +62,14 @@ def work(monkeypatch) -> Counter:
         counts["evaluations"] += 1
         return evaluate(self, x)
 
+    def counted_effective_class(self, m, alpha):
+        counts["effective_classes"] += 1
+        return effective_class(self, m, alpha)
+
     monkeypatch.setattr(hhverify.verify, "check_alpha_m_log_convex", counted_check)
     monkeypatch.setattr(hhverify.quadrature, "integrate", counted_integrate)
     monkeypatch.setattr(FunctionExpr, "evaluate", counted_evaluate)
+    monkeypatch.setattr(hhverify.verify._Theorem, "effective_class", counted_effective_class)
     return counts
 
 
@@ -207,15 +216,24 @@ def test_chains_share_the_integrals_of_the_bounds(work, theorems):
     assert [(r.diagnostics, r.terms) for r in shared] == [(r.diagnostics, r.terms) for r in alone]
 
 
-def test_sweep_computes_the_chain_integrals_once_per_interval(work):
+@pytest.mark.parametrize("theorems", [("dr1", "dr2", "eq4", "eq22"), THEOREMS])
+@pytest.mark.parametrize("hypothesis", ["off", "per-point"])
+def test_sweep_computes_the_chain_integrals_once_per_interval(work, hypothesis, theorems):
+    # exp(kx) with k > 0 is in every m-class but in no (alpha, m)-class with
+    # alpha < 1, so at alpha 0.5 eq31 and eq42 fail their class checks
     ks, a_values, b_values, m_values, alpha_values = (0.5, 2.0), (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0)
-    theorems = ("dr1", "dr2", "eq4", "eq22")
-    summary = sweep("exp_linear", {"k": ks}, a_values, b_values, m_values, alpha_values, theorems)
+    summary = sweep("exp_linear", {"k": ks}, a_values, b_values, m_values, alpha_values, theorems,
+                    hypothesis=hypothesis)
+    # one effective class per (theorem, alpha, m) for each member, not per report
+    assert work["effective_classes"] == len(ks) * len(alpha_values) * len(m_values) * len(theorems)
     intervals = len(ks) * len(a_values) * len(b_values)
     # chains do not depend on (alpha, m): mean of f, the symmetric kernel
-    # and the mean of ln f, once per member and interval
-    assert work["integrals"] == intervals * 3
-    assert len(summary.reports) == intervals * len(alpha_values) * len(m_values) * len(theorems) == 128
+    # and the mean of ln f, once per member and interval, and the mixed
+    # kernel at m = 0.5 for eq11
+    assert work["integrals"] == intervals * (3 if len(theorems) == 4 else 4)
+    assert len(summary.reports) == intervals * len(alpha_values) * len(m_values) * len(theorems)
+    failed = {r.theorem for r in summary.reports if r.hypothesis == HYP_FAIL}
+    assert failed == ({"eq31", "eq42"} & set(theorems) if hypothesis == "per-point" else set())
 
     fresh = [
         report
@@ -224,11 +242,31 @@ def test_sweep_computes_the_chain_integrals_once_per_interval(work):
         for alpha in alpha_values for m in m_values
         for report in verify_theorems(
             theorems, family_instantiate(FamilySpec("exp_linear", {"k": k})), Interval(a, b),
-            m=m, alpha=alpha, check_hypothesis=False, family=FamilySpec("exp_linear", {"k": k}),
+            m=m, alpha=alpha, check_hypothesis=hypothesis == "per-point", family=FamilySpec("exp_linear", {"k": k}),
         )
     ]
     assert list(summary.reports) == fresh
     assert [(r.diagnostics, r.terms) for r in summary.reports] == [(r.diagnostics, r.terms) for r in fresh]
+
+
+@pytest.mark.parametrize(
+    "family,box,theorem",
+    [
+        ("exp_affine", {"c": (0.5, 2.0), "k": (-1.0, 1.0), "m": (0.25, 1.0), "alpha": (0.25, 1.0)}, "eq31"),
+        ("const", {"c": (0.1, 0.9), "b": (0.5, 2.0)}, "eq22"),
+        ("poly_shift", {"p": (0.5, 3.0), "q": (0.1, 1.0)}, "dr2"),
+    ],
+)
+def test_search_reports_what_verify_theorem_reports_at_its_best_point(family, box, theorem):
+    result = search_min_margin(family, box, theorem, budget=12)
+    point = result.best_params
+    spec = FamilySpec(family, {name: point[name] for name in registered_families()[family]})
+    again = verify_theorem(
+        theorem, family_instantiate(spec), Interval(point["a"], point["b"]), m=point["m"], alpha=point["alpha"],
+        check_hypothesis=False, family=spec,
+    )
+    assert result.report == again
+    assert (result.report.diagnostics, result.report.terms) == (again.diagnostics, again.terms)
 
 
 _AT_ZERO = "integrand failed at x=0: math domain error at x=0"
