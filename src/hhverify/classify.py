@@ -19,15 +19,18 @@ refinement.
 The grid part is factored: its x and y take only the grid_n axis values,
 so f, ln f and t**alpha are evaluated there once, and only f(z) at every
 grid point. Both parts are then evaluated in chunks of at most CHUNK
-triples (whole x-planes of the grid; consecutive draws of the random
-stream), which are the same samples in the same order as one block, with
-the same verdict, witness and error. Peak memory is therefore bounded by
-the chunk size, not by grid_n: tracemalloc puts a check at about 20 MB for
-grid_n 65 and 97 alike (4.6 MB at grid_n 33, one chunk per part), where
-one block took 61.5 MB and 204 MB. Time still grows as grid_n**3, so
-grid_n is capped at MAX_GRID_N = 257, the largest 2k+1 refinement level
-whose x-plane (66,049 triples) fits one chunk: 2 * 257**3 is about 34
-million samples, about a second of work.
+triples (runs of whole (x, y) rows of the grid, each row its grid_n
+t-values; consecutive draws of the random stream), which are the same
+samples in the same order as one block, with the same verdict, witness and
+error. Peak memory is therefore bounded by the chunk size, not by grid_n.
+A chunk's float64 temporaries are 32 KiB each: they stay in cache and
+below the allocator's mmap threshold, so a check reuses freed memory
+instead of mapping fresh pages. tracemalloc puts a check at about 0.7 MB
+for grid_n 33, 65 and 97 alike, where one block took 61.5 MB and 204 MB at
+65 and 97; at grid_n 257 the grid_n**2 axis tables dominate, about 2.4 MB.
+Time still grows as grid_n**3, so grid_n is capped at MAX_GRID_N = 257, a
+2k+1 refinement level: 2 * 257**3 is about 34 million samples, about a
+second of work.
 """
 from __future__ import annotations
 
@@ -55,9 +58,9 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0x5EED
-# Triples evaluated at once; it bounds the memory of a check.
-CHUNK = 1 << 17
-# The largest grid_n: the 2k+1 level whose x-plane of grid_n**2 triples fits one chunk.
+# Triples evaluated at once (at least one grid row); it bounds the memory of a check.
+CHUNK = 1 << 12
+# The largest grid_n, a 2k+1 level: it caps the time of a check, about a second.
 MAX_GRID_N = 257
 
 
@@ -206,19 +209,21 @@ def check_alpha_m_log_convex(
             ln_f = np.log(f_axis)[:, None]
             lx = t_alpha * ln_f
             ly = m * (1.0 - t_alpha) * ln_f
-        planes = max(1, CHUNK // (n * n))
-        for i0 in range(0, n, planes):
-            i1 = min(n, i0 + planes)
+        # A chunk is a run of consecutive (x, y) rows, each of the n t-values.
+        rows = max(1, CHUNK // n)
+        for r0 in range(0, n * n, rows):
+            i, j = np.divmod(np.arange(r0, min(n * n, r0 + rows)), n)
 
-            def coords(idx: np.ndarray, i0: int = i0, p: int = i1 - i0) -> tuple[np.ndarray, ...]:
-                i, j, k = np.unravel_index(idx, (p, n, n))
-                return axis[i0 + i], axis[j], base[k]
+            def coords(idx: np.ndarray, r0: int = r0) -> tuple[np.ndarray, ...]:
+                r, k = np.divmod(idx, n)
+                i, j = np.divmod(r0 + r, n)
+                return axis[i], axis[j], base[k]
 
-            z = (tx[i0:i1, None, :] + my[None, :, :]).ravel()
+            z = (tx[i] + my[j]).ravel()
             rhs = None
             if not offenders:
                 with np.errstate(over="ignore"):
-                    rhs = np.exp((lx[i0:i1, None, :] + ly[None, :, :]).ravel())
+                    rhs = np.exp((lx[i] + ly[j]).ravel())
             yield z, coords, rhs
 
     def random_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[np.ndarray]]]:

@@ -9,6 +9,7 @@ integrand that raises gets re-raised with the offending abscissa).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import isfinite
 from typing import Callable
@@ -176,12 +177,19 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
     are both scaled by 1/(b-a).
 
     Raises:
-        IntegrandError: if 1/(b-a) overflows (b - a below about 5.6e-309),
+        IntegrandError: if the interval is too narrow to average over,
             before ``f`` is evaluated, or for the reasons ``integrate`` gives.
+            Too narrow means that (b-a)/12 is subnormal (b - a below about
+            2.7e-307): ``_simpson`` weighs a panel of width h by h/6, and
+            the first refinement halves the interval, so its weight
+            (b-a)/12 would lose bits that neither the value nor ``err_est``
+            accounts for. 1/(b-a) is then finite as well.
     """
+    if iv.width / 12.0 < sys.float_info.min:
+        raise IntegrandError(
+            iv.a, f"interval width {iv.width!r} is too narrow to average over: the panel weight (b-a)/12 is subnormal"
+        )
     s = 1.0 / iv.width
-    if math.isinf(s):
-        raise IntegrandError(iv.a, f"interval width {iv.width!r} is too narrow to average over: 1/(b-a) overflows")
     g = f.evaluate if hasattr(f, "evaluate") else f
     r = integrate(g, iv, tol)
     return QuadResult(r.value * s, r.err_est * s, r.evals, r.converged)

@@ -174,7 +174,9 @@ _FAILING = [parse(text) for text in ("ln(x)", "x-0.5", "1/(x-0.3)", "exp(x^2)", 
 _unit_or_random = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0))
 
 
-@pytest.mark.parametrize("chunk", [classify.CHUNK, 200], ids=["default_chunk", "many_chunks"])
+# At grid_n 17 and 33 the default and 200 split x-planes mid-plane; 16 makes
+# every grid chunk of grid_n >= 9 a single row.
+@pytest.mark.parametrize("chunk", [classify.CHUNK, 200, 16], ids=["default_chunk", "mid_plane", "row_chunks"])
 @settings(deadline=None)
 @given(
     case=st.one_of(
@@ -194,34 +196,44 @@ def test_matches_one_block_reference(chunk, case, grid_n, m, alpha, tol_rel):
         assert _outcome(check_alpha_m_log_convex, *args) == _outcome(reference_check, *args)
 
 
-def test_ties_across_chunks_keep_the_least_triple(monkeypatch):
+# At grid_n 9 chunks of 200 triples hold 22 rows, splitting x-planes of 9
+# rows mid-plane; chunks of 5 hold one row each.
+_SPLIT_PLANES = pytest.mark.parametrize("chunk", [200, 5], ids=["mid_plane", "row_chunks"])
+
+
+@_SPLIT_PLANES
+def test_ties_across_chunks_keep_the_least_triple(monkeypatch, chunk):
     # f = 2 at m = 0.5: the deficit depends on t alone, so the t = 0 grid
-    # triples of every x-plane tie; the least one sits in the first chunk.
-    monkeypatch.setattr(classify, "CHUNK", 200)
+    # triples of every row tie; the least one sits in the first chunk.
+    monkeypatch.setattr(classify, "CHUNK", chunk)
     report = check_alpha_m_log_convex(parse("2"), 2.0, ClassParams(0.5), grid_n=9)
     w = report.worst_violation
     assert (w.x, w.y, w.t) == (0.0, 0.0, 0.0)
     assert repr(report) == repr(reference_check(parse("2"), 2.0, ClassParams(0.5), 9, 1e-9))
 
 
-def test_offender_in_a_later_chunk_is_found(monkeypatch):
+@_SPLIT_PLANES
+def test_offender_in_a_later_chunk_is_found(monkeypatch, chunk):
     # exp(x^2) overflows only above x = 26.6; at m = 0.3 the x = 0 plane
     # keeps z below 12, so the first bad f(z) lies in a later chunk.
-    monkeypatch.setattr(classify, "CHUNK", 200)
+    monkeypatch.setattr(classify, "CHUNK", chunk)
     args = (parse("exp(x^2)"), 40.0, ClassParams(0.3), 9, 1e-9)
     new = _outcome(check_alpha_m_log_convex, *args)
     assert new == _outcome(reference_check, *args)
     assert new[1][0] > 0.0
 
 
-def test_bad_f_x_outranks_an_earlier_bad_f_y(monkeypatch):
+# At grid_n 2 an x-plane is 2 rows of 2: chunks of 4 are whole planes, of
+# 3 one row each, and of 1 (below grid_n) one row or one random triple.
+@pytest.mark.parametrize("chunk", [4, 3, 1])
+def test_bad_f_x_outranks_an_earlier_bad_f_y(monkeypatch, chunk):
     # f has poles exactly at the x of random triple 5 and the y of random
-    # triple 0, and nowhere on the grid or at any z; with chunks of 4 the
-    # two offenders fall in different chunks, the f(y) one first.
+    # triple 0, and nowhere on the grid or at any z; with chunks of at most
+    # 4 the two offenders fall in different chunks, the f(y) one first.
     u = np.random.Generator(np.random.PCG64(classify.DEFAULT_SEED)).random((8, 3))
     x0, y0 = float(u[5, 0]), float(u[0, 1])
     f = parse(f"1/((x-{x0!r})^2*(x-{y0!r})^2)")
-    monkeypatch.setattr(classify, "CHUNK", 4)
+    monkeypatch.setattr(classify, "CHUNK", chunk)
     args = (f, 1.0, ClassParams(1.0), 2, 1e-9)
     new = _outcome(check_alpha_m_log_convex, *args)
     assert new == _outcome(reference_check, *args)
@@ -266,6 +278,31 @@ def test_peak_memory_is_bounded_by_the_chunk():
     peak65, peak97 = _peak_bytes(65), _peak_bytes(97)
     assert peak65 < 32e6 and peak97 < 32e6
     assert peak97 <= 1.1 * peak65
+    assert peak65 < 2e6 and peak97 < 2e6
+    # The grid_n**2 axis tables (about 2.1 MB) dominate here.
+    assert _peak_bytes(MAX_GRID_N) < 4e6
+
+
+class _RecordingSizes:
+    """Wraps a FunctionExpr and records the size of every evaluate_array call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def evaluate_array(self, xs):
+        self.sizes.append(xs.size)
+        return self.f.evaluate_array(xs)
+
+
+@pytest.mark.parametrize("grid_n", [2, 33, 97, MAX_GRID_N])
+def test_every_evaluation_is_at_most_one_chunk(grid_n):
+    f = _RecordingSizes(parse("exp(x)"))
+    report = check_alpha_m_log_convex(f, 2.0, ClassParams(0.5), grid_n=grid_n)
+    assert report.samples == 2 * grid_n**3
+    assert max(f.sizes) <= max(classify.CHUNK, grid_n)
+    # f(axis) once, f(z) at every grid triple, f(x), f(y), f(z) at every random one
+    assert sum(f.sizes) == grid_n + 4 * grid_n**3
 
 
 # ---------------------------------------------------------------------------

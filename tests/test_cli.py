@@ -127,14 +127,17 @@ class TestExitCodes:
          3),
         (["search", "--family", "const", "--param", "c=0.5", "--range", "b=1e-322:1e-320", "--theorem", "eq4",
           "--budget", "4"], 1),
+        (["check", "--theorem", "eq4,eq22,dr2", "--f", "exp(x)", "--a", "0", "--b", "6e-309", "--hypothesis", "off"],
+         3),
     ])
     def test_interval_too_narrow_to_average_over_is_inconclusive(self, capsys, argv, reports):
-        # 1/(b-a) overflows below a width of about 5.6e-309; these reports were
-        # certified violated from inf and nan
+        # 1/(b-a) overflows below a width of about 5.6e-309: the first three
+        # were certified violated from inf and nan. At 6e-309 the subnormal
+        # panel weights put the means 14 ulps off with err_est 0.
         assert run(argv) == EXIT_INCONCLUSIVE
         out, err = capsys.readouterr()
         assert err == ""
-        assert out.count("is too narrow to average over: 1/(b-a) overflows") == reports
+        assert out.count("is too narrow to average over: the panel weight (b-a)/12 is subnormal") == reports
         assert "nan" not in out and "inf" not in out
 
     def test_syntax_error_is_usage(self, capsys):
