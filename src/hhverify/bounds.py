@@ -35,9 +35,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .classify import ClassParams
-from .funcspec import FunctionExpr, generate
+from .funcspec import FunctionExpr
 from .means import arithmetic_mean, geometric_mean, logarithmic_mean
-from .quadrature import Interval
+from .quadrature import Interval, _compile, _kernel
 
 if TYPE_CHECKING:
     from .verify import _IntegralCache
@@ -167,63 +167,57 @@ def check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-# The integrands below are generated with f's body inlined at each point
-# (see funcspec.generate). While f's values there are finite and positive
-# they return the bits of the log-space formula in their last line;
-# otherwise that last line, which evaluates f through the checked
-# FunctionExpr.evaluate, raises exactly what the formula raises.
+# The four integrands: each is one body that sets y from x, spliced into
+# quadrature's Simpson recursion once, here. With f's body inlined at each
+# ``NAME = f(ARG)`` line it is the recursion's fast path; with
+# FunctionExpr.evaluate in place of f it is the checked path, which raises
+# exactly what the log-space formula in its last line raises. A fast value
+# that is finite is the checked path's value, bit for bit.
 
-_SYM_KERNEL = """\
-def g(x):
-    try:
-        fx = f(x)
-        u = s - x
-        fu = f(u)
-    except (ArithmeticError, ValueError):
-        fx = fu = nan
-    if 0.0 < fx < inf and 0.0 < fu < inf:
-        return exp(0.5 * (log(fx) + log(fu)))
-    return exp(0.5 * (log(evaluate(x)) + log(evaluate(s - x))))
-"""
+_VALUE = _kernel("""\
+y = f(x)
+if not y > 0.0:
+    y = nan
+""")
 
-_MIXED_KERNEL = """\
-def g(x):
-    try:
-        fx = f(x)
-        u = (s - x) / m
-        fu = f(u)
-    except (ArithmeticError, ValueError):
-        fx = fu = nan
-    if 0.0 < fx < inf and 0.0 < fu < inf:
-        return exp(0.5 * (log(fx) + m * log(fu)))
-    return exp(0.5 * (log(evaluate(x)) + m * log(evaluate((s - x) / m))))
-"""
+_LOG_F = _kernel("""\
+fx = f(x)
+y = log(fx)
+""")
 
-_LOG_F = """\
-def g(x):
-    try:
-        fx = f(x)
-    except (ArithmeticError, ValueError):
-        fx = nan
-    if 0.0 < fx < inf:
-        return log(fx)
-    return log(evaluate(x))
-"""
+_SYM_KERNEL = _kernel("""\
+fx = f(x)
+u = s - x
+fu = f(u)
+y = exp(0.5 * (log(fx) + log(fu)))
+""")
+
+_MIXED_KERNEL = _kernel("""\
+fx = f(x)
+u = (s - x) / m
+fu = f(u)
+y = exp(0.5 * (log(fx) + m * log(fu)))
+""")
 
 
-def sym_geometric_integrand(f: FunctionExpr, endpoint_sum: float) -> Callable[[float], float]:
-    """Integrand sqrt(f(x) * f(s - x)) with s = a + b, in log space."""
-    return generate(f, _SYM_KERNEL, s=endpoint_sum, evaluate=f.evaluate)
-
-
-def mixed_geometric_integrand(f: FunctionExpr, endpoint_sum: float, m: float) -> Callable[[float], float]:
-    """Integrand sqrt(f(x) * f((s - x)/m)**m) with s = a + b, in log space."""
-    return generate(f, _MIXED_KERNEL, s=endpoint_sum, m=m, evaluate=f.evaluate)
+def value_integrand(f: FunctionExpr) -> Callable[[float], float]:
+    """Integrand f(x)."""
+    return _compile(f, _VALUE)
 
 
 def log_integrand(f: FunctionExpr) -> Callable[[float], float]:
     """Integrand ln f(x)."""
-    return generate(f, _LOG_F, evaluate=f.evaluate)
+    return _compile(f, _LOG_F)
+
+
+def sym_geometric_integrand(f: FunctionExpr, endpoint_sum: float) -> Callable[[float], float]:
+    """Integrand sqrt(f(x) * f(s - x)) with s = a + b, in log space."""
+    return _compile(f, _SYM_KERNEL, s=endpoint_sum)
+
+
+def mixed_geometric_integrand(f: FunctionExpr, endpoint_sum: float, m: float) -> Callable[[float], float]:
+    """Integrand sqrt(f(x) * f((s - x)/m)**m) with s = a + b, in log space."""
+    return _compile(f, _MIXED_KERNEL, s=endpoint_sum, m=m)
 
 
 def eq4_rhs(ends: Endpoints) -> BoundSide:

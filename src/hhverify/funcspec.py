@@ -455,9 +455,10 @@ def _factory(template: str, backend: str, shape: _Shape, n_consts: int, names: t
 
 
 def generate(f: "FunctionExpr", template: str, backend: str = "math", **bound) -> Callable:
-    """Compile ``template`` into a function, with ``f`` inlined.
+    """Compile ``template`` with ``f`` inlined, and return what it binds to ``g``.
 
-    ``template`` is the source of a function named ``g``. Each of its
+    ``template`` is source that binds the name ``g``, usually by defining a
+    function of that name (quadrature's binds a pair of them). Each of its
     lines of the form ``NAME = f(ARG)``, with ARG a plain name, is replaced
     by ``f``'s body evaluated at ARG, one assignment per node, using the
     backend's operators and functions ("math": math.exp, math.log,

@@ -5,14 +5,24 @@ integrand, interval, and tolerance always produce the same bits. Failure
 is soft where possible (a non-converged result still carries the best
 value with an inflated error estimate) and loud where it has to be (an
 integrand that raises gets re-raised with the offending abscissa).
+
+There is one Simpson recursion, written as source and compiled by
+``funcspec.generate``. The integrands of ``bounds`` are short bodies
+spliced into it once, at import; each integral compiles nothing and
+costs one call of a cached factory, which inlines f's body where the
+recursion evaluates the integrand, so a point costs no Python call. A
+plain callable runs the same recursion with a call at those points.
 """
 from __future__ import annotations
 
 import math
 import sys
+import textwrap
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable
+from typing import Callable, NamedTuple
+
+from .funcspec import FunctionExpr, Var, generate
 
 __all__ = ["Interval", "QuadResult", "IntegrandError", "check_tol", "integrate", "mean_integral"]
 
@@ -80,41 +90,47 @@ def _checked(g: Callable[[float], float], x: float) -> float:
     return y
 
 
-def _simpson(h: float, fa: float, fm: float, fb: float) -> float:
-    return (h / 6.0) * (fa + 4.0 * fm + fb)
+# The one Simpson recursion, as source for funcspec.generate. ``{fast}``
+# stands for an integrand body, which computes y from x; ``{checked}`` for
+# the same body with every ``f(...)`` call replaced by ``evaluate(...)``.
+# generate inlines f's body at each remaining ``NAME = f(ARG)`` line, so
+# at lm and rm the recursion evaluates the integrand without a call. Where
+# that fast path raises or is not finite, the checked ``point`` evaluates
+# both points again, in order, and ``checked`` raises for the first one
+# that fails. ``at`` is the integrand at one point, fast path first.
+_RECURSION = """\
+def point(x):
+{checked}
+    return y
 
+def at(x):
+    try:
+{fast}
+    except Exception:
+        y = nan
+    return y if isfinite(y) else point(x)
 
-def _adaptive(
-    g: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-) -> tuple[float, float, bool, int]:
-    """Value, error estimate, convergence and integrand evaluations on [a, b]."""
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    if not (a < lm < m < rm < b):
+def refine(a, b, fa, fm, fb, whole, tol, depth):
+    mid = 0.5 * (a + b)
+    lm = 0.5 * (a + mid)
+    rm = 0.5 * (mid + b)
+    if not (a < lm < mid < rm < b):
         # Interval narrower than float spacing: cannot refine further.
         return whole, abs(whole), False, 0
-    # Calling g directly keeps the hot path to one call per point. On a
-    # failure the checked calls evaluate the same points again, in order,
-    # and raise for the first one that fails.
     try:
-        flm = g(lm)
-        frm = g(rm)
+        x = lm
+{fast}
+        flm = y
+        x = rm
+{fast}
+        frm = y
     except Exception:
-        flm = frm = math.nan
+        flm = frm = nan
     if not (isfinite(flm) and isfinite(frm)):
-        flm = _checked(g, lm)
-        frm = _checked(g, rm)
-    left = _simpson(m - a, fa, flm, fm)
-    right = _simpson(b - m, fm, frm, fb)
+        flm = checked(point, lm)
+        frm = checked(point, rm)
+    left = ((mid - a) / 6.0) * (fa + 4.0 * flm + fm)
+    right = ((b - mid) / 6.0) * (fm + 4.0 * frm + fb)
     delta = (left + right) - whole
     if abs(delta) <= 15.0 * tol:
         return left + right + delta / 15.0, abs(delta) / 15.0, True, 2
@@ -122,14 +138,48 @@ def _adaptive(
         # Finite values whose Simpson sum overflows leave the panel's error
         # unmeasurable; where the values stay that large, every panel
         # below would refine to MAX_DEPTH, so the panel fails here.
-        raise IntegrandError(m, f"Simpson sum on [{a!r}, {b!r}] is not finite")
+        raise IntegrandError(mid, f"Simpson sum on [{{a!r}}, {{b!r}}] is not finite")
     if depth <= 0:
         return left + right + delta / 15.0, abs(delta), False, 2
     # Each half inherits half the budget: tolerance splits proportionally
     # to subinterval length, giving the usual global absolute guarantee.
-    lv, le, lc, ln = _adaptive(g, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-    rv, re, rc, rn = _adaptive(g, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
+    lv, le, lc, ln = refine(a, mid, fa, flm, fm, left, 0.5 * tol, depth - 1)
+    rv, re, rc, rn = refine(mid, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
     return lv + rv, le + re, lc and rc, 2 + ln + rn
+
+g = at, refine
+"""
+
+
+def _kernel(body: str) -> str:
+    """The recursion's source with ``body``, which sets y from x, as its integrand."""
+    fast = body.rstrip()
+    checked = fast.replace("= f(", "= evaluate(")
+    return _RECURSION.format(fast=textwrap.indent(fast, " " * 8), checked=textwrap.indent(checked, " " * 4))
+
+
+class _Integrand(NamedTuple):
+    """An integrand compiled with its Simpson recursion; calling it evaluates one point."""
+
+    at: Callable[[float], float]
+    refine: Callable[..., tuple[float, float, bool, int]]
+
+    def __call__(self, x: float) -> float:
+        return self.at(x)
+
+
+_NAMES = {"checked": _checked, "IntegrandError": IntegrandError, "isfinite": isfinite}
+
+
+def _compile(f: FunctionExpr, kernel: str, **bound) -> _Integrand:
+    """The integrand ``kernel`` (from ``_kernel``) with f's body inlined; ``bound`` names its parameters."""
+    return _Integrand(*generate(f, kernel, evaluate=f.evaluate, **_NAMES, **bound))
+
+
+# A plain callable runs the same recursion, calling it at lm and rm. Its
+# source has no f to inline; the expression x only satisfies generate.
+_PLAIN = _kernel("y = integrand(x)")
+_X = FunctionExpr(Var())
 
 
 def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> QuadResult:
@@ -144,7 +194,8 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
     Args:
         g: real-valued integrand, a deterministic function of x; it may
             raise for out-of-domain points, in which case the failure is
-            re-raised as IntegrandError carrying the abscissa.
+            re-raised as IntegrandError carrying the abscissa. The
+            integrands of ``bounds`` bring their own compiled recursion.
         iv: integration interval.
         tol: absolute tolerance, at least 1e-13.
 
@@ -158,14 +209,18 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
             the Simpson sum of a panel that must be refined overflows.
     """
     check_tol(tol)
+    if isinstance(g, _Integrand):
+        at, refine = g
+    else:
+        at, refine = g, generate(_X, _PLAIN, integrand=g, **_NAMES)[1]
     a, b = iv.a, iv.b
-    fa = _checked(g, a)
-    fm = _checked(g, 0.5 * (a + b))
-    fb = _checked(g, b)
-    whole = _simpson(b - a, fa, fm, fb)
+    fa = _checked(at, a)
+    fm = _checked(at, 0.5 * (a + b))
+    fb = _checked(at, b)
+    whole = ((b - a) / 6.0) * (fa + 4.0 * fm + fb)
     if not isfinite(whole):
         raise IntegrandError(0.5 * (a + b), f"Simpson sum on [{a!r}, {b!r}] is not finite")
-    value, err, converged, evals = _adaptive(g, a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
+    value, err, converged, evals = refine(a, b, fa, fm, fb, whole, tol, MAX_DEPTH)
     return QuadResult(value, err, 3 + evals, converged)
 
 
@@ -180,7 +235,7 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
         IntegrandError: if the interval is too narrow to average over,
             before ``f`` is evaluated, or for the reasons ``integrate`` gives.
             Too narrow means that (b-a)/12 is subnormal (b - a below about
-            2.7e-307): ``_simpson`` weighs a panel of width h by h/6, and
+            2.7e-307): Simpson's rule weighs a panel of width h by h/6, and
             the first refinement halves the interval, so its weight
             (b-a)/12 would lose bits that neither the value nor ``err_est``
             accounts for. 1/(b-a) is then finite as well.

@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -53,6 +54,7 @@ from .bounds import (
     log_integrand,
     mixed_geometric_integrand,
     sym_geometric_integrand,
+    value_integrand,
 )
 from .classify import (
     DEFAULT_SEED,
@@ -150,7 +152,7 @@ class SearchResult:
     best_params: Mapping[str, float]
     best_margin: float  # math.inf when no evaluated point produced a margin
     report: InequalityReport
-    evals: int
+    evals: int  # points visited, counting those of a repeated line search returned from memory
 
 
 def margin_tolerance(lhs: float, rhs: float, quad_err: float) -> float:
@@ -242,16 +244,18 @@ class _IntegralCache:
     theorems and all (alpha, m) points on one interval. A value that raised
     is cached too, so a second theorem needing it re-raises instead of
     evaluating up to the same bad abscissa again. A cache lives for one call
-    of the public entry points (or of the CLI's chain fallback) only.
+    of the public entry points (or of the CLI's chain fallback) only;
+    search_min_margin carries it from a point to the next while the family
+    parameters, a and b stay the same.
     """
 
     def __init__(self, f: FunctionExpr, iv: Interval, tol: float):
         self.f = f
         self.iv = iv
         self.tol = tol
-        self._store: dict[str, QuadResult | Endpoints | Exception] = {}
+        self._store: dict[tuple[str, Optional[float]], QuadResult | Endpoints | Exception] = {}
 
-    def _get(self, key: str, thunk: Callable[[], Any]) -> Any:
+    def _get(self, key: tuple[str, Optional[float]], thunk: Callable[[], Any]) -> Any:
         if key not in self._store:
             try:
                 self._store[key] = thunk()
@@ -262,16 +266,20 @@ class _IntegralCache:
             raise cached
         return cached
 
+    def retain(self, m_values: Sequence[float]) -> None:
+        """Forget the values at an m outside ``m_values``, so a cache carried along a line does not grow."""
+        self._store = {key: value for key, value in self._store.items() if key[1] is None or key[1] in m_values}
+
     def mean_f(self) -> QuadResult:
-        return self._get("mean_f", lambda: mean_integral(self.f, self.iv, self.tol))
+        return self._get(("mean_f", None), lambda: mean_integral(value_integrand(self.f), self.iv, self.tol))
 
     def mean_log(self) -> QuadResult:
-        return self._get("mean_log", lambda: mean_integral(log_integrand(self.f), self.iv, self.tol))
+        return self._get(("mean_log", None), lambda: mean_integral(log_integrand(self.f), self.iv, self.tol))
 
     def sym_geometric(self) -> QuadResult:
         s = self.iv.a + self.iv.b
         return self._get(
-            "sym_geometric",
+            ("sym_geometric", None),
             lambda: mean_integral(sym_geometric_integrand(self.f, s), self.iv, self.tol),
         )
 
@@ -280,12 +288,12 @@ class _IntegralCache:
             return self.sym_geometric()
         s = self.iv.a + self.iv.b
         return self._get(
-            f"mixed_geometric:{m!r}",
+            ("mixed_geometric", m),
             lambda: mean_integral(mixed_geometric_integrand(self.f, s, m), self.iv, self.tol),
         )
 
     def endpoints(self, m: float) -> Endpoints:
-        return self._get(f"endpoints:{m!r}", lambda: Endpoints.of(self.f, self.iv, m))
+        return self._get(("endpoints", m), lambda: Endpoints.of(self.f, self.iv, m))
 
 
 def _inconclusive(theorem: str, variant: str, rp: ReportParams, hyp: str, diagnostics: str) -> InequalityReport:
@@ -448,6 +456,7 @@ def _reports(
     tol: float,
     class_checks: Optional[Callable[[float, ClassParams], _HypOutcome]],
     domain_upper: Optional[float] = None,
+    reuse: Optional[dict[bytes, _IntegralCache]] = None,
 ) -> Iterator[InequalityReport]:
     """The reports of ``theorems`` for ``f``: by interval, then alpha, then m, then theorem.
 
@@ -459,6 +468,13 @@ def _reports(
     underflows each make the report inconclusive, with the reason in its
     diagnostics. The reports of one point that carry the same parameters
     share one ReportParams (the CLI memoises its text by identity).
+
+    The cache of the last interval is kept, keyed by the bits of
+    ``family``'s values, a and b, and an interval with the same bits reads
+    it instead of integrating again. Comparing bits keeps 0.0 and -0.0
+    apart. It is kept in ``reuse`` when given, so a caller that passes the
+    same dict and a family from call to call carries it from one call to
+    the next; the dict never holds more than one cache.
     """
     specs = [(theorem, _TABLE[theorem]) for theorem in theorems]
     plan = [
@@ -466,8 +482,15 @@ def _reports(
         for alpha in alpha_values
         for m in m_values
     ]
+    last = {} if reuse is None else reuse
     for iv in intervals:
-        cache = _IntegralCache(f, iv, tol)
+        key = _bits(*(value for _, value in family or ()), iv.a, iv.b)
+        cache = last.get(key)
+        if cache is None:
+            last.clear()
+            cache = last[key] = _IntegralCache(f, iv, tol)
+        else:
+            cache.retain(m_values)
         upper = iv.b if domain_upper is None else domain_upper
         for alpha, m, steps in plan:
             params: dict[bool, ReportParams] = {}
@@ -489,6 +512,10 @@ def _reports(
                 if diagnostics is not None:
                     report = _inconclusive(theorem, variant, rp, outcome.status, diagnostics)
                 yield report
+
+
+def _bits(*values: float) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
 
 
 def _family_pairs(family: Optional[FamilySpec]) -> Optional[tuple[tuple[str, float], ...]]:
@@ -687,6 +714,14 @@ def search_min_margin(
     of its family's range, evaluation errors) count toward the budget with
     an infinite margin. Hypothesis checking is never run here; the point
     of the search is hunting violations, gated or not.
+
+    Nothing is computed twice in a row. A point whose family parameters,
+    a and b have the bits of the previous point's (a line along alpha or
+    m) reads that point's integrals. A line search that would repeat the
+    last one along its coordinate returns that result from memory, and
+    its points still count toward ``evals`` and the budget, so the result
+    is the same as if they were evaluated again. Both memos hold one entry
+    (one per coordinate for the lines), whatever the budget.
     """
     _check_request([theorem], variant, tol)
     if budget < 1:
@@ -732,6 +767,8 @@ def search_min_margin(
             point[name] = float(value)
         return point
 
+    last_cache: dict[bytes, _IntegralCache] = {}
+
     def evaluate_point(point: Mapping[str, float]) -> tuple[float, InequalityReport]:
         fam_pairs = tuple(sorted((name, point[name]) for name in param_names))
         a, b, alpha, m = point["a"], point["b"], point["alpha"], point["m"]
@@ -745,6 +782,7 @@ def search_min_margin(
             return math.inf, _inconclusive(theorem, variant, rp, HYP_SKIPPED, str(err))
         report = next(_reports(
             [theorem], f, fam_pairs, [Interval(a, b)], [alpha], [m], variant=variant, tol=tol, class_checks=None,
+            reuse=last_cache,
         ))
         return (report.margin if report.margin is not None else math.inf), report
 
@@ -773,8 +811,22 @@ def search_min_margin(
             best_coords, best_margin, best_report = coords, margin, report
     assert best_report is not None
 
+    # coordinate -> (bits of the other coordinates, result) of the last
+    # search along it that ended on its bracket
+    last_lines: dict[int, tuple[bytes, tuple[float, float, InequalityReport, int]]] = {}
+
     def line_minimize(j: int, cap: int) -> tuple[float, float, InequalityReport, int]:
-        """Golden-section along coordinate j from the current best point."""
+        """Golden-section along coordinate j from the current best point.
+
+        A search depends only on the other coordinates and ``cap``. One that
+        ended on its bracket with ``used`` evals gives the same result under
+        any cap of at least ``used``, so it is returned again, with the same
+        ``used``, when the other coordinates have its bits. A search that
+        stops on its cap spends the rest of the budget, so none follows it.
+        """
+        others = _bits(*best_coords[:j], *best_coords[j + 1:])
+        if j in last_lines and last_lines[j][0] == others and last_lines[j][1][3] <= cap:
+            return last_lines[j][1]
         lo, hi = ranges[j]
         base = list(best_coords)
 
@@ -806,7 +858,10 @@ def search_min_margin(
             candidate_f, candidate_x, candidate_r = (fc, c, rc) if fc <= fd else (fd, d, rd)
             if candidate_f < line_f:
                 line_x, line_f, line_r = candidate_x, candidate_f, candidate_r
-        return line_x, line_f, line_r, used
+        result = line_x, line_f, line_r, used
+        if (right - left) <= _BRACKET_REL * (hi - lo):
+            last_lines[j] = (others, result)
+        return result
 
     improved = True
     while improved and budget - evals >= 2:

@@ -4,11 +4,12 @@ The digests pin the exact JSON, CSV, table and error text of every path
 that emits a report: the sweep and chain digests as produced before the
 per-theorem switches were folded into one theorem table, and the check and
 search digests as produced by the generic recursive JSON encoder, before
-reports were rendered from one template. Any change to a byte of that
-output fails here, so a refactor that claims to change nothing can be
-checked against them; a change that means to alter the output must update
-the digests and say why. Each digest is the sha256 of the concatenated
-UTF-8 text.
+reports were rendered from one template, and the search-budget digest as
+produced before search reused integrals and line searches. Any change to a
+byte of that output fails here, so a refactor that claims to change
+nothing can be checked against them; a change that means to alter the
+output must update the digests and say why. Each digest is the sha256 of
+the concatenated UTF-8 text.
 """
 import hashlib
 from collections import Counter
@@ -55,6 +56,29 @@ SEARCH_CASES = (
      "--theorem", "eq42", "--budget", "60"],
 )
 SEARCH_SHA256 = "d25131af18b6a0b054aebcec2bc789bcd2115bf9a8fee0576e3003aa96bf9bae"
+# search boxes with and without alpha and m dimensions, each at budgets 1
+# to 40 and seeds 0 and 7
+SEARCH_BOXES = (
+    ["--family", "const", "--range", "c=0.05:0.95", "--theorem", "eq22", "--variant", "printed"],
+    ["--family", "const", "--range", "c=0.05:0.95", "--range", "alpha=0.25:1", "--range", "m=0.25:1",
+     "--theorem", "eq42"],
+    ["--family", "exp_affine", "--range", "c=0.25:2", "--range", "k=-1:2", "--theorem", "eq4"],
+    ["--family", "exp_affine", "--range", "c=0.25:2", "--range", "k=-1:2", "--range", "alpha=0.25:1",
+     "--range", "m=0.25:1", "--theorem", "eq31"],
+    ["--family", "poly_shift", "--range", "p=0.5:3", "--range", "q=0.1:1", "--theorem", "dr2"],
+    ["--family", "poly_shift", "--range", "p=0.5:3", "--range", "q=0.1:1", "--range", "alpha=0.5:1",
+     "--range", "m=0.5:1", "--theorem", "eq42", "--variant", "printed"],
+)
+# Longer hunts, whose refinement cycles repeat a line search: the first with
+# a smaller budget left than the line used before, the last with the other
+# coordinate moved since
+SEARCH_LONG = (
+    (SEARCH_BOXES[0], (160, 250, 400)),
+    (SEARCH_BOXES[2], (400,)),
+    (["--family", "poly_shift", "--param", "p=2", "--param", "q=0.5", "--range", "a=0:1", "--range", "b=1:2",
+      "--theorem", "eq22"], (500,)),
+)
+SEARCH_BOXES_SHA256 = "adc81cb8c10c0ceba18830c030a86d6b9ae78b7bae91ab88eafb2df2cc1e49ee"
 
 
 @pytest.fixture(autouse=True)
@@ -122,3 +146,16 @@ def test_chain_output_is_byte_identical():
                 digest.update(err.encode())
     assert codes == [0, 0, 3, 3, 3, 3, 0, 0, 3, 3, 3, 3]
     assert digest.hexdigest() == CHAIN_SHA256
+
+
+def test_search_budgets_are_byte_identical():
+    digest = hashlib.sha256()
+    cases = [(box, budget) for box in SEARCH_BOXES for budget in range(1, 41)]
+    cases += [(box, budget) for box, budgets in SEARCH_LONG for budget in budgets]
+    for seed in (0, 7):
+        for box, budget in cases:
+            code, out, err = _run(["search", *box, "--budget", str(budget), "--seed", str(seed), "--json", "-"])
+            digest.update(f"{code}\n".encode())
+            digest.update(out.encode())
+            digest.update(err.encode())
+    assert digest.hexdigest() == SEARCH_BOXES_SHA256

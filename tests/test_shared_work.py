@@ -290,3 +290,49 @@ def test_a_failing_mixed_request_reports_each_theorem_its_own_first_error(f_text
     assert [r.diagnostics for r in reports] == diagnostics
     alone = [verify_theorem(t, parse(f_text), Interval(0, 1), check_hypothesis=False) for t in theorems]
     assert [r.diagnostics for r in alone] == diagnostics
+
+
+def test_search_integrates_once_per_member_and_interval_along_alpha_and_m(work):
+    box = {"alpha": (0.25, 1.0), "c": (0.2, 1.0), "k": (0.5, 2.0), "m": (0.25, 1.0)}
+    result = search_min_margin("exp_affine", box, "eq31", budget=200, seed=0)
+    assert result.evals == 200
+    # eq31 needs the mean of f alone. The 100 lattice points are 100 members;
+    # the refinement's lines along alpha and m keep the member and [a, b]
+    # and read the previous point's integral, those along c and k do not
+    assert work["integrals"] == 141
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.0, 0.0), (-0.0, 0.0), (-0.0, 0.0), (0.0, 0.0)],  # (k, a): k flips sign
+        [(0.0, 0.0), (0.0, -0.0), (0.0, -0.0), (0.0, 0.0)],  # a flips sign
+    ],
+)
+def test_search_shares_a_cache_only_between_bit_identical_points(work, points):
+    # a point reuses the last point's integrals when the family values, a
+    # and b have the same bits, so 0.0 and -0.0 are told apart
+    f = family_instantiate(FamilySpec("exp_linear", {"k": 0.0}))
+    reuse: dict = {}
+    for k, a in points:
+        list(hhverify.verify._reports(
+            ["eq4"], f, (("k", k),), [Interval(a, 1.0)], [1.0], [1.0],
+            variant="corrected", tol=1e-10, class_checks=None, reuse=reuse,
+        ))
+    assert work["integrals"] == 3
+    assert len(reuse) == 1
+
+
+def test_a_cache_carried_along_m_keeps_only_the_current_m():
+    f = family_instantiate(FamilySpec("const", {"c": 0.5}))
+    reuse: dict = {}
+    for i in range(50):
+        m = 0.25 + i / 100
+        reports = list(hhverify.verify._reports(
+            ["eq4", "eq11"], f, (("c", 0.5),), [Interval(0.0, 1.0)], [1.0], [m],
+            variant="corrected", tol=1e-10, class_checks=None, reuse=reuse,
+        ))
+        assert [r.verdict for r in reports] == ["holds", "holds"]
+    (cache,) = reuse.values()
+    # the mean of f, and the endpoints and the mixed kernel at the last m
+    assert sorted(cache._store) == [("endpoints", m), ("mean_f", None), ("mixed_geometric", m)]
