@@ -6,11 +6,11 @@ scaled endpoint values f(a/m)**m and f(b/m)**m, and averages of the
 exponential family t -> r**(t**alpha). The closed forms do not evaluate f;
 they read one ``Endpoints`` record, built once per interval and m. The two
 refinement chains read that record and the integral means from the cache
-``verify`` keeps per interval; this module builds integrands but never
-integrates. All products and powers of function values are computed in log
-space so that nothing overflows before it has to. Inapplicable sides
-(endpoint ratios above one, where the closed form stops being an upper
-bound) are reported as data, never raised.
+``verify`` keeps per interval. This module neither builds integrands nor
+integrates; ``quadrature`` does both. All products and powers of function
+values are computed in log space so that nothing overflows before it has
+to. Inapplicable sides (endpoint ratios above one, where the closed form
+stops being an upper bound) are reported as data, never raised.
 
 Two inequalities exist in a printed and a corrected variant. The printed
 closed forms compare the geometric-mean integral
@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .classify import ClassParams
 from .funcspec import FunctionExpr
 from .means import arithmetic_mean, geometric_mean, logarithmic_mean
-from .quadrature import Interval, _compile, _kernel
+from .quadrature import Interval
 
 if TYPE_CHECKING:
     from .verify import _IntegralCache
@@ -110,8 +110,7 @@ def exp_mean_factor(r: float, alpha: float) -> BoundSide:
     """
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"ratio must be a positive finite real, got {r!r}")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
+    ClassParams(1.0, alpha)  # range-check alpha
     if abs(r - 1.0) <= RATIO_ONE_REL * max(1.0, r):
         return BoundSide(value=1.0)
     if r > 1.0:
@@ -165,59 +164,6 @@ def check_variant(variant: str) -> None:
     """Raise ValueError unless ``variant`` is one of VARIANTS."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-
-
-# The four integrands: each is one body that sets y from x, spliced into
-# quadrature's Simpson recursion once, here. With f's body inlined at each
-# ``NAME = f(ARG)`` line it is the recursion's fast path; with
-# FunctionExpr.evaluate in place of f it is the checked path, which raises
-# exactly what the log-space formula in its last line raises. A fast value
-# that is finite is the checked path's value, bit for bit.
-
-_VALUE = _kernel("""\
-y = f(x)
-if not y > 0.0:
-    y = nan
-""")
-
-_LOG_F = _kernel("""\
-fx = f(x)
-y = log(fx)
-""")
-
-_SYM_KERNEL = _kernel("""\
-fx = f(x)
-u = s - x
-fu = f(u)
-y = exp(0.5 * (log(fx) + log(fu)))
-""")
-
-_MIXED_KERNEL = _kernel("""\
-fx = f(x)
-u = (s - x) / m
-fu = f(u)
-y = exp(0.5 * (log(fx) + m * log(fu)))
-""")
-
-
-def value_integrand(f: FunctionExpr) -> Callable[[float], float]:
-    """Integrand f(x)."""
-    return _compile(f, _VALUE)
-
-
-def log_integrand(f: FunctionExpr) -> Callable[[float], float]:
-    """Integrand ln f(x)."""
-    return _compile(f, _LOG_F)
-
-
-def sym_geometric_integrand(f: FunctionExpr, endpoint_sum: float) -> Callable[[float], float]:
-    """Integrand sqrt(f(x) * f(s - x)) with s = a + b, in log space."""
-    return _compile(f, _SYM_KERNEL, s=endpoint_sum)
-
-
-def mixed_geometric_integrand(f: FunctionExpr, endpoint_sum: float, m: float) -> Callable[[float], float]:
-    """Integrand sqrt(f(x) * f((s - x)/m)**m) with s = a + b, in log space."""
-    return _compile(f, _MIXED_KERNEL, s=endpoint_sum, m=m)
 
 
 def eq4_rhs(ends: Endpoints) -> BoundSide:

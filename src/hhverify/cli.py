@@ -729,9 +729,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_expressions(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        if exc.code is None:
-            return EXIT_OK
+    except SystemExit as exc:  # argparse exits with 0 after --help and 2 on a usage error
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
@@ -741,10 +739,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ExprSyntaxError, FamilyError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (EvaluationError, IntegrandError, SampleEvaluationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except OSError as err:
+    except (EvaluationError, IntegrandError, SampleEvaluationError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
 

@@ -7,11 +7,12 @@ value with an inflated error estimate) and loud where it has to be (an
 integrand that raises gets re-raised with the offending abscissa).
 
 There is one Simpson recursion, written as source and compiled by
-``funcspec.generate``. The integrands of ``bounds`` are short bodies
-spliced into it once, at import; each integral compiles nothing and
-costs one call of a cached factory, which inlines f's body where the
-recursion evaluates the integrand, so a point costs no Python call. A
-plain callable runs the same recursion with a call at those points.
+``funcspec.generate``. The four integrands of the inequalities, f, ln f
+and the symmetric and mixed geometric kernels, are short bodies spliced
+into it once, at import; each integral compiles nothing and costs one
+call of a cached factory, which inlines f's body where the recursion
+evaluates the integrand, so a point costs no Python call. A plain
+callable runs the same recursion with a call at those points.
 """
 from __future__ import annotations
 
@@ -176,6 +177,59 @@ def _compile(f: FunctionExpr, kernel: str, **bound) -> _Integrand:
     return _Integrand(*generate(f, kernel, evaluate=f.evaluate, **_NAMES, **bound))
 
 
+# The four integrands: each is one body that sets y from x, spliced into
+# the recursion once, here. With f's body inlined at each ``NAME = f(ARG)``
+# line it is the recursion's fast path; with FunctionExpr.evaluate in place
+# of f it is the checked path, which raises exactly what the log-space
+# formula in its last line raises. A fast value that is finite is the
+# checked path's value, bit for bit.
+
+_VALUE = _kernel("""\
+y = f(x)
+if not y > 0.0:
+    y = nan
+""")
+
+_LOG_F = _kernel("""\
+fx = f(x)
+y = log(fx)
+""")
+
+_SYM_KERNEL = _kernel("""\
+fx = f(x)
+u = s - x
+fu = f(u)
+y = exp(0.5 * (log(fx) + log(fu)))
+""")
+
+_MIXED_KERNEL = _kernel("""\
+fx = f(x)
+u = (s - x) / m
+fu = f(u)
+y = exp(0.5 * (log(fx) + m * log(fu)))
+""")
+
+
+def value_integrand(f: FunctionExpr) -> Callable[[float], float]:
+    """Integrand f(x)."""
+    return _compile(f, _VALUE)
+
+
+def log_integrand(f: FunctionExpr) -> Callable[[float], float]:
+    """Integrand ln f(x)."""
+    return _compile(f, _LOG_F)
+
+
+def sym_geometric_integrand(f: FunctionExpr, endpoint_sum: float) -> Callable[[float], float]:
+    """Integrand sqrt(f(x) * f(s - x)) with s = a + b, in log space."""
+    return _compile(f, _SYM_KERNEL, s=endpoint_sum)
+
+
+def mixed_geometric_integrand(f: FunctionExpr, endpoint_sum: float, m: float) -> Callable[[float], float]:
+    """Integrand sqrt(f(x) * f((s - x)/m)**m) with s = a + b, in log space."""
+    return _compile(f, _MIXED_KERNEL, s=endpoint_sum, m=m)
+
+
 # A plain callable runs the same recursion, calling it at lm and rm. Its
 # source has no f to inline; the expression x only satisfies generate.
 _PLAIN = _kernel("y = integrand(x)")
@@ -195,7 +249,7 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
         g: real-valued integrand, a deterministic function of x; it may
             raise for out-of-domain points, in which case the failure is
             re-raised as IntegrandError carrying the abscissa. The
-            integrands of ``bounds`` bring their own compiled recursion.
+            integrands built above bring their own compiled recursion.
         iv: integration interval.
         tol: absolute tolerance, at least 1e-13.
 
@@ -227,9 +281,9 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
 def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
     """Return the average of ``f`` over ``iv``: (1/(b-a)) * integral.
 
-    ``f`` may be a positive-function specification (anything with an
-    ``evaluate(x)`` method) or a plain callable. Value and error estimate
-    are both scaled by 1/(b-a).
+    ``f`` may be a FunctionExpr, integrated through its compiled value
+    kernel, any other object with an ``evaluate(x)`` method, or a plain
+    callable. Value and error estimate are both scaled by 1/(b-a).
 
     Raises:
         IntegrandError: if the interval is too narrow to average over,
@@ -245,6 +299,6 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
             iv.a, f"interval width {iv.width!r} is too narrow to average over: the panel weight (b-a)/12 is subnormal"
         )
     s = 1.0 / iv.width
-    g = f.evaluate if hasattr(f, "evaluate") else f
+    g = value_integrand(f) if isinstance(f, FunctionExpr) else getattr(f, "evaluate", f)
     r = integrate(g, iv, tol)
     return QuadResult(r.value * s, r.err_est * s, r.evals, r.converged)

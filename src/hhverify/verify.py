@@ -51,10 +51,6 @@ from .bounds import (
     eq22_rhs,
     eq31_branches,
     eq42_rhs,
-    log_integrand,
-    mixed_geometric_integrand,
-    sym_geometric_integrand,
-    value_integrand,
 )
 from .classify import (
     DEFAULT_SEED,
@@ -64,7 +60,10 @@ from .classify import (
 )
 from .funcspec import EvaluationError, FamilyError, FamilySpec, FunctionExpr, family_instantiate, registered_families
 from .means import arithmetic_mean
-from .quadrature import IntegrandError, Interval, QuadResult, check_tol, mean_integral
+from .quadrature import (
+    IntegrandError, Interval, QuadResult, check_tol, log_integrand, mean_integral, mixed_geometric_integrand,
+    sym_geometric_integrand,
+)
 
 __all__ = [
     "THEOREMS",
@@ -271,7 +270,7 @@ class _IntegralCache:
         self._store = {key: value for key, value in self._store.items() if key[1] is None or key[1] in m_values}
 
     def mean_f(self) -> QuadResult:
-        return self._get(("mean_f", None), lambda: mean_integral(value_integrand(self.f), self.iv, self.tol))
+        return self._get(("mean_f", None), lambda: mean_integral(self.f, self.iv, self.tol))
 
     def mean_log(self) -> QuadResult:
         return self._get(("mean_log", None), lambda: mean_integral(log_integrand(self.f), self.iv, self.tol))
@@ -341,10 +340,10 @@ def _chain_report(theorem: str, terms: _Chain, variant: str, rp: ReportParams, h
             best_slack = slack
     assert best is not None
     first, second, margin, err = best
-    verdict = HOLDS if best_slack >= 0.0 else VIOLATED
     return InequalityReport(
         theorem, variant, rp, hyp,
-        lhs=first.value, rhs=second.value, margin=margin, quad_err=err, verdict=verdict,
+        lhs=first.value, rhs=second.value, margin=margin, quad_err=err,
+        verdict=replay_verdict(first.value, second.value, margin, err),
         diagnostics=f"tightest adjacent pair: {first.label} <= {second.label}",
         terms=terms,
     )
@@ -745,8 +744,6 @@ def search_min_margin(
         raise ValueError(f"family parameters {missing} need a box range or a fixed value")
 
     dims = sorted(box)
-    if len(dims) > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} search dimensions are supported, got {len(dims)}")
     ranges: list[tuple[float, float]] = []
     for name in dims:
         lo, hi = box[name]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hhverify import (
+    HOLDS,
     Endpoints,
     FamilySpec,
     Interval,
@@ -17,6 +19,7 @@ from hhverify import (
     mean_integral,
     parse,
     registered_families,
+    replay_verdict,
     unparse,
     verify_theorem,
 )
@@ -27,9 +30,8 @@ from hhverify.bounds import (
     eq22_rhs,
     eq31_branches,
     eq42_rhs,
-    mixed_geometric_integrand,
-    sym_geometric_integrand,
 )
+from hhverify.quadrature import mixed_geometric_integrand, sym_geometric_integrand
 
 UNIT = Interval(0.0, 1.0)
 
@@ -338,3 +340,22 @@ def test_scaling_f_scales_every_chain_term(f, a, width, c, theorem):
         assert abs(image.value - expected) <= margin_tolerance(
             expected, image.value, c * term.err_est + image.err_est
         ), term.label
+
+
+@settings(deadline=None)
+@given(
+    _family_members(),
+    st.floats(min_value=0.0, max_value=2.0),
+    st.floats(min_value=0.01, max_value=2.0),
+    st.sampled_from(("dr1", "dr2")),
+)
+def test_chain_verdict_is_the_replayed_verdict(f, a, width, theorem):
+    # The reported pair replays the verdict, and it holds exactly when every
+    # adjacent pair of the chain does.
+    r = verify_theorem(theorem, f, Interval(a, a + width), check_hypothesis=False)
+    assert r.terms and r.verdict == replay_verdict(r.lhs, r.rhs, r.margin, r.quad_err)
+    pairs = [
+        replay_verdict(first.value, second.value, second.value - first.value, first.err_est + second.err_est)
+        for first, second in itertools.pairwise(r.terms)
+    ]
+    assert (r.verdict == HOLDS) == (all(verdict == HOLDS for verdict in pairs))

@@ -306,7 +306,7 @@ def test_every_evaluation_is_at_most_one_chunk(grid_n):
 
 
 # ---------------------------------------------------------------------------
-# an exact membership oracle for two families
+# an exact membership oracle for three families
 #
 # In log space the class inequality reads
 #     ln f(t*x + m*(1-t)*y) <= t**alpha * ln f(x) + m*(1 - t**alpha) * ln f(y).
@@ -316,6 +316,10 @@ def test_every_evaluation_is_at_most_one_chunk(grid_n):
 # exp_linear(k) it is k*(t**alpha - t)*(x - m*y): exp(kx) with k != 0 is a
 # member iff alpha = 1, and the worst log-deficit is |k|*B*max_t(t**alpha - t),
 # times m for k > 0 (x = 0, y = B); for k < 0 it is at x = B, y = 0.
+# For exp_affine(c, k) = c*exp(kx) it is the sum of the two,
+# -(1 - m)*(1 - t**alpha)*ln c + k*(t**alpha - t)*(x - m*y). At alpha = 1
+# the second term vanishes and the const rule holds; at m = 1 the first
+# does and the exp_linear rule holds. Elsewhere it has no closed form.
 
 # Log-deficits at or below this are left out of the fail assertion: within
 # about tol_rel = 1e-9 the sampler rightly passes, and above it may sample
@@ -326,45 +330,58 @@ THIN_LOG_DEFICIT = 1e-8
 _unit_interval = st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
 
 
-def _worst_log_deficit(family, value, m, alpha, upper):
-    if family == "const":
-        return (1.0 - m) * math.log(value)
-    if alpha == 1.0:
-        return 0.0
+def _worst_log_deficit(c, k, m, alpha, upper):
+    """The worst log-deficit of c*exp(kx) on [0, upper], for k = 0, c = 1, alpha = 1 or m = 1."""
+    if alpha == 1.0 or k == 0.0:
+        return (1.0 - m) * math.log(c)
     t = alpha ** (1.0 / (1.0 - alpha))  # where t**alpha - t peaks
-    return abs(value) * upper * (t**alpha - t) * (m if value > 0 else 1.0)
+    return abs(k) * upper * (t**alpha - t) * (m if k > 0 else 1.0)
 
 
-def _violates_at_50_digits(family, value, m, alpha, w, tol_rel):
+def _violates_at_50_digits(c, k, m, alpha, w, tol_rel):
     with mpmath.workdps(50):
         x, y, t, m = (mpmath.mpf(v) for v in (w.x, w.y, w.t, m))
         t_alpha = t ** mpmath.mpf(alpha)
-        c_or_k = mpmath.mpf(value)
+        ln_c, k = mpmath.log(mpmath.mpf(c)), mpmath.mpf(k)
 
         def ln_f(u):
-            return mpmath.log(c_or_k) if family == "const" else c_or_k * u
+            return ln_c + k * u
 
         lhs = mpmath.exp(ln_f(t * x + m * (1 - t) * y))
         rhs = mpmath.exp(t_alpha * ln_f(x) + m * (1 - t_alpha) * ln_f(y))
         return lhs > rhs * (1 + mpmath.mpf(tol_rel))
 
 
-@settings(deadline=None)
+_c = st.floats(min_value=0.01, max_value=100.0)
+_negative_k = st.floats(min_value=-4.0, max_value=0.0, exclude_max=True)
+_positive_k = st.floats(min_value=0.0, max_value=4.0, exclude_min=True)
+
+
+# a fourth branch for exp_affine; 135 examples keep about 100 for the first three
+@settings(deadline=None, max_examples=135)
 @given(
     member=st.one_of(
-        st.tuples(st.just("const"), st.floats(min_value=0.01, max_value=100.0)),
-        st.tuples(st.just("exp_linear"), st.floats(min_value=-4.0, max_value=0.0, exclude_max=True)),
-        st.tuples(st.just("exp_linear"), st.floats(min_value=0.0, max_value=4.0, exclude_min=True)),
+        st.tuples(st.just("const"), st.fixed_dictionaries({"c": _c}), st.just({})),
+        st.tuples(st.just("exp_linear"), st.fixed_dictionaries({"k": _negative_k}), st.just({})),
+        st.tuples(st.just("exp_linear"), st.fixed_dictionaries({"k": _positive_k}), st.just({})),
+        # on the two slices where its membership has a closed form
+        st.tuples(
+            st.just("exp_affine"),
+            st.fixed_dictionaries({"c": _c, "k": st.one_of(_negative_k, _positive_k)}),
+            st.sampled_from(({"alpha": 1.0}, {"m": 1.0})),
+        ),
     ),
     m=_unit_interval,
     alpha=_unit_interval,
     upper=st.floats(min_value=0.5, max_value=4.0),
 )
 def test_classifier_agrees_with_exact_membership(member, m, alpha, upper):
-    family, value = member
-    f = family_instantiate(FamilySpec(family, {"c" if family == "const" else "k": value}))
+    family, params, pinned = member
+    m, alpha = pinned.get("m", m), pinned.get("alpha", alpha)
+    c, k = params.get("c", 1.0), params.get("k", 0.0)
+    f = family_instantiate(FamilySpec(family, params))
     report = check_alpha_m_log_convex(f, upper, ClassParams(m, alpha))
-    deficit = _worst_log_deficit(family, value, m, alpha, upper)
+    deficit = _worst_log_deficit(c, k, m, alpha, upper)
     if deficit <= 0.0:
         assert report.verdict == "pass"
     elif deficit > THIN_LOG_DEFICIT:
@@ -372,4 +389,4 @@ def test_classifier_agrees_with_exact_membership(member, m, alpha, upper):
     else:
         event(f"thin violation: {report.verdict}")  # the miss rate shows with --hypothesis-show-statistics
     if report.verdict == "fail":
-        assert _violates_at_50_digits(family, value, m, alpha, report.worst_violation, 1e-9)
+        assert _violates_at_50_digits(c, k, m, alpha, report.worst_violation, 1e-9)

@@ -195,6 +195,8 @@ class TestExitCodes:
         (["classify", "--f", "exp(x)", "--domain-upper", "0"], "domain_upper must be a positive finite real, got 0.0"),
         (["classify", "--f", "exp(x)", "--domain-upper", "inf"],
          "domain_upper must be a positive finite real, got inf"),
+        (["classify", "--f", "exp(x)", "--domain-upper", "1", "--tol-rel", "-1"],
+         "tol_rel must be a nonnegative real, got -1.0"),
     ])
     def test_out_of_range_value_is_usage(self, capsys, argv, stderr):
         assert run(argv) == EXIT_USAGE
@@ -203,6 +205,17 @@ class TestExitCodes:
     def test_conflicting_function_flags(self, capsys):
         code = run(["check", "--theorem", "eq4", "--f", "exp(x)", "--param", "c=1"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,stderr", [
+        (["check", "--theorem", "eq4", "--f", "exp(x)", "--family", "const"], "give either --f or --family, not both"),
+        (["check", "--theorem", "eq4"], "a function is required: --f EXPR or --family NAME --param NAME=VALUE"),
+        (["check", "--theorem", ",", "--f", "exp(x)"], "at least one --theorem is required"),
+        (["search", "--family", "const", "--range", "c=0.1:1", "--range", "c=0.2:1", "--theorem", "eq4"],
+         "duplicate --range 'c'"),
+    ])
+    def test_malformed_request_is_usage(self, capsys, argv, stderr):
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {stderr}\n")
 
     def test_unwritable_destination(self, capsys):
         code = run([
@@ -535,6 +548,9 @@ class TestGridCap:
         values = _parse_grid(f"0:1:{MAX_GRID_POINTS}")
         assert len(values) == MAX_GRID_POINTS
         assert (values[0], values[-1]) == (0.0, 1.0)
+
+    def test_one_point_grid_is_its_low_end(self):
+        assert _parse_grid("0.5:2:1") == [0.5]
 
     @pytest.mark.parametrize("n", [0, MAX_GRID_POINTS + 1])
     def test_count_outside_the_cap_is_refused(self, n):

@@ -23,8 +23,8 @@ from hhverify import (
     unparse,
     verify_theorems,
 )
-from hhverify.bounds import log_integrand, mixed_geometric_integrand, sym_geometric_integrand
 from hhverify.funcspec import MAX_DEPTH, Binary, Const, FunctionExpr, Unary, Var
+from hhverify.quadrature import log_integrand, mixed_geometric_integrand, sym_geometric_integrand
 
 
 @pytest.mark.parametrize(
@@ -50,6 +50,16 @@ def test_unclosed_call_reports_offset():
         parse("exp(")
     assert info.value.offset == 4
     assert "offset 4" in str(info.value)
+
+
+def test_call_without_parenthesis_reports_offset():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("exp x")
+    assert (str(info.value), info.value.offset) == ("expected '(' (at offset 4)", 4)
+
+
+def test_str_is_the_unparsed_text():
+    assert str(parse("exp(2*x)+1")) == "exp(2.0*x)+1.0"
 
 
 def test_unknown_identifier():

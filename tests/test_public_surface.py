@@ -3,7 +3,8 @@
 A deletion that leaves a stale ``__all__`` entry, or removes a name the
 tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
 traced benchmark run. Importing the package leaves numpy unloaded, and
-only the shared integral cache integrates.
+only the shared integral cache integrates. No module reaches into a
+sibling's private names beyond the few listed below.
 """
 import ast
 import importlib
@@ -108,3 +109,27 @@ def test_one_driver_builds_the_integral_caches():
                 ):
                     sites.append(f"{path.stem}.{function.name}")
     assert sorted(sites) == ["cli._cmd_chain", "verify._reports"]
+
+
+# The private names a module may import from a sibling, each with its reason.
+# Any other such import means two modules share one owner's internals.
+_PRIVATE_IMPORTS = {
+    # the chain command's fallback lists the terms of a chain that its class
+    # check kept from running; the benchmark's tracer pins that call site
+    ("cli", "verify", "_IntegralCache"),
+    # --theorem lists are checked name by name before any work starts
+    ("cli", "verify", "_require_theorem"),
+    # a type annotation only: the chains read the cache that verify hands them
+    ("bounds", "verify", "_IntegralCache"),
+}
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or (node.module or "").startswith("hhverify.")):
+                module = (node.module or "").removeprefix("hhverify.")
+                found |= {(path.stem, module, alias.name) for alias in node.names if alias.name.startswith("_")}
+    assert found == _PRIVATE_IMPORTS

@@ -16,7 +16,8 @@ from hhverify import (
     parse,
     registered_families,
 )
-from hhverify.bounds import log_integrand, mixed_geometric_integrand, sym_geometric_integrand, value_integrand
+from hhverify.quadrature import log_integrand, mixed_geometric_integrand, sym_geometric_integrand, value_integrand
+from hhverify.verify import _IntegralCache
 
 
 class TestInterval:
@@ -325,6 +326,42 @@ def test_integrands_match_the_reference_recursion(f, a, width, tol, m):
         _assert_same(g, reference, iv, tol)
     expected = _quad_outcome(lambda: _reference_integrate(f.evaluate, iv, tol))
     assert _quad_outcome(lambda: integrate(f.evaluate, iv, tol)) == expected
+
+
+def _reference_mean(g, iv, tol):
+    r = _reference_integrate(g, iv, tol)
+    s = 1.0 / iv.width
+    return QuadResult(r.value * s, r.err_est * s, r.evals, r.converged)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_functions, st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=2.0)), _WIDTHS, _TOLS)
+@example(parse("ln(x)"), 0.0, 1.0, 1e-10)  # fails at the left end
+@example(parse("x-0.5"), 0.0, 1.0, 1e-10)  # fails inside
+@example(parse("exp(x)"), 1.0, 1e-300, 1e-10)  # too narrow to average over
+def test_mean_of_f_has_one_path(f, a, width, tol):
+    # The public mean of a FunctionExpr is the integral cache's, and both
+    # are the reference recursion on f.evaluate, scaled by 1/(b-a).
+    b = a + width
+    assume(a < b)
+    iv = Interval(a, b)
+    outcome = _quad_outcome(lambda: mean_integral(f, iv, tol))
+    assert _quad_outcome(lambda: _IntegralCache(f, iv, tol).mean_f()) == outcome
+    if iv.width / 12.0 >= sys.float_info.min:
+        assert outcome == _quad_outcome(lambda: _reference_mean(f.evaluate, iv, tol))
+    else:
+        assert outcome[:2] == ("raised", IntegrandError) and "too narrow to average over" in outcome[3]
+
+
+def test_plain_callable_integrand_error_is_raised_unwrapped():
+    err = IntegrandError(0.25, "raised by the integrand itself")
+
+    def g(x):
+        raise err
+
+    with pytest.raises(IntegrandError) as info:
+        integrate(g, Interval(0.0, 1.0))
+    assert info.value is err
 
 
 def _first_fails_deep(x):

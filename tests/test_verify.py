@@ -320,6 +320,11 @@ class TestSearch:
         assert math.isfinite(result.best_margin)
         assert result.best_params["a"] < result.best_params["b"]
 
+    def test_out_of_range_family_parameter_counts_as_infinite(self):
+        result = search_min_margin("const", {"c": (-1.0, -0.5)}, "eq4", budget=4)
+        assert (result.best_margin, result.evals, result.report.verdict) == (math.inf, 4, INCONCLUSIVE)
+        assert result.report.diagnostics == f"parameter 'c' must be > 0, got {result.best_params['c']!r}"
+
     def test_no_search_dimensions(self):
         result = search_min_margin("const", {}, "eq4", fixed={"c": 0.5}, budget=50)
         assert result.evals == 1
