@@ -16,28 +16,36 @@ as one stream, so enlarging grid_n extends the same stream instead of
 reshuffling it. Consequently a fail verdict never flips back to pass under
 refinement.
 
+One pass of (f, domain, m) serves every alpha: everything but the
+right-hand side is independent of alpha (the samples, f and ln f at them,
+and the first value that is not finite and positive), so check_alphas
+judges each alpha on the same samples, with the same witness and error as
+a check of that class alone. Only t**alpha, the right-hand side and the
+search for the worst violation run once per alpha.
+
 The grid part is factored: its x and y take only the grid_n axis values,
-so f, ln f and t**alpha are evaluated there once, and only f(z) at every
-grid point. Both parts are then evaluated in chunks of at most CHUNK
-triples (runs of whole (x, y) rows of the grid, each row its grid_n
-t-values; consecutive draws of the random stream), which are the same
-samples in the same order as one block, with the same verdict, witness and
-error. Peak memory is therefore bounded by the chunk size, not by grid_n.
-A chunk's float64 temporaries are 32 KiB each: they stay in cache and
-below the allocator's mmap threshold, so a check reuses freed memory
-instead of mapping fresh pages. tracemalloc puts a check at about 0.7 MB
-for grid_n 33, 65 and 97 alike, where one block took 61.5 MB and 204 MB at
-65 and 97; at grid_n 257 the grid_n**2 axis tables dominate, about 2.4 MB.
-Time still grows as grid_n**3, so grid_n is capped at MAX_GRID_N = 257, a
-2k+1 refinement level: 2 * 257**3 is about 34 million samples, about a
-second of work.
+so f and ln f are evaluated there once, t**alpha only at the grid_n
+t-values, and only f(z) at every grid point. Both parts are then
+evaluated in chunks of at most CHUNK triples (runs of whole (x, y) rows of
+the grid, each row its grid_n t-values; consecutive draws of the random
+stream), which are the same samples in the same order as one block, with
+the same verdict, witness and error. Only the worst violation so far of
+each alpha is kept, so peak memory is bounded by the chunk size, not by
+grid_n. A chunk's float64 temporaries are 32 KiB each: they stay in cache
+and below the allocator's mmap threshold, so a check reuses freed memory
+instead of mapping fresh pages. tracemalloc puts a check at about 0.66 MB
+for grid_n 65 and 97 alike, with one alpha or three, where one block took
+61.5 MB and 204 MB at 65 and 97; at grid_n 257 the two grid_n**2 tables
+of z's partial products dominate, about 1.3 MB. Time still grows as
+grid_n**3, so grid_n is capped at MAX_GRID_N = 257, a 2k+1 refinement
+level: 2 * 257**3 is about 34 million samples, about a second of work.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from .funcspec import FunctionExpr
 
@@ -46,6 +54,8 @@ if TYPE_CHECKING:  # numpy is imported by the first check, not with the package
 
     # Maps sample indices within a chunk to their x, y and t arrays.
     _Coords = Callable[[np.ndarray], tuple[np.ndarray, ...]]
+    # A chunk's ln f(x), ln f(y) and t, which ln rhs combines for each alpha.
+    _Logs = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = [
     "DEFAULT_SEED",
@@ -55,6 +65,7 @@ __all__ = [
     "ClassificationReport",
     "SampleEvaluationError",
     "check_alpha_m_log_convex",
+    "check_alphas",
 ]
 
 DEFAULT_SEED = 0x5EED
@@ -159,21 +170,46 @@ def check_alpha_m_log_convex(
 ) -> ClassificationReport:
     """Check (alpha, m)-logarithmic convexity of ``f`` on [0, domain_upper].
 
-    A triple violates when lhs > rhs * (1 + tol_rel). The report's
+    The one-class case of :func:`check_alphas`, with the same samples,
+    verdict, witness and errors.
+    """
+    (report,) = check_alphas(f, domain_upper, params.m, [params.alpha], grid_n=grid_n, tol_rel=tol_rel, seed=seed)
+    return report
+
+
+def check_alphas(
+    f: FunctionExpr,
+    domain_upper: float,
+    m: float,
+    alphas: Sequence[float],
+    *,
+    grid_n: int = 33,
+    tol_rel: float = 1e-9,
+    seed: int = DEFAULT_SEED,
+) -> list[ClassificationReport]:
+    """Check the (alpha, m)-class of ``f`` on [0, domain_upper] for every alpha in ``alphas``, in one pass.
+
+    Returns one report per alpha, in order. Every alpha is judged on the
+    same samples, so each report equals a check of that class alone. A
+    triple violates when lhs > rhs * (1 + tol_rel). A report's
     worst_violation maximizes the absolute deficit lhs - rhs over all
     violating triples, with lexicographic (x, y, t) tie-breaking.
 
     Raises:
-        ValueError: domain_upper is not a positive finite real, grid_n is
-            outside [2, MAX_GRID_N], or tol_rel is not a nonnegative real.
+        ValueError: m or an alpha lies outside (0, 1] (checked through
+            ClassParams, m first), domain_upper is not a positive finite
+            real, grid_n is outside [2, MAX_GRID_N], or tol_rel is not a
+            nonnegative real.
         SampleEvaluationError: ``f`` produced a non-positive or non-finite
             value at some sampled point; the offending triple is attached.
             It is the first bad f(z) in sampling order, else the first bad
-            f(x), else the first bad f(y).
+            f(x), else the first bad f(y), the same for every alpha.
     """
     import numpy as np
 
-    m, alpha = params.m, params.alpha
+    ClassParams(m)
+    for alpha in alphas:
+        ClassParams(m, alpha)
     if not (math.isfinite(domain_upper) and domain_upper > 0.0):
         raise ValueError(f"domain_upper must be a positive finite real, got {domain_upper!r}")
     if not 2 <= grid_n <= MAX_GRID_N:
@@ -191,24 +227,22 @@ def check_alpha_m_log_convex(
     # checked first. A bad f(x) or f(y) waits for the f(z) of later chunks.
     offenders: dict[str, tuple[tuple[float, float, float], str]] = {}
 
-    def grid_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[np.ndarray]]]:
+    def grid_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[_Logs]]]:
         # Over the grid, x and y range over ``axis`` and t over ``base``:
-        # f, ln f and t**alpha are taken there once and broadcast through
-        # the n**2 partial products of z and of ln rhs, in the order of
-        # operations of the random chunks. Only f(z) needs all n**3 points.
+        # f and ln f are taken there once. z comes from two n**2 tables of
+        # partial products, and ln rhs from ln f(axis) and base chunk by
+        # chunk, in the order of operations of the random chunks. Only f(z)
+        # needs all n**3 points.
         f_axis = f.evaluate_array(axis)
         hit = _first_bad(f_axis, axis)
         if hit is not None:  # the first samples with x = axis[i] and y = axis[i]
             i, message = hit
             offenders["x"] = ((float(axis[i]), 0.0, 0.0), message)
             offenders["y"] = ((0.0, float(axis[i]), 0.0), message)
-        t_alpha = base if alpha == 1.0 else base**alpha
         tx = base * axis[:, None]
         my = m * (1.0 - base) * axis[:, None]
         with np.errstate(all="ignore"):  # a bad f(axis) is already noted
-            ln_f = np.log(f_axis)[:, None]
-            lx = t_alpha * ln_f
-            ly = m * (1.0 - t_alpha) * ln_f
+            ln_f = np.log(f_axis)
         # A chunk is a run of consecutive (x, y) rows, each of the n t-values.
         rows = max(1, CHUNK // n)
         for r0 in range(0, n * n, rows):
@@ -220,13 +254,9 @@ def check_alpha_m_log_convex(
                 return axis[i], axis[j], base[k]
 
             z = (tx[i] + my[j]).ravel()
-            rhs = None
-            if not offenders:
-                with np.errstate(over="ignore"):
-                    rhs = np.exp((lx[i] + ly[j]).ravel())
-            yield z, coords, rhs
+            yield z, coords, None if offenders else (ln_f[i][:, None], ln_f[j][:, None], base)
 
-    def random_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[np.ndarray]]]:
+    def random_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[_Logs]]]:
         # Consecutive draws continue one stream: the chunks together equal
         # a single rng.random((n**3, 3)) draw, bit for bit.
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -245,31 +275,36 @@ def check_alpha_m_log_convex(
             for key, hit in (("x", _first_bad(fx, x)), ("y", _first_bad(fy, y))):
                 if hit is not None and key not in offenders:
                     offenders[key] = (_triple(coords, hit[0]), hit[1])
-            rhs = None
-            if not offenders:
-                t_alpha = t if alpha == 1.0 else t**alpha
-                # rhs in log space; t_alpha=0 and t_alpha=1 then land on
-                # f(y)**m and (up to one rounding) f(x) with no 0**0 ambiguity.
-                with np.errstate(over="ignore"):
-                    rhs = np.exp(t_alpha * np.log(fx) + m * (1.0 - t_alpha) * np.log(fy))
-            yield z, coords, rhs
+            yield z, coords, None if offenders else (np.log(fx), np.log(fy), t)
 
-    witnesses: list[Violation] = []
-    for z, coords, rhs in itertools.chain(grid_chunks(), random_chunks()):
+    # The worst violation so far of each alpha, a fixed size however many chunks violate.
+    worst: list[Optional[Violation]] = [None] * len(alphas)
+    for z, coords, logs in itertools.chain(grid_chunks(), random_chunks()):
         lhs = f.evaluate_array(z)
         hit = _first_bad(lhs, z)
         if hit is not None:
             raise SampleEvaluationError(_triple(coords, hit[0]), hit[1])
-        if rhs is not None:
+        if logs is None:
+            continue
+        ln_fx, ln_fy, t = logs
+        for k, alpha in enumerate(alphas):
+            t_alpha = t if alpha == 1.0 else t**alpha
+            # rhs in log space; t_alpha = 0 and 1 then land on f(y)**m and
+            # (up to one rounding) f(x) with no 0**0 ambiguity.
+            with np.errstate(over="ignore"):
+                rhs = np.exp((t_alpha * ln_fx + m * (1.0 - t_alpha) * ln_fy).ravel())
             witness = _chunk_worst(lhs, rhs, tol_rel, coords)
-            if witness is not None:
-                witnesses.append(witness)
+            if witness is not None and (worst[k] is None or _rank(witness) < _rank(worst[k])):
+                worst[k] = witness
     for key in ("x", "y"):
         if key in offenders:
             raise SampleEvaluationError(*offenders[key])
+    return [
+        ClassificationReport(verdict="pass" if w is None else "fail", samples=2 * n**3, worst_violation=w)
+        for w in worst
+    ]
 
-    samples = 2 * n**3
-    if not witnesses:
-        return ClassificationReport(verdict="pass", samples=samples)
-    worst = min(witnesses, key=lambda w: (-w.deficit, w.x, w.y, w.t))
-    return ClassificationReport(verdict="fail", samples=samples, worst_violation=worst)
+
+def _rank(w: Violation) -> tuple[float, float, float, float]:
+    """Orders violations worst first: the largest deficit, then the least (x, y, t)."""
+    return -w.deficit, w.x, w.y, w.t

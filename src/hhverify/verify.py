@@ -31,7 +31,6 @@ search_min_margin once per point it evaluates.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -55,8 +54,10 @@ from .bounds import (
 from .classify import (
     DEFAULT_SEED,
     ClassParams,
+    ClassificationReport,
     SampleEvaluationError,
-    check_alpha_m_log_convex,
+    check_alpha_m_log_convex,  # unused here; the benchmark's tracer (perfbench/tracer.py) wraps this name
+    check_alphas,
 )
 from .funcspec import EvaluationError, FamilyError, FamilySpec, FunctionExpr, family_instantiate, registered_families
 from .means import arithmetic_mean
@@ -206,32 +207,43 @@ _HYP_OFF = _HypOutcome(HYP_SKIPPED)
 
 def _class_checks(
     f: FunctionExpr, grid_n: int, tol_rel: float, seed: int
-) -> Callable[[float, ClassParams], _HypOutcome]:
-    """The memoised class checks of ``f``: ``checks(domain_upper, eff)`` samples ``eff`` on [0, domain_upper].
+) -> Callable[[float, ClassParams, Sequence[float]], _HypOutcome]:
+    """The memoised class checks of ``f``: ``checks(domain_upper, eff, alphas)`` judges ``eff`` on [0, domain_upper].
 
-    The memo is keyed on (domain_upper, eff), so each is sampled once
+    The memo is keyed on (domain_upper, eff), so each is judged once
     however many theorems, points or intervals need it; the driver asks
-    for [0, upper / m_eff]. A memo lives for one call of the public entry
-    points only.
+    for [0, upper / m_eff]. On a miss, one sampling pass checks the class
+    (eff.m, alpha) for every alpha in ``alphas``, eff.alpha among them,
+    and fills the memo for all of them. A memo lives for one call of the
+    public entry points only.
     """
+    memo: dict[tuple[float, ClassParams], _HypOutcome] = {}
 
-    @functools.cache
-    def checks(domain_upper: float, eff: ClassParams) -> _HypOutcome:
-        try:
-            report = check_alpha_m_log_convex(f, domain_upper, eff, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
-        except SampleEvaluationError as err:
-            return _HypOutcome(HYP_SKIPPED, diagnostics=f"class check aborted: {err}")
-        if report.verdict == "pass":
-            return _HypOutcome(HYP_PASS)
-        w = report.worst_violation
-        assert w is not None
-        detail = (
-            f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
-            f" with deficit {w.deficit!r}"
-        )
-        return _HypOutcome(HYP_FAIL, diagnostics=detail)
+    def checks(domain_upper: float, eff: ClassParams, alphas: Sequence[float]) -> _HypOutcome:
+        if (domain_upper, eff) not in memo:
+            try:
+                reports = check_alphas(f, domain_upper, eff.m, alphas, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
+                outcomes = [_hyp_outcome(domain_upper, report) for report in reports]
+            except SampleEvaluationError as err:
+                outcomes = [_HypOutcome(HYP_SKIPPED, diagnostics=f"class check aborted: {err}")] * len(alphas)
+            for alpha, outcome in zip(alphas, outcomes):
+                memo[domain_upper, ClassParams(eff.m, alpha)] = outcome
+        return memo[domain_upper, eff]
 
     return checks
+
+
+def _hyp_outcome(domain_upper: float, report: ClassificationReport) -> _HypOutcome:
+    """A class check's outcome for the reports it gates, with the witness of a fail."""
+    if report.verdict == "pass":
+        return _HypOutcome(HYP_PASS)
+    w = report.worst_violation
+    assert w is not None
+    detail = (
+        f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
+        f" with deficit {w.deficit!r}"
+    )
+    return _HypOutcome(HYP_FAIL, diagnostics=detail)
 
 
 class _IntegralCache:
@@ -453,7 +465,7 @@ def _reports(
     *,
     variant: str,
     tol: float,
-    class_checks: Optional[Callable[[float, ClassParams], _HypOutcome]],
+    class_checks: Optional[Callable[[float, ClassParams, Sequence[float]], _HypOutcome]],
     domain_upper: Optional[float] = None,
     reuse: Optional[dict[bytes, _IntegralCache]] = None,
 ) -> Iterator[InequalityReport]:
@@ -462,7 +474,8 @@ def _reports(
     Each interval gets one integral cache for all of its (alpha, m) points,
     and the effective classes are worked out once per call. With
     ``class_checks``, each is checked on [0, upper / m_eff], upper being
-    ``domain_upper`` or else the interval's b. A failed or aborted check,
+    ``domain_upper`` or else the interval's b, in one pass with every
+    other alpha that the call pairs with m_eff. A failed or aborted check,
     a failed evaluation or integral, and a closed form that overflows or
     underflows each make the report inconclusive, with the reason in its
     diagnostics. The reports of one point that carry the same parameters
@@ -481,6 +494,10 @@ def _reports(
         for alpha in alpha_values
         for m in m_values
     ]
+    # The alphas of each m_eff, in order of first need: the classes one pass samples.
+    alphas_of: dict[float, list[float]] = {}
+    for eff in dict.fromkeys(eff for _, _, steps in plan for _, _, eff in steps):
+        alphas_of.setdefault(eff.m, []).append(eff.alpha)
     last = {} if reuse is None else reuse
     for iv in intervals:
         key = _bits(*(value for _, value in family or ()), iv.a, iv.b)
@@ -494,7 +511,7 @@ def _reports(
         for alpha, m, steps in plan:
             params: dict[bool, ReportParams] = {}
             for theorem, spec, eff in steps:
-                outcome = _HYP_OFF if class_checks is None else class_checks(upper / eff.m, eff)
+                outcome = _HYP_OFF if class_checks is None else class_checks(upper / eff.m, eff, alphas_of[eff.m])
                 if spec.chain not in params:
                     params[spec.chain] = spec.report_params(iv.a, iv.b, m, alpha, family)
                 rp = params[spec.chain]
@@ -563,8 +580,9 @@ def verify_theorems(
     With check_hypothesis on, class membership is sampled on
     [0, b / m_eff] first (m_eff from each theorem's effective class); a
     failed or aborted check yields an inconclusive report instead of a
-    numeric comparison. Each distinct effective class is sampled once and
-    each integral computed once, so the reports equal those of separate
+    numeric comparison. Each distinct effective class is judged once, the
+    classes of one m_eff in one sampling pass, and each integral is
+    computed once, so the reports equal those of separate
     ``verify_theorem`` calls at a fraction of the cost. ``family`` is
     labeling metadata only; it does not have to match ``f``, but the CLI
     always passes the spec it built the function from.
@@ -634,8 +652,9 @@ def sweep(
     a >= b are skipped without a report. Hypothesis modes: "off" skips
     membership checks, "per-point" checks each point on [0, b / m_eff],
     and "once" checks each family member on [0, max(b) / m_eff]. Either
-    way a check runs once per distinct (family member, domain, effective
-    class), since it does not depend on a, and its outcome is reused.
+    way a class is judged once per distinct (family member, domain,
+    effective class), since it does not depend on a, and its outcome is
+    reused; one sampling pass judges every alpha of one domain and m_eff.
 
     Each family member is one run of the shared report driver: its
     effective classes are worked out once per (theorem, alpha, m), and

@@ -196,6 +196,53 @@ def test_matches_one_block_reference(chunk, case, grid_n, m, alpha, tol_rel):
         assert _outcome(check_alpha_m_log_convex, *args) == _outcome(reference_check, *args)
 
 
+def _outcomes_of_one_pass(f, domain_upper, m, alphas, grid_n, tol_rel):
+    """The reports' reprs, one per alpha, or the error's text and triple once for each."""
+    try:
+        reports = classify.check_alphas(f, domain_upper, m, alphas, grid_n=grid_n, tol_rel=tol_rel)
+    except SampleEvaluationError as err:
+        return [(str(err), err.triple)] * len(alphas)
+    assert len(reports) == len(alphas)
+    return [repr(report) for report in reports]
+
+
+@pytest.mark.parametrize("chunk", [classify.CHUNK, 200, 16], ids=["default_chunk", "mid_plane", "row_chunks"])
+@settings(deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.sampled_from(_MEMBERS), st.sampled_from([1.0, 2.0, 3.5])),
+        st.tuples(st.sampled_from(_FAILING), st.just(40.0)),
+    ),
+    grid_n=st.sampled_from([2, 3, 5, 9, 17, 33]),
+    m=_unit_or_random,
+    # with 1.0 and repeats, as the effective classes of one request have them
+    alphas=st.lists(st.one_of(_unit_or_random, st.sampled_from([0.5, 0.75])), min_size=1, max_size=3),
+    tol_rel=st.sampled_from([0.0, 1e-9]),
+)
+def test_one_pass_matches_the_reference_for_every_alpha(chunk, case, grid_n, m, alphas, tol_rel):
+    f, domain_upper = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classify, "CHUNK", chunk)
+        merged = _outcomes_of_one_pass(f, domain_upper, m, alphas, grid_n, tol_rel)
+    separate = [_outcome(reference_check, f, domain_upper, ClassParams(m, alpha), grid_n, tol_rel) for alpha in alphas]
+    assert merged == separate
+
+
+@pytest.mark.parametrize(
+    "m,alphas,message",
+    [
+        (0.0, [1.0], "m must lie in (0, 1], got 0.0"),
+        (0.0, [0.0], "m must lie in (0, 1], got 0.0"),
+        (0.5, [1.0, 1.5], "alpha must lie in (0, 1], got 1.5"),
+        (0.5, [0.0, 1.5], "alpha must lie in (0, 1], got 0.0"),
+    ],
+)
+def test_one_pass_range_checks_m_then_each_alpha(m, alphas, message):
+    with pytest.raises(ValueError) as info:
+        classify.check_alphas(_NeverEvaluated(), 1.0, m, alphas)
+    assert str(info.value) == message
+
+
 # At grid_n 9 chunks of 200 triples hold 22 rows, splitting x-planes of 9
 # rows mid-plane; chunks of 5 hold one row each.
 _SPLIT_PLANES = pytest.mark.parametrize("chunk", [200, 5], ids=["mid_plane", "row_chunks"])
@@ -263,24 +310,26 @@ def test_largest_grid_n_runs():
     assert report.samples == 2 * MAX_GRID_N**3
 
 
-def _peak_bytes(grid_n):
+def _peak_bytes(grid_n, alphas):
     f = parse("x^2+1")
     tracemalloc.start()
     try:
-        check_alpha_m_log_convex(f, 2.0, ClassParams(0.5, 0.7), grid_n=grid_n)
+        classify.check_alphas(f, 2.0, 0.5, alphas, grid_n=grid_n)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_peak_memory_is_bounded_by_the_chunk():
-    # One block needed 61.5 MB at grid_n 65 and about 200 MB at 97.
-    peak65, peak97 = _peak_bytes(65), _peak_bytes(97)
-    assert peak65 < 32e6 and peak97 < 32e6
-    assert peak97 <= 1.1 * peak65
-    assert peak65 < 2e6 and peak97 < 2e6
-    # The grid_n**2 axis tables (about 2.1 MB) dominate here.
-    assert _peak_bytes(MAX_GRID_N) < 4e6
+    # One block needed 61.5 MB at grid_n 65 and about 200 MB at 97. One
+    # class, and the three alphas that the gated const sweeps check in one pass.
+    for alphas in [(0.7,), (0.5, 0.75, 1.0)]:
+        peak65, peak97 = _peak_bytes(65, alphas), _peak_bytes(97, alphas)
+        assert peak65 < 32e6 and peak97 < 32e6
+        assert peak97 <= 1.1 * peak65
+        assert peak65 < 2e6 and peak97 < 2e6
+        # The grid_n**2 tables of z's partial products (about 1.1 MB) dominate here.
+        assert _peak_bytes(MAX_GRID_N, alphas) < 4e6
 
 
 class _RecordingSizes:

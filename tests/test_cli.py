@@ -292,6 +292,16 @@ class TestCheckOutput:
         assert capsys.readouterr().out == ""
 
 
+def test_generic_encoder_writes_bools_and_refuses_other_types():
+    # No payload the CLI writes holds a bool or an unsupported type; the
+    # encoder still writes the one as JSON and refuses the other.
+    assert cli._json_value(True) == "true"
+    payload = {"on": False, "items": [True, None, 2]}
+    assert json.loads(cli._json_value(payload)) == payload
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        cli._json_value(object())
+
+
 class TestSeedResolution:
     CLASSIFY_ARGS = ["classify", "--f", "x^2+1", "--domain-upper", "2", "--json", "-"]
 

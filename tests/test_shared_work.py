@@ -1,15 +1,20 @@
 """Exact work counts: one class check per effective class, one integral per kind.
 
-Class checks are counted at ``hhverify.verify.check_alpha_m_log_convex``,
-integrals at ``hhverify.quadrature.integrate`` and evaluations of f at
-``FunctionExpr.evaluate``, the names the verifier reaches them through.
-Every count is deterministic, so the tests pin exact numbers, and each one
-also checks that sharing the work leaves the reports equal to those
-computed without it.
+Class checks are counted at ``hhverify.verify.check_alphas``, integrals at
+``hhverify.quadrature.integrate`` and evaluations of f at
+``FunctionExpr.evaluate``, the names the verifier reaches them through. A
+class check counts twice: once per sampling pass, which serves every alpha
+of one (domain, m), and once per (domain, m, alpha) outcome. Every count is
+deterministic, so the tests pin exact numbers, and each one also checks
+that sharing the work leaves the reports equal to those computed without
+it.
 """
 import dataclasses
+import importlib.util
 import json
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,7 @@ from hhverify import (
     HYP_PASS,
     HYP_SKIPPED,
     THEOREMS,
+    ClassParams,
     FamilySpec,
     FunctionExpr,
     Interval,
@@ -31,12 +37,14 @@ from hhverify import (
     verify_theorem,
     verify_theorems,
 )
+from hhverify import classify
 from hhverify.classify import DEFAULT_SEED
 from hhverify.cli import EXIT_INCONCLUSIVE, EXIT_USAGE, _exit_code, _render, run
 
 GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 GRID17 = tuple(i * 2.0 / 16 for i in range(17))
 M4 = (0.25, 0.5, 0.75, 1.0)
+WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 @pytest.fixture(autouse=True)
@@ -47,12 +55,13 @@ def _no_ambient_seed(monkeypatch):
 @pytest.fixture
 def work(monkeypatch) -> Counter:
     counts: Counter = Counter()
-    check, integrate = hhverify.verify.check_alpha_m_log_convex, hhverify.quadrature.integrate
+    check, integrate = hhverify.verify.check_alphas, hhverify.quadrature.integrate
     evaluate, effective_class = FunctionExpr.evaluate, hhverify.verify._Theorem.effective_class
 
-    def counted_check(*args, **kwargs):
-        counts["class_checks"] += 1
-        return check(*args, **kwargs)
+    def counted_check(f, domain_upper, m, alphas, **kwargs):
+        counts["passes"] += 1
+        counts["outcomes"] += len(alphas)
+        return check(f, domain_upper, m, alphas, **kwargs)
 
     def counted_integrate(*args, **kwargs):
         counts["integrals"] += 1
@@ -66,7 +75,7 @@ def work(monkeypatch) -> Counter:
         counts["effective_classes"] += 1
         return effective_class(self, m, alpha)
 
-    monkeypatch.setattr(hhverify.verify, "check_alpha_m_log_convex", counted_check)
+    monkeypatch.setattr(hhverify.verify, "check_alphas", counted_check)
     monkeypatch.setattr(hhverify.quadrature, "integrate", counted_integrate)
     monkeypatch.setattr(FunctionExpr, "evaluate", counted_evaluate)
     monkeypatch.setattr(hhverify.verify._Theorem, "effective_class", counted_effective_class)
@@ -74,21 +83,22 @@ def work(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "f_text,alpha,class_checks",
+    "f_text,alpha,outcomes",
     [
         ("exp(x)", 0.5, 2),  # the m-class and the (alpha, m)-class
         ("exp(x)", 1.0, 1),  # both classes are the m-class
         ("x^2+1", 0.5, 2),   # both checks fail: every report is inconclusive
     ],
 )
-def test_check_samples_each_effective_class_once(work, capsys, f_text, alpha, class_checks):
+def test_check_samples_each_effective_class_once(work, capsys, f_text, alpha, outcomes):
     argv = [
         "check", "--theorem", ",".join(GATE_THEOREMS), "--f", f_text, "--a", "0.5", "--b", "1.5",
         "--m", "0.5", "--alpha", str(alpha), "--json", "-",
     ]
     code = run(argv)
     out = capsys.readouterr().out
-    assert work["class_checks"] == class_checks
+    # both classes share the domain [0, 1.5 / 0.5], so one pass serves both
+    assert (work["passes"], work["outcomes"]) == (1, outcomes)
     # mean of f, the symmetric kernel and the mixed kernel at m = 0.5,
     # unless every theorem was gated off
     assert work["integrals"] == (3 if f_text == "exp(x)" else 0)
@@ -106,7 +116,7 @@ def test_check_still_range_checks_alpha_for_theorems_that_ignore_it(work, capsys
     assert "alpha" in capsys.readouterr().err
     with pytest.raises(ValueError):
         verify_theorems(["eq4"], parse("exp(x)"), Interval(0.0, 1.0), alpha=0.0)
-    assert work["class_checks"] == 0 and work["integrals"] == 0
+    assert work["passes"] == 0 and work["integrals"] == 0
 
 
 def test_sweep_integrates_once_per_member_and_interval(work):
@@ -118,7 +128,7 @@ def test_sweep_integrates_once_per_member_and_interval(work):
     # per interval: mean of f, the symmetric kernel, and the mixed kernel at
     # each m < 1; one class check per m on [0, 2 / m]
     assert work["integrals"] == intervals * (2 + 3)
-    assert work["class_checks"] == len(M4)
+    assert (work["passes"], work["outcomes"]) == (len(M4), len(M4))
     assert len(summary.reports) == intervals * len(M4) * len(GATE_THEOREMS)
     assert all(r.hypothesis == HYP_PASS for r in summary.reports)
 
@@ -162,8 +172,9 @@ def test_per_point_sweep_checks_each_domain_once(work):
     points = len(ks) * 5 * len(m_values)  # five intervals with a < b
     assert len(summary.reports) == 2 * points
     # a check depends on (member, b / m_eff, effective class), not on a:
-    # per member, 4 domains for the m-class and 4 for the (alpha, m)-class
-    assert work["class_checks"] == len(ks) * 4 * 2
+    # per member, 4 domains for the m-class and 4 for the (alpha, m)-class,
+    # and one pass per domain serves both
+    assert (work["passes"], work["outcomes"]) == (len(ks) * 4, len(ks) * 4 * 2)
 
     checked_per_point = [
         report
@@ -177,6 +188,48 @@ def test_per_point_sweep_checks_each_domain_once(work):
     ]
     assert list(summary.reports) == checked_per_point
     assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in checked_per_point]
+
+
+def _one_pass_per_alpha(f, domain_upper, m, alphas, **kwargs):
+    """Each class in a pass of its own, as the verifier sampled before one pass served every alpha."""
+    return [classify.check_alpha_m_log_convex(f, domain_upper, ClassParams(m, alpha), **kwargs) for alpha in alphas]
+
+
+@pytest.mark.parametrize("family,params", [("const", {"c": 0.6}), ("exp_linear", {"k": 1.5})])
+def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, family, params):
+    # A const member as in the gated acceptance sweep, and an exp_linear one
+    # that fails the (alpha, m)-classes with alpha < 1. Per m, the m-class
+    # and the classes at alpha 0.5 and 0.75 share the domain [0, 2 / m].
+    args = (family, {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
+    summary = sweep(*args, hypothesis="once")
+    assert (work["passes"], work["outcomes"]) == (4, 12)
+    failed = {(r.theorem, r.params.alpha) for r in summary.reports if r.hypothesis == HYP_FAIL}
+    if family == "const":
+        assert failed == set()
+    else:
+        assert failed == {(t, alpha) for t in ("eq31", "eq42") for alpha in (0.5, 0.75)}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hhverify.verify, "check_alphas", _one_pass_per_alpha)
+        separate = sweep(*args, hypothesis="once")
+    assert summary.reports == separate.reports
+    assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in separate.reports]
+
+
+def test_point_checks_workload_samples_200_passes_for_360_outcomes(work, tmp_path, monkeypatch):
+    # The benchmark's seed-0 point_checks requests: 160 five-theorem checks,
+    # one pass each for the m-class and its (alpha, m)-class, and 40 dr2
+    # chains, one pass each for the plain class. At 2 * 33**3 samples a pass
+    # that is 14,374,800 samples, where one pass per class took 25,874,640.
+    spec = importlib.util.spec_from_file_location("hhverify_bench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    requests = workloads.build("point_checks", workloads.DEFAULT_SEED, str(tmp_path))
+    assert [r.kind for r in requests].count("check") == 160 and len(requests) == 200
+    for request in requests:
+        run(list(request.argv))
+    assert (work["passes"], work["outcomes"]) == (200, 360)
 
 
 @pytest.mark.parametrize(
@@ -196,7 +249,7 @@ def test_chain_evaluates_the_chain_once(work, capsys, theorem, f_text, hypothesi
     argv = ["chain", "--theorem", theorem, "--f", f_text, "--hypothesis", hypothesis, "--json", "-"]
     assert run(argv) == code
     assert work["integrals"] == integrals
-    assert work["class_checks"] == (1 if hypothesis == "on" else 0)
+    assert (work["passes"], work["outcomes"]) == ((1, 1) if hypothesis == "on" else (0, 0))
     out, err = capsys.readouterr()
     if terms:
         assert len(json.loads(out)["terms"]) == terms
