@@ -52,7 +52,6 @@ from .verify import (
     ReportParams,
     SearchResult,
     SweepSummary,
-    effective_class_params,
     margin_tolerance,
     replay_verdict,
     search_min_margin,
@@ -83,6 +82,6 @@ __all__ = [
     "THEOREMS", "HOLDS", "VIOLATED", "INAPPLICABLE", "INCONCLUSIVE",
     "HYP_PASS", "HYP_FAIL", "HYP_SKIPPED",
     "ReportParams", "InequalityReport", "MinMargin", "SweepSummary",
-    "SearchResult", "effective_class_params", "margin_tolerance",
-    "replay_verdict", "verify_theorem", "verify_theorems", "sweep", "search_min_margin",
+    "SearchResult", "margin_tolerance", "replay_verdict",
+    "verify_theorem", "verify_theorems", "sweep", "search_min_margin",
 ]

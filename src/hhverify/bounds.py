@@ -3,14 +3,15 @@
 Every theorem handled by this package compares an integral mean of a
 positive function f against closed forms built from endpoint values, the
 scaled endpoint values f(a/m)**m and f(b/m)**m, and averages of the
-exponential family t -> r**(t**alpha). The closed forms do not evaluate f;
-they read one ``Endpoints`` record, built once per interval and m. The two
-refinement chains read that record and the integral means from the cache
-``verify`` keeps per interval. This module neither builds integrands nor
-integrates; ``quadrature`` does both. All products and powers of function
-values are computed in log space so that nothing overflows before it has
-to. Inapplicable sides (endpoint ratios above one, where the closed form
-stops being an upper bound) are reported as data, never raised.
+exponential family t -> r**(t**alpha). Nothing here evaluates f but
+``Endpoints.of``: the closed forms read one ``Endpoints`` record, built once
+per interval and m, and the two refinement chains are plain functions of the
+values they compare, the midpoint value, the integral means and the record
+at m = 1, which the caller fetches. This module neither builds integrands
+nor integrates; ``quadrature`` does both. All products and powers of
+function values are computed in log space so that nothing overflows before
+it has to. Inapplicable sides (endpoint ratios above one, where the closed
+form stops being an upper bound) are reported as data, never raised.
 
 Two inequalities exist in a printed and a corrected variant. The printed
 closed forms compare the geometric-mean integral
@@ -32,15 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .classify import ClassParams
 from .funcspec import FunctionExpr
 from .means import arithmetic_mean, geometric_mean, logarithmic_mean
-from .quadrature import Interval
-
-if TYPE_CHECKING:
-    from .verify import _IntegralCache
+from .quadrature import Interval, QuadResult
 
 __all__ = [
     "RATIO_ONE_REL",
@@ -222,11 +220,8 @@ def eq42_rhs(ends: Endpoints, alpha: float, variant: str = "corrected") -> Bound
 # refinement chains
 
 
-def chain_dr1(shared: _IntegralCache) -> tuple[ChainTerm, ...]:
-    """Three-term chain: midpoint value, geometric-mean integral, endpoint geometric mean."""
-    gint = shared.sym_geometric()
-    mid = shared.f.evaluate(arithmetic_mean(shared.iv.a, shared.iv.b))
-    ends = shared.endpoints(1.0)
+def chain_dr1(gint: QuadResult, mid: float, ends: Endpoints) -> tuple[ChainTerm, ...]:
+    """Three-term chain: f((a+b)/2) = ``mid``, the mean ``gint`` of sqrt(f(x) f(a+b-x)), sqrt(f(a) f(b))."""
     return (
         ChainTerm("midpoint_value", mid),
         ChainTerm("geometric_mean_integral", gint.value, gint.err_est),
@@ -234,20 +229,18 @@ def chain_dr1(shared: _IntegralCache) -> tuple[ChainTerm, ...]:
     )
 
 
-def chain_dr2(shared: _IntegralCache) -> tuple[ChainTerm, ...]:
+def chain_dr2(
+    ends: Endpoints, log_mean: QuadResult, gint: QuadResult, fint: QuadResult, mid: float
+) -> tuple[ChainTerm, ...]:
     """Six-term chain from the midpoint value up to the endpoint arithmetic mean.
 
-    Terms, in order: f((a+b)/2); exp of the mean of ln f; the mean of
-    sqrt(f(x) f(a+b-x)); the mean of f; L(f(a), f(b)); (f(a)+f(b))/2.
+    Terms, in order: f((a+b)/2) = ``mid``; exp of the mean ``log_mean`` of
+    ln f; the mean ``gint`` of sqrt(f(x) f(a+b-x)); the mean ``fint`` of f;
+    L(f(a), f(b)); (f(a)+f(b))/2, with f(a) and f(b) read from ``ends``.
     The error of the exponentiated log-mean term is propagated through the
     exponential (scaled by the value itself).
     """
-    ends = shared.endpoints(1.0)
-    log_mean = shared.mean_log()
     exp_log = math.exp(log_mean.value)
-    gint = shared.sym_geometric()
-    fint = shared.mean_f()
-    mid = shared.f.evaluate(arithmetic_mean(shared.iv.a, shared.iv.b))
     return (
         ChainTerm("midpoint_value", mid),
         ChainTerm("exp_mean_log", exp_log, exp_log * log_mean.err_est),

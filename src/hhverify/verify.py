@@ -84,7 +84,6 @@ __all__ = [
     "SearchResult",
     "margin_tolerance",
     "replay_verdict",
-    "effective_class_params",
     "verify_theorem",
     "verify_theorems",
     "sweep",
@@ -176,15 +175,6 @@ def replay_verdict(
     return HOLDS if margin >= -margin_tolerance(lhs, rhs, quad_err) else VIOLATED
 
 
-def effective_class_params(theorem: str, m: float, alpha: float) -> ClassParams:
-    """The membership class a theorem's hypothesis actually requires.
-
-    The chains assume plain log-convexity, the two ratio-kernel bounds use
-    both parameters, and the rest need only the m-class.
-    """
-    return _require_theorem(theorem).effective_class(m, alpha)
-
-
 def _require_theorem(theorem: str) -> _Theorem:
     try:
         return _TABLE[theorem]
@@ -247,15 +237,17 @@ def _hyp_outcome(domain_upper: float, report: ClassificationReport) -> _HypOutco
 
 
 class _IntegralCache:
-    """Integrals and endpoint values of ``f`` on ``iv``, computed lazily and shared by every report.
+    """Integrals and values of ``f`` on ``iv``, computed lazily and shared by every report.
 
-    The one place that integrates: every bound and both chains read their
-    means of f, ln f and the kernels here. Nothing depends on alpha, and the
-    mixed kernel and the endpoints are keyed by m, so one cache serves all
-    theorems and all (alpha, m) points on one interval. A value that raised
-    is cached too, so a second theorem needing it re-raises instead of
-    evaluating up to the same bad abscissa again. A cache lives for one call
-    of the public entry points (or of the CLI's chain fallback) only;
+    The one place on the report path that evaluates or integrates f: every
+    bound and both chains read their means of f, ln f and the kernels, the
+    endpoint record and the midpoint value here, and the closed forms and
+    chains in ``bounds`` are plain functions of what they read. Nothing
+    depends on alpha, and the mixed kernel and the endpoints are keyed by
+    m, so one cache serves all theorems and all (alpha, m) points on one
+    interval. A value that raised is cached too, so a second theorem
+    needing it re-raises instead of evaluating up to the same bad abscissa
+    again. A cache lives for one call of the public entry points only;
     search_min_margin carries it from a point to the next while the family
     parameters, a and b stay the same.
     """
@@ -264,7 +256,7 @@ class _IntegralCache:
         self.f = f
         self.iv = iv
         self.tol = tol
-        self._store: dict[tuple[str, Optional[float]], QuadResult | Endpoints | Exception] = {}
+        self._store: dict[tuple[str, Optional[float]], QuadResult | Endpoints | float | Exception] = {}
 
     def _get(self, key: tuple[str, Optional[float]], thunk: Callable[[], Any]) -> Any:
         if key not in self._store:
@@ -305,6 +297,9 @@ class _IntegralCache:
 
     def endpoints(self, m: float) -> Endpoints:
         return self._get(("endpoints", m), lambda: Endpoints.of(self.f, self.iv, m))
+
+    def midpoint(self) -> float:
+        return self._get(("midpoint", None), lambda: self.f.evaluate(arithmetic_mean(self.iv.a, self.iv.b)))
 
 
 def _inconclusive(theorem: str, variant: str, rp: ReportParams, hyp: str, diagnostics: str) -> InequalityReport:
@@ -374,12 +369,14 @@ _Chain = tuple[ChainTerm, ...]
 _Sides = tuple[float, float, BoundSide]
 
 
+# A chain's values are fetched left to right, so the first one that fails
+# names the error in the report's diagnostics.
 def _dr1(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Chain:
-    return chain_dr1(cache)
+    return chain_dr1(cache.sym_geometric(), cache.midpoint(), cache.endpoints(1.0))
 
 
 def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Chain:
-    return chain_dr2(cache)
+    return chain_dr2(cache.endpoints(1.0), cache.mean_log(), cache.sym_geometric(), cache.mean_f(), cache.midpoint())
 
 
 def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
@@ -389,8 +386,7 @@ def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
 
 def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
     rhs = cache.mixed_geometric(eff.m)
-    lhs = cache.f.evaluate(arithmetic_mean(cache.iv.a, cache.iv.b))
-    return lhs, 0.0, BoundSide(value=rhs.value, err_est=rhs.err_est)
+    return cache.midpoint(), 0.0, BoundSide(value=rhs.value, err_est=rhs.err_est)
 
 
 def _eq22(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:

@@ -203,6 +203,9 @@ def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, family, pa
     args = (family, {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
     summary = sweep(*args, hypothesis="once")
     assert (work["passes"], work["outcomes"]) == (4, 12)
+    # the integrals inline f: per interval, the midpoint once for eq11 at
+    # every (alpha, m), and f at a, b, a/m and b/m once per m
+    assert work["evaluations"] == 136 * (1 + 4 * len(M4))
     failed = {(r.theorem, r.params.alpha) for r in summary.reports if r.hypothesis == HYP_FAIL}
     if family == "const":
         assert failed == set()
@@ -256,6 +259,49 @@ def test_chain_evaluates_the_chain_once(work, capsys, theorem, f_text, hypothesi
     else:
         assert out == ""
         assert err == "error: integrand failed at x=0.25: value 0.0 is not strictly positive at x=0.25\n"
+
+
+@pytest.mark.parametrize("theorem,integrals", [("dr1", 1), ("dr2", 3)])
+def test_a_gated_chain_lists_its_terms_from_one_run_of_its_integrals(work, capsys, theorem, integrals):
+    # 1+x is not log-convex, so the class check keeps the driver from
+    # evaluating the chain; the command then takes the terms from one
+    # ungated run of the same driver
+    argv = ["chain", "--theorem", theorem, "--f", "1+x", "--json", "-"]
+    assert run(argv) == EXIT_INCONCLUSIVE
+    assert (work["passes"], work["integrals"]) == (1, integrals)
+    assert work["evaluations"] == 5  # the midpoint, and f at a, b, a/m and b/m for m = 1
+    payload = json.loads(capsys.readouterr().out)
+    ungated = verify_theorem(theorem, parse("1+x"), Interval(0.0, 1.0), check_hypothesis=False)
+    assert [term["value"] for term in payload["terms"]] == [term.value for term in ungated.terms]
+    assert payload["report"]["verdict"] == "inconclusive"
+
+
+def test_the_midpoint_is_evaluated_once_per_interval(monkeypatch):
+    abscissae = []
+    evaluate = FunctionExpr.evaluate
+
+    def recorded(self, x):
+        abscissae.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(FunctionExpr, "evaluate", recorded)
+    theorems, m_values, alpha_values = ("eq11", "dr1", "dr2"), (0.5, 1.0), (0.5, 1.0)
+    summary = sweep("exp_linear", {"k": [1.0]}, (0.0,), (1.0,), m_values, alpha_values, theorems)
+    # eq11 at each (alpha, m) and both chains read f(0.5) once; the chains'
+    # endpoint record at m = 1 holds f at 0, 1, 0/1 and 1/1
+    assert abscissae == [0.5, 0.0, 1.0, 0.0, 1.0]
+    monkeypatch.setattr(FunctionExpr, "evaluate", evaluate)
+    f = family_instantiate(FamilySpec("exp_linear", {"k": 1.0}))
+    fresh = [
+        report
+        for alpha in alpha_values for m in m_values
+        for report in verify_theorems(
+            theorems, f, Interval(0.0, 1.0), m=m, alpha=alpha, check_hypothesis=False,
+            family=FamilySpec("exp_linear", {"k": 1.0}),
+        )
+    ]
+    assert list(summary.reports) == fresh
+    assert [r.terms for r in summary.reports] == [r.terms for r in fresh]
 
 
 @pytest.mark.parametrize("theorems", [("eq4", "eq22", "dr1", "dr2"), ("dr1", "dr2")])
@@ -387,5 +433,5 @@ def test_a_cache_carried_along_m_keeps_only_the_current_m():
         ))
         assert [r.verdict for r in reports] == ["holds", "holds"]
     (cache,) = reuse.values()
-    # the mean of f, and the endpoints and the mixed kernel at the last m
-    assert sorted(cache._store) == [("endpoints", m), ("mean_f", None), ("mixed_geometric", m)]
+    # the mean of f, the midpoint, and the endpoints and the mixed kernel at the last m
+    assert sorted(cache._store) == [("endpoints", m), ("mean_f", None), ("midpoint", None), ("mixed_geometric", m)]

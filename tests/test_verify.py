@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import hhverify.verify
 from hhverify import (
     ClassParams,
     FamilyError,
@@ -14,7 +15,6 @@ from hhverify import (
     INCONCLUSIVE,
     Interval,
     VIOLATED,
-    effective_class_params,
     margin_tolerance,
     parse,
     replay_verdict,
@@ -105,7 +105,7 @@ def test_dr1_quadratic_violated_off_origin():
     ],
 )
 def test_effective_class_params(theorem, expected):
-    assert effective_class_params(theorem, 0.5, 0.25) == expected
+    assert hhverify.verify._require_theorem(theorem).effective_class(0.5, 0.25) == expected
 
 
 class TestReplayVerdict:
