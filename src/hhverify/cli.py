@@ -701,7 +701,9 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--theorem", choices=THEOREMS, required=True)
     search.add_argument("--variant", choices=VARIANTS, default="corrected")
     search.add_argument("--budget", type=int, default=200, help="total point evaluations (default 200)")
-    search.add_argument("--tol", type=float, default=1e-10)
+    search.add_argument("--tol", type=float, default=1e-10,
+                        help="quadrature tolerance of the reported point (default 1e-10); points are "
+                             "ranked at max(tol, 1e-6), so margins closer than that cannot be told apart")
     search.add_argument("--seed", type=int, default=None)
     search.add_argument("--json", metavar="PATH|-")
     search.set_defaults(handler=_cmd_search)

@@ -249,7 +249,7 @@ class _IntegralCache:
     needing it re-raises instead of evaluating up to the same bad abscissa
     again. A cache lives for one call of the public entry points only;
     search_min_margin carries it from a point to the next while the family
-    parameters, a and b stay the same.
+    parameters, a, b and the tolerance stay the same.
     """
 
     def __init__(self, f: FunctionExpr, iv: Interval, tol: float):
@@ -478,11 +478,12 @@ def _reports(
     share one ReportParams (the CLI memoises its text by identity).
 
     The cache of the last interval is kept, keyed by the bits of
-    ``family``'s values, a and b, and an interval with the same bits reads
-    it instead of integrating again. Comparing bits keeps 0.0 and -0.0
-    apart. It is kept in ``reuse`` when given, so a caller that passes the
-    same dict and a family from call to call carries it from one call to
-    the next; the dict never holds more than one cache.
+    ``family``'s values, a, b and ``tol``, and an interval with the same
+    bits reads it instead of integrating again. Comparing bits keeps 0.0
+    and -0.0 apart, and a call at another ``tol`` never reads integrals
+    computed at this one. It is kept in ``reuse`` when given, so a caller
+    that passes the same dict and a family from call to call carries it
+    from one call to the next; the dict never holds more than one cache.
     """
     specs = [(theorem, _TABLE[theorem]) for theorem in theorems]
     plan = [
@@ -496,7 +497,7 @@ def _reports(
         alphas_of.setdefault(eff.m, []).append(eff.alpha)
     last = {} if reuse is None else reuse
     for iv in intervals:
-        key = _bits(*(value for _, value in family or ()), iv.a, iv.b)
+        key = _bits(*(value for _, value in family or ()), iv.a, iv.b, tol)
         cache = last.get(key)
         if cache is None:
             last.clear()
@@ -701,6 +702,7 @@ _POINT_DEFAULTS = {"a": 0.0, "b": 1.0, "alpha": 1.0, "m": 1.0}
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _BRACKET_REL = 1e-12
+_SCREEN_TOL = 1e-6  # search ranks its points at max(tol, _SCREEN_TOL)
 
 
 def search_min_margin(
@@ -728,6 +730,16 @@ def search_min_margin(
     of its family's range, evaluation errors) count toward the budget with
     an infinite margin. Hypothesis checking is never run here; the point
     of the search is hunting violations, gated or not.
+
+    Points are ranked at a screening tolerance, max(tol, 1e-6): every
+    lattice point and every point of a line search integrates to it. When
+    that is coarser than ``tol``, the best point is then computed once
+    more at ``tol``, and that report and its margin are the result, so
+    they are exactly what ``verify_theorem`` reports at that point. This
+    last computation is not counted in ``evals`` or the budget; a point
+    that fails before any integral comes out of it as it went in. Margins
+    that differ by less than the screening error, such as a hunt that
+    ends within 1e-13 of equality, cannot be ranked against each other.
 
     Nothing is computed twice in a row. A point whose family parameters,
     a and b have the bits of the previous point's (a line along alpha or
@@ -781,7 +793,7 @@ def search_min_margin(
 
     last_cache: dict[bytes, _IntegralCache] = {}
 
-    def evaluate_point(point: Mapping[str, float]) -> tuple[float, InequalityReport]:
+    def evaluate_point(point: Mapping[str, float], point_tol: float) -> tuple[float, InequalityReport]:
         fam_pairs = tuple(sorted((name, point[name]) for name in param_names))
         a, b, alpha, m = point["a"], point["b"], point["alpha"], point["m"]
         rp = _TABLE[theorem].report_params(a, b, m, alpha, fam_pairs)
@@ -793,15 +805,16 @@ def search_min_margin(
         except FamilyError as err:
             return math.inf, _inconclusive(theorem, variant, rp, HYP_SKIPPED, str(err))
         report = next(_reports(
-            [theorem], f, fam_pairs, [Interval(a, b)], [alpha], [m], variant=variant, tol=tol, class_checks=None,
-            reuse=last_cache,
+            [theorem], f, fam_pairs, [Interval(a, b)], [alpha], [m], variant=variant, tol=point_tol,
+            class_checks=None, reuse=last_cache,
         ))
         return (report.margin if report.margin is not None else math.inf), report
 
     if not dims:
-        margin, report = evaluate_point(assemble(()))
+        margin, report = evaluate_point(assemble(()), tol)
         return SearchResult(best_params=assemble(()), best_margin=margin, report=report, evals=1)
 
+    screen_tol = max(tol, _SCREEN_TOL)
     rng = random.Random(seed)
     offsets = [rng.random() for _ in dims]
     gammas = [math.sqrt(p) % 1.0 for p in _PRIMES[: len(dims)]]
@@ -817,7 +830,7 @@ def search_min_margin(
             lo + ((offsets[j] + i * gammas[j]) % 1.0) * (hi - lo)
             for j, (lo, hi) in enumerate(ranges)
         ]
-        margin, report = evaluate_point(assemble(coords))
+        margin, report = evaluate_point(assemble(coords), screen_tol)
         evals += 1
         if best_report is None or margin < best_margin:
             best_coords, best_margin, best_report = coords, margin, report
@@ -844,7 +857,7 @@ def search_min_margin(
 
         def g(x: float) -> tuple[float, InequalityReport]:
             base[j] = x
-            return evaluate_point(assemble(base))
+            return evaluate_point(assemble(base), screen_tol)
 
         used = 0
         left, right = lo, hi
@@ -890,6 +903,8 @@ def search_min_margin(
                 best_report = report_x
                 improved = True
 
+    if screen_tol > tol:
+        best_margin, best_report = evaluate_point(assemble(best_coords), tol)
     return SearchResult(
         best_params=assemble(best_coords),
         best_margin=best_margin,

@@ -13,7 +13,7 @@ DEMO_SHA256 = {
     "01_equality_families.py": "9384094046ff2fc0631eca3cabc86a746564788955bbbae7a96cfe9aa616f31e",
     "02_printed_vs_corrected.py": "8670aa5bb2f614e740cd06a75bf419689344581880af9befdaff78e16512ed5c",
     "03_classify_and_gate.py": "3aa0ed676fe7781d4553da0e13259c5d61b1ac6c7184884493b7f0acb2549313",
-    "04_counterexample_search.py": "6eeff437f4fed2beefc6ebde168a1c5d7bf8551da2191935b43c9db101a56b06",
+    "04_counterexample_search.py": "5e1ead59eff541cc8853a40f41f6167b0e5e01990b54a6d49b32eb38f54cf7b5",
 }
 
 

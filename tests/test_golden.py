@@ -2,14 +2,18 @@
 
 The digests pin the exact JSON, CSV, table and error text of every path
 that emits a report: the sweep and chain digests as produced before the
-per-theorem switches were folded into one theorem table, and the check and
+per-theorem switches were folded into one theorem table, the check and
 search digests as produced by the generic recursive JSON encoder, before
-reports were rendered from one template, and the search-budget digest as
-produced before search reused integrals and line searches. Any change to a
-byte of that output fails here, so a refactor that claims to change
-nothing can be checked against them; a change that means to alter the
-output must update the digests and say why. Each digest is the sha256 of
-the concatenated UTF-8 text.
+reports were rendered from one template, and the search digest at
+tolerances no finer than 1e-6 as produced before search ranked its points
+at a screening tolerance. The search-budget digest was produced once search
+ranked its points at max(tol, 1e-6) and recomputed only the best one at
+tol; of its 490 outputs, that moved only the exp_affine eq4 box, an
+equality family whose margins within 1e-14 of 0 cannot be ranked at the
+screening tolerance. Any change to a byte of that output fails here, so a
+refactor that claims to change nothing can be checked against them; a
+change that means to alter the output must update the digests and say why.
+Each digest is the sha256 of the concatenated UTF-8 text.
 """
 import hashlib
 from collections import Counter
@@ -78,7 +82,12 @@ SEARCH_LONG = (
     (["--family", "poly_shift", "--param", "p=2", "--param", "q=0.5", "--range", "a=0:1", "--range", "b=1:2",
       "--theorem", "eq22"], (500,)),
 )
-SEARCH_BOXES_SHA256 = "adc81cb8c10c0ceba18830c030a86d6b9ae78b7bae91ab88eafb2df2cc1e49ee"
+SEARCH_BOXES_SHA256 = "1277051e355604fd3921c84c10cef9bbc91e88282766b59e5be921c43cbf42a4"
+# The search cases and two boxes whose integrals depend on tol, at budget 60
+# and at tolerances no finer than the screening tolerance, where every point
+# is computed at tol and none is recomputed: pinned before screening existed
+SEARCH_INERT_CASES = SEARCH_CASES + (SEARCH_BOXES[3] + ["--budget", "60"], SEARCH_BOXES[4] + ["--budget", "60"])
+SEARCH_INERT_SHA256 = "5f7d067aa57d3746531c56103d1a20a5f764b0b40f7f8027193e943757a68ded"
 
 
 @pytest.fixture(autouse=True)
@@ -132,6 +141,19 @@ def test_search_output_is_byte_identical():
         digest.update(err.encode())
     assert codes == [1, 0]
     assert digest.hexdigest() == SEARCH_SHA256
+
+
+def test_search_at_a_tol_no_finer_than_screening_is_byte_identical():
+    digest = hashlib.sha256()
+    codes = []
+    for tol in ("1e-6", "1e-5"):
+        for case in SEARCH_INERT_CASES:
+            code, out, err = _run(["search"] + case + ["--tol", tol, "--json", "-"])
+            codes.append(code)
+            digest.update(out.encode())
+            digest.update(err.encode())
+    assert codes == [1, 0, 1, 1] * 2
+    assert digest.hexdigest() == SEARCH_INERT_SHA256
 
 
 def test_chain_output_is_byte_identical():

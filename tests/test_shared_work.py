@@ -349,15 +349,18 @@ def test_sweep_computes_the_chain_integrals_once_per_interval(work, hypothesis, 
 
 
 @pytest.mark.parametrize(
-    "family,box,theorem",
+    "family,box,theorem,budget",
     [
-        ("exp_affine", {"c": (0.5, 2.0), "k": (-1.0, 1.0), "m": (0.25, 1.0), "alpha": (0.25, 1.0)}, "eq31"),
-        ("const", {"c": (0.1, 0.9), "b": (0.5, 2.0)}, "eq22"),
-        ("poly_shift", {"p": (0.5, 3.0), "q": (0.1, 1.0)}, "dr2"),
+        ("exp_affine", {"c": (0.5, 2.0), "k": (-1.0, 1.0), "m": (0.25, 1.0), "alpha": (0.25, 1.0)}, "eq31", 12),
+        ("const", {"c": (0.1, 0.9), "b": (0.5, 2.0)}, "eq22", 12),
+        ("poly_shift", {"p": (0.5, 3.0), "q": (0.1, 1.0)}, "dr2", 12),
+        # refinement lines along alpha and m, ranked at the screening tolerance
+        ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "alpha": (0.5, 1.0), "m": (0.5, 1.0)}, "eq42", 200),
     ],
 )
-def test_search_reports_what_verify_theorem_reports_at_its_best_point(family, box, theorem):
-    result = search_min_margin(family, box, theorem, budget=12)
+def test_search_reports_what_verify_theorem_reports_at_its_best_point(family, box, theorem, budget):
+    result = search_min_margin(family, box, theorem, budget=budget)
+    assert result.best_margin == result.report.margin
     point = result.best_params
     spec = FamilySpec(family, {name: point[name] for name in registered_families()[family]})
     again = verify_theorem(
@@ -397,8 +400,9 @@ def test_search_integrates_once_per_member_and_interval_along_alpha_and_m(work):
     assert result.evals == 200
     # eq31 needs the mean of f alone. The 100 lattice points are 100 members;
     # the refinement's lines along alpha and m keep the member and [a, b]
-    # and read the previous point's integral, those along c and k do not
-    assert work["integrals"] == 141
+    # and read the previous point's integral, those along c and k do not;
+    # the best point is then integrated once more at tol
+    assert work["integrals"] == 142
 
 
 @pytest.mark.parametrize(
@@ -420,6 +424,26 @@ def test_search_shares_a_cache_only_between_bit_identical_points(work, points):
         ))
     assert work["integrals"] == 3
     assert len(reuse) == 1
+
+
+def test_a_carried_cache_is_not_read_at_another_tolerance(work):
+    # search ranks points at a coarse tolerance and recomputes its best at
+    # tol through the same dict: that must integrate again, not report the
+    # coarse integral as if it were computed at tol
+    f = family_instantiate(FamilySpec("exp_linear", {"k": 3.0}))
+    reuse: dict = {}
+
+    def report(tol, carried):
+        return next(hhverify.verify._reports(
+            ["eq4"], f, (("k", 3.0),), [Interval(0.0, 1.0)], [1.0], [1.0],
+            variant="corrected", tol=tol, class_checks=None, reuse=carried,
+        ))
+
+    coarse, fine = report(1e-6, reuse), report(1e-10, reuse)
+    assert work["integrals"] == 2
+    assert len(reuse) == 1
+    assert fine == report(1e-10, None) and coarse == report(1e-6, None)
+    assert fine.quad_err != coarse.quad_err
 
 
 def test_a_cache_carried_along_m_keeps_only_the_current_m():

@@ -286,6 +286,32 @@ def test_replay_matches_every_reported_verdict():
         assert replay_verdict(r.lhs, r.rhs, r.margin, r.quad_err) == r.verdict, r
 
 
+# The five hunts of the search benchmark workload (budget 1,500, seed 0),
+# with the best margin and verdict each reached when every point was
+# integrated at tol 1e-10, before points were ranked at a screening tolerance
+WORKLOAD_HUNTS = (
+    ("const", {"c": (0.2, 1.0)}, "eq22", "printed", -0.25000000000000006, VIOLATED),
+    ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0)}, "dr2", "corrected", -0.22154126124651707, VIOLATED),
+    ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "m": (0.5, 1.0)}, "eq11", "corrected",
+     -0.09025386778133926, VIOLATED),
+    ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "alpha": (0.5, 1.0), "m": (0.5, 1.0)}, "eq42", "printed",
+     -0.4105231539833608, VIOLATED),
+    ("exp_affine", {"c": (0.2, 1.0), "k": (0.5, 2.0), "alpha": (0.25, 1.0), "m": (0.25, 1.0)}, "eq31", "corrected",
+     6.394884621840902e-14, HOLDS),
+)
+
+
+@pytest.mark.parametrize(
+    "family,box,theorem,variant,margin,verdict", WORKLOAD_HUNTS, ids=[hunt[2] for hunt in WORKLOAD_HUNTS],
+)
+def test_workload_hunts_lose_at_most_1e_12_to_screening(family, box, theorem, variant, margin, verdict):
+    result = search_min_margin(family, box, theorem, variant=variant, budget=1500, seed=0)
+    assert result.best_margin <= margin + 1e-12
+    assert result.report.verdict == verdict
+    if theorem == "eq22":
+        assert result.best_margin == pytest.approx(-0.25, abs=1e-12)
+
+
 class TestSearch:
     def test_finds_printed_eq22_violation(self):
         result = search_min_margin(
