@@ -577,7 +577,7 @@ def _cmd_sweep(args) -> int:
 def _search_json(result: SearchResult) -> str:
     return '{"best_params":%s,"best_margin":%s,"evals":%s,"report":%s}' % (
         _json_value({name: result.best_params[name] for name in sorted(result.best_params)}),
-        _json_value(result.best_margin if math.isfinite(result.best_margin) else None),
+        _json_value(result.best_margin),
         _json_value(result.evals),
         _render([result.report])[0],
     )

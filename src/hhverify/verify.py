@@ -646,7 +646,8 @@ def sweep(
 
     Iteration order is deterministic: family parameters (names sorted),
     then a, b, alpha, m, then the theorems in the order given. Points with
-    a >= b are skipped without a report. Hypothesis modes: "off" skips
+    a >= b are skipped without a report; a non-finite a or b value is a
+    ValueError before any work. Hypothesis modes: "off" skips
     membership checks, "per-point" checks each point on [0, b / m_eff],
     and "once" checks each family member on [0, max(b) / m_eff]. Either
     way a class is judged once per distinct (family member, domain,
@@ -667,6 +668,9 @@ def sweep(
     if hypothesis not in _HYPOTHESIS_MODES:
         raise ValueError(f"hypothesis mode must be one of {_HYPOTHESIS_MODES}, got {hypothesis!r}")
     _check_class_values(m_values, alpha_values)
+    for name, values in (("a", a_values), ("b", b_values)):
+        if not all(math.isfinite(value) for value in values):
+            raise ValueError(f"{name} values must be finite, got {list(values)!r}")
 
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]
@@ -733,23 +737,23 @@ def search_min_margin(
     an infinite margin. Hypothesis checking is never run here; the point
     of the search is hunting violations, gated or not.
 
-    Points are ranked at a screening tolerance, max(tol, 1e-6): every
-    lattice point and every point of a line search integrates to it. When
-    that is coarser than ``tol``, the best point is then computed once
-    more at ``tol``, and that report and its margin are the result, so
-    they are exactly what ``verify_theorem`` reports at that point. This
-    last computation is not counted in ``evals`` or the budget; a point
-    that fails before any integral comes out of it as it went in. Margins
-    that differ by less than the screening error, such as a hunt that
-    ends within 1e-13 of equality, cannot be ranked against each other.
+    Points are ranked by their margin alone, at a screening tolerance,
+    max(tol, 1e-6): every lattice point and every point of a line search
+    integrates to it. The best point is then computed once more at
+    ``tol``, and that report and its margin are the result, so they are
+    exactly what ``verify_theorem`` reports at that point. This last
+    computation is not counted in ``evals`` or the budget; it is the only
+    computation of a box with no dimensions. Margins that differ by less
+    than the screening error, such as a hunt that ends within 1e-13 of
+    equality, cannot be ranked against each other.
 
     Nothing is computed twice in a row. A point whose family parameters,
-    a and b have the bits of the previous point's (a line along alpha or
-    m) reads that point's integrals. A line search that would repeat the
-    last one along its coordinate returns that result from memory, and
-    its points still count toward ``evals`` and the budget, so the result
-    is the same as if they were evaluated again. Both memos hold one entry
-    (one per coordinate for the lines), whatever the budget.
+    a, b and tolerance have the bits of the previous point's (a line along
+    alpha or m) reads that point's integrals. A line search that would
+    repeat the last one along its coordinate returns that result from
+    memory, and its points still count toward ``evals`` and the budget, so
+    the result is the same as if they were evaluated again. Both memos
+    hold one entry (one per coordinate for the lines), whatever the budget.
     """
     _check_request([theorem], variant, tol)
     if budget < 1:
@@ -781,6 +785,11 @@ def search_min_margin(
         if name == "a" and lo < 0.0:
             raise ValueError("box range for 'a' must stay >= 0")
         ranges.append((float(lo), float(hi)))
+    for name in ("a", "b"):
+        if name in fixed and not math.isfinite(fixed[name]):
+            raise ValueError(f"fixed value for {name!r} must be finite, got {fixed[name]!r}")
+    if fixed.get("a", 0.0) < 0.0:
+        raise ValueError("fixed value for 'a' must stay >= 0")
     _check_class_values(
         [fixed["m"]] if "m" in fixed else box.get("m", ()),
         [fixed["alpha"]] if "alpha" in fixed else box.get("alpha", ()),
@@ -795,121 +804,111 @@ def search_min_margin(
 
     last_cache: dict[bytes, _IntegralCache] = {}
 
-    def evaluate_point(point: Mapping[str, float], point_tol: float) -> tuple[float, InequalityReport]:
-        fam_pairs = tuple(sorted((name, point[name]) for name in param_names))
+    def report_at(coords: Sequence[float], point_tol: float) -> InequalityReport:
+        point = assemble(coords)
+        spec = FamilySpec(family, {name: point[name] for name in param_names})
         a, b, alpha, m = point["a"], point["b"], point["alpha"], point["m"]
-        rp = _TABLE[theorem].report_params(a, b, m, alpha, fam_pairs)
         if not a < b:
             detail = f"empty interval: a={a!r} >= b={b!r}"
-            return math.inf, _inconclusive(theorem, variant, rp, HYP_SKIPPED, detail)
-        try:
-            f = family_instantiate(FamilySpec(family, {name: point[name] for name in param_names}))
-        except FamilyError as err:
-            return math.inf, _inconclusive(theorem, variant, rp, HYP_SKIPPED, str(err))
-        report = next(_reports(
-            [theorem], f, fam_pairs, [Interval(a, b)], [alpha], [m], variant=variant, tol=point_tol,
-            class_checks=None, reuse=last_cache,
-        ))
-        return (report.margin if report.margin is not None else math.inf), report
-
-    if not dims:
-        margin, report = evaluate_point(assemble(()), tol)
-        return SearchResult(best_params=assemble(()), best_margin=margin, report=report, evals=1)
+        else:
+            try:
+                f = family_instantiate(spec)
+            except FamilyError as err:
+                detail = str(err)
+            else:
+                return next(_reports(
+                    [theorem], f, _family_pairs(spec), [Interval(a, b)], [alpha], [m], variant=variant,
+                    tol=point_tol, class_checks=None, reuse=last_cache,
+                ))
+        rp = _TABLE[theorem].report_params(a, b, m, alpha, _family_pairs(spec))
+        return _inconclusive(theorem, variant, rp, HYP_SKIPPED, detail)
 
     screen_tol = max(tol, _SCREEN_TOL)
-    rng = random.Random(seed)
-    offsets = [rng.random() for _ in dims]
-    gammas = [math.sqrt(p) % 1.0 for p in _PRIMES[: len(dims)]]
 
-    evals = 0
-    best_coords: list[float] = []
-    best_margin = math.inf
-    best_report: Optional[InequalityReport] = None
+    def margin_at(coords: Sequence[float]) -> float:
+        margin = report_at(coords, screen_tol).margin
+        return math.inf if margin is None else margin
 
-    coarse_n = math.ceil(budget / 2)
-    for i in range(coarse_n):
-        coords = [
-            lo + ((offsets[j] + i * gammas[j]) % 1.0) * (hi - lo)
-            for j, (lo, hi) in enumerate(ranges)
-        ]
-        margin, report = evaluate_point(assemble(coords), screen_tol)
-        evals += 1
-        if best_report is None or margin < best_margin:
-            best_coords, best_margin, best_report = coords, margin, report
-    assert best_report is not None
+    def explore() -> tuple[list[float], int]:
+        """The coordinates of the least screened margin, and the evals spent."""
+        rng = random.Random(seed)
+        offsets = [rng.random() for _ in dims]
+        gammas = [math.sqrt(p) % 1.0 for p in _PRIMES[: len(dims)]]
+        evals = math.ceil(budget / 2)
+        lattice = (
+            [lo + ((offsets[j] + i * gammas[j]) % 1.0) * (hi - lo) for j, (lo, hi) in enumerate(ranges)]
+            for i in range(evals)
+        )
+        # min keeps the first of equal margins, and the first point even when every margin is inf
+        best_margin, best_coords = min(((margin_at(coords), coords) for coords in lattice), key=lambda mc: mc[0])
 
-    # coordinate -> (bits of the other coordinates, result) of the last
-    # search along it that ended on its bracket
-    last_lines: dict[int, tuple[bytes, tuple[float, float, InequalityReport, int]]] = {}
+        # coordinate -> (bits of the other coordinates, result) of the last
+        # search along it that ended on its bracket
+        last_lines: dict[int, tuple[bytes, tuple[float, float, int]]] = {}
 
-    def line_minimize(j: int, cap: int) -> tuple[float, float, InequalityReport, int]:
-        """Golden-section along coordinate j from the current best point.
+        def line_minimize(j: int, cap: int) -> tuple[float, float, int]:
+            """Golden-section along coordinate j from the current best point: (x, margin, used).
 
-        A search depends only on the other coordinates and ``cap``. One that
-        ended on its bracket with ``used`` evals gives the same result under
-        any cap of at least ``used``, so it is returned again, with the same
-        ``used``, when the other coordinates have its bits. A search that
-        stops on its cap spends the rest of the budget, so none follows it.
-        """
-        others = _bits(*best_coords[:j], *best_coords[j + 1:])
-        if j in last_lines and last_lines[j][0] == others and last_lines[j][1][3] <= cap:
-            return last_lines[j][1]
-        lo, hi = ranges[j]
-        base = list(best_coords)
+            A search depends only on the other coordinates and ``cap``. One that
+            ended on its bracket with ``used`` evals gives the same result under
+            any cap of at least ``used``, so it is returned again, with the same
+            ``used``, when the other coordinates have its bits. A search that
+            stops on its cap spends the rest of the budget, so none follows it.
+            """
+            others = _bits(*best_coords[:j], *best_coords[j + 1:])
+            if j in last_lines and last_lines[j][0] == others and last_lines[j][1][2] <= cap:
+                return last_lines[j][1]
+            lo, hi = ranges[j]
+            base = list(best_coords)
 
-        def g(x: float) -> tuple[float, InequalityReport]:
-            base[j] = x
-            return evaluate_point(assemble(base), screen_tol)
+            def g(x: float) -> float:
+                base[j] = x
+                return margin_at(base)
 
-        used = 0
-        left, right = lo, hi
-        c = right - _INVPHI * (right - left)
-        d = left + _INVPHI * (right - left)
-        fc, rc = g(c)
-        fd, rd = g(d)
-        used += 2
-        if fc <= fd:
-            line_x, line_f, line_r = c, fc, rc
-        else:
-            line_x, line_f, line_r = d, fd, rd
-        while (right - left) > _BRACKET_REL * (hi - lo) and used < cap:
-            if fc <= fd:
-                right, d, fd, rd = d, c, fc, rc
-                c = right - _INVPHI * (right - left)
-                fc, rc = g(c)
-            else:
-                left, c, fc, rc = c, d, fd, rd
-                d = left + _INVPHI * (right - left)
-                fd, rd = g(d)
-            used += 1
-            candidate_f, candidate_x, candidate_r = (fc, c, rc) if fc <= fd else (fd, d, rd)
-            if candidate_f < line_f:
-                line_x, line_f, line_r = candidate_x, candidate_f, candidate_r
-        result = line_x, line_f, line_r, used
-        if (right - left) <= _BRACKET_REL * (hi - lo):
-            last_lines[j] = (others, result)
-        return result
+            left, right = lo, hi
+            c = right - _INVPHI * (right - left)
+            d = left + _INVPHI * (right - left)
+            fc, fd = g(c), g(d)
+            used = 2
+            line_x, line_f = (c, fc) if fc <= fd else (d, fd)
+            while (right - left) > _BRACKET_REL * (hi - lo) and used < cap:
+                if fc <= fd:
+                    right, d, fd = d, c, fc
+                    c = right - _INVPHI * (right - left)
+                    fc = g(c)
+                else:
+                    left, c, fc = c, d, fd
+                    d = left + _INVPHI * (right - left)
+                    fd = g(d)
+                used += 1
+                candidate_f, candidate_x = (fc, c) if fc <= fd else (fd, d)
+                if candidate_f < line_f:
+                    line_x, line_f = candidate_x, candidate_f
+            result = line_x, line_f, used
+            if (right - left) <= _BRACKET_REL * (hi - lo):
+                last_lines[j] = (others, result)
+            return result
 
-    improved = True
-    while improved and budget - evals >= 2:
-        improved = False
-        for j in range(len(dims)):
-            cap = budget - evals
-            if cap < 2:
-                break
-            x, fx, report_x, used = line_minimize(j, cap)
-            evals += used
-            if fx < best_margin:
-                best_coords[j] = x
-                best_margin = fx
-                best_report = report_x
-                improved = True
+        improved = True
+        while improved and budget - evals >= 2:
+            improved = False
+            for j in range(len(dims)):
+                cap = budget - evals
+                if cap < 2:
+                    break
+                x, fx, used = line_minimize(j, cap)
+                evals += used
+                if fx < best_margin:
+                    best_coords[j] = x
+                    best_margin = fx
+                    improved = True
+        return best_coords, evals
 
-    if screen_tol > tol:
-        best_margin, best_report = evaluate_point(assemble(best_coords), tol)
+    best_coords, evals = explore() if dims else ([], 1)
+    report = report_at(best_coords, tol)
     return SearchResult(
         best_params=assemble(best_coords),
-        best_margin=best_margin,
-        report=best_report,
+        best_margin=math.inf if report.margin is None else report.margin,
+        report=report,
         evals=evals,
     )

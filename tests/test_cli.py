@@ -1,9 +1,12 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,9 +15,10 @@ from pathlib import Path
 import pytest
 
 import hhverify.cli as cli
-from hhverify import Interval, parse, verify_theorem
-from hhverify.classify import MAX_GRID_N
+from hhverify import Interval, parse, search_min_margin, sweep, verify_theorem, verify_theorems
+from hhverify.classify import MAX_GRID_N, check_alpha_m_log_convex
 from hhverify.funcspec import MAX_DEPTH
+from hhverify.verify import _SCREEN_TOL
 from hhverify.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -197,6 +201,17 @@ class TestExitCodes:
          "domain_upper must be a positive finite real, got inf"),
         (["classify", "--f", "exp(x)", "--domain-upper", "1", "--tol-rel", "-1"],
          "tol_rel must be a nonnegative real, got -1.0"),
+        # a non-finite interval endpoint, as check refuses it
+        (["sweep", "--family", "const", "--param", "c=0.5", "--a", "nan", "--b", "1", "--theorem", "eq4"],
+         "a values must be finite, got [nan]"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--b", "nan,1", "--theorem", "eq4"],
+         "b values must be finite, got [nan, 1.0]"),
+        (["search", "--family", "const", "--range", "c=0.2:1", "--param", "a=nan", "--theorem", "eq4"],
+         "fixed value for 'a' must be finite, got nan"),
+        (["search", "--family", "const", "--range", "c=0.2:1", "--param", "b=inf", "--theorem", "eq4"],
+         "fixed value for 'b' must be finite, got inf"),
+        (["search", "--family", "const", "--range", "c=0.2:1", "--param", "a=-1", "--theorem", "eq4"],
+         "fixed value for 'a' must stay >= 0"),
     ])
     def test_out_of_range_value_is_usage(self, capsys, argv, stderr):
         assert run(argv) == EXIT_USAGE
@@ -574,6 +589,52 @@ class TestGridCap:
         argv = ["sweep", "--family", "const", "--param", "c=1", "--theorem", "eq4", "--a", f"0:1:{n}", "--b", "0"]
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: grid count must lie in [1, {MAX_GRID_POINTS}], got {n}\n")
+
+
+
+def _subparsers() -> dict:
+    (action,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestDefaults:
+    """A default is written in the API signature, the parser and the help text; all say the same."""
+
+    @pytest.mark.parametrize("argv,function,names", [
+        (["check", "--f", "x", "--theorem", "eq4"], verify_theorems,
+         {"m", "alpha", "variant", "tol", "grid_n", "tol_rel"}),
+        (["chain", "--f", "x", "--theorem", "dr1"], verify_theorems, {"tol", "grid_n", "tol_rel"}),
+        (["classify", "--f", "x", "--domain-upper", "1"], check_alpha_m_log_convex, {"grid_n", "tol_rel"}),
+        (["sweep", "--family", "const", "--theorem", "eq4"], sweep,
+         {"variant", "tol", "hypothesis", "grid_n", "tol_rel"}),
+        (["search", "--family", "const", "--theorem", "eq4"], search_min_margin, {"variant", "budget", "tol"}),
+    ])
+    def test_parsed_defaults_are_the_signature_defaults(self, argv, function, names):
+        parsed = vars(cli._build_parser().parse_args(argv))
+        signature = {
+            name: p.default for name, p in inspect.signature(function).parameters.items()
+            # the CLI's seed comes from HH_SEED, and its --family names what the keyword takes as a spec
+            if p.default is not inspect.Parameter.empty and name not in ("seed", "family")
+        }
+        assert set(parsed) & set(signature) == names
+        assert {name: parsed[name] for name in names} == {name: signature[name] for name in names}
+
+    def test_help_states_the_parsed_default(self):
+        stated = set()
+        for command, parser in _subparsers().items():
+            for action in parser._actions:
+                match = re.search(r"\(default ([^)]+)\)", action.help or "")
+                if match and type(action.default) in (int, float):
+                    assert float(match.group(1)) == action.default, (command, action.dest)
+                    stated.add(action.dest)
+        assert {"tol", "grid_n", "tol_rel", "budget"} <= stated
+
+    def test_screening_tolerance_is_stated_as_it_is(self):
+        (tol_help,) = [a.help for a in _subparsers()["search"]._actions if a.dest == "tol"]
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        for text in (tol_help, readme, search_min_margin.__doc__):
+            stated = re.findall(r"max\(tol, ([^)]+)\)", text)
+            assert stated and all(float(value) == _SCREEN_TOL for value in stated)
 
 
 class TestGridNCap:

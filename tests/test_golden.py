@@ -10,7 +10,9 @@ at a screening tolerance. The search-budget digest was produced once search
 ranked its points at max(tol, 1e-6) and recomputed only the best one at
 tol; of its 490 outputs, that moved only the exp_affine eq4 box, an
 equality family whose margins within 1e-14 of 0 cannot be ranked at the
-screening tolerance. Any change to a byte of that output fails here, so a
+screening tolerance. The best point is now computed once more at tol at
+every tol; at 1e-6 and above that repeats a deterministic computation at
+the same tolerance, so no digest moved. Any change to a byte of that output fails here, so a
 refactor that claims to change nothing can be checked against them; a
 change that means to alter the output must update the digests and say why.
 Each digest is the sha256 of the concatenated UTF-8 text.
@@ -85,7 +87,8 @@ SEARCH_LONG = (
 SEARCH_BOXES_SHA256 = "1277051e355604fd3921c84c10cef9bbc91e88282766b59e5be921c43cbf42a4"
 # The search cases and two boxes whose integrals depend on tol, at budget 60
 # and at tolerances no finer than the screening tolerance, where every point
-# is computed at tol and none is recomputed: pinned before screening existed
+# is ranked at tol and the best one's final computation at tol repeats its
+# bytes: pinned before screening existed
 SEARCH_INERT_CASES = SEARCH_CASES + (SEARCH_BOXES[3] + ["--budget", "60"], SEARCH_BOXES[4] + ["--budget", "60"])
 SEARCH_INERT_SHA256 = "5f7d067aa57d3746531c56103d1a20a5f764b0b40f7f8027193e943757a68ded"
 

@@ -359,13 +359,35 @@ def test_sweep_computes_the_chain_integrals_once_per_interval(work, hypothesis, 
     ],
 )
 def test_search_reports_what_verify_theorem_reports_at_its_best_point(family, box, theorem, budget):
-    result = search_min_margin(family, box, theorem, budget=budget)
+    _assert_verify_theorem_reports(search_min_margin(family, box, theorem, budget=budget), family, theorem, 1e-10)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-5])  # no finer than the screening tolerance
+@pytest.mark.parametrize(
+    "family,box,fixed,theorem,budget",
+    [
+        ("const", {"c": (0.1, 0.9), "b": (0.5, 2.0)}, {}, "eq22", 12),
+        ("poly_shift", {"p": (0.5, 3.0), "q": (0.1, 1.0)}, {}, "dr2", 12),
+        ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "alpha": (0.5, 1.0), "m": (0.5, 1.0)}, {}, "eq42", 60),
+        # boxes with no dimensions: one point, computed once
+        ("exp_affine", {}, {"c": 0.5, "k": -1.0, "m": 0.5, "alpha": 0.75, "b": 2.0}, "eq31", 12),
+        ("const", {}, {"c": 0.5, "a": 0.5, "b": 2.0}, "eq22", 12),
+    ],
+)
+def test_search_at_a_screening_tol_reports_what_verify_theorem_reports(family, box, fixed, theorem, budget, tol):
+    result = search_min_margin(family, box, theorem, budget=budget, tol=tol, fixed=fixed)
+    if not box:
+        assert result.evals == 1
+    _assert_verify_theorem_reports(result, family, theorem, tol)
+
+
+def _assert_verify_theorem_reports(result, family: str, theorem: str, tol: float) -> None:
     assert result.best_margin == result.report.margin
     point = result.best_params
     spec = FamilySpec(family, {name: point[name] for name in registered_families()[family]})
     again = verify_theorem(
         theorem, family_instantiate(spec), Interval(point["a"], point["b"]), m=point["m"], alpha=point["alpha"],
-        check_hypothesis=False, family=spec,
+        tol=tol, check_hypothesis=False, family=spec,
     )
     assert result.report == again
     assert (result.report.diagnostics, result.report.terms) == (again.diagnostics, again.terms)

@@ -260,10 +260,16 @@ class TestSweep:
         ((0.0,), (1.0,), (0.5, 7.0), "eq4", {}, r"alpha must lie in \(0, 1\], got 7.0"),  # eq4 ignores alpha
         ((0.0,), (2.0,), (5.0,), "dr1", {}, r"m must lie in \(0, 1\], got 2.0"),  # chains ignore both
         ((1.0,), (0.0,), (1.0,), "eq4", {}, r"m must lie in \(0, 1\], got 0.0"),
+        # a non-finite endpoint is refused, not skipped like a point with a >= b
+        ((math.nan,), (1.0,), (1.0,), "eq4", {}, r"a values must be finite, got \[nan\]"),
+        ((0.0, math.inf), (1.0,), (1.0,), "eq4", {}, r"a values must be finite, got \[0.0, inf\]"),
+        ((0.0,), (1.0,), (1.0,), "eq4", {"b_values": (math.nan, 1.0)}, r"b values must be finite, got \[nan, 1.0\]"),
+        ((0.0,), (1.0,), (1.0,), "eq4", {"b_values": (-math.inf,)}, r"b values must be finite, got \[-inf\]"),
     ])
     def test_value_validation(self, a_values, m_values, alpha_values, theorem, kwargs, message):
+        grids = {"a_values": a_values, "b_values": (1.0,), "m_values": m_values, "alpha_values": alpha_values}
         with pytest.raises(ValueError, match=message):
-            sweep("const", {"c": (0.5,)}, a_values, (1.0,), m_values, alpha_values, (theorem,), **kwargs)
+            sweep("const", {"c": (0.5,)}, theorems=(theorem,), **{**grids, **kwargs})
 
 
 def test_replay_matches_every_reported_verdict():
@@ -368,6 +374,9 @@ class TestSearch:
             ({"c": (0.1, 0.9)}, {"alpha": 3.0}),       # fixed alpha outside (0, 1]
             ({"c": (0.1, 0.9)}, {"m": 0.0}),           # fixed m outside (0, 1]
             ({"c": (0.1, 0.9), "a": (-1.0, 1.0)}, None),  # negative a
+            ({"c": (0.1, 0.9)}, {"a": math.nan}),      # fixed a not finite
+            ({"c": (0.1, 0.9)}, {"b": math.inf}),      # fixed b not finite
+            ({"c": (0.1, 0.9)}, {"a": -1.0}),          # fixed a negative
         ],
     )
     def test_validation(self, box, fixed):
