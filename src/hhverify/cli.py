@@ -474,7 +474,7 @@ def _chain_json(theorem: str, terms: Sequence[ChainTerm], report: InequalityRepo
     return '{"theorem":%s,"terms":%s,"report":%s}' % (
         _json_string(theorem),
         _json_value([{"label": t.label, "value": t.value, "err_est": t.err_est} for t in terms]),
-        _render([report])[0],
+        _render([report], want_csv=False)[0],
     )
 
 
@@ -579,7 +579,7 @@ def _search_json(result: SearchResult) -> str:
         _json_value({name: result.best_params[name] for name in sorted(result.best_params)}),
         _json_value(result.best_margin),
         _json_value(result.evals),
-        _render([result.report])[0],
+        _render([result.report], want_csv=False)[0],
     )
 
 

@@ -54,7 +54,6 @@ from .bounds import (
 from .classify import (
     DEFAULT_SEED,
     ClassParams,
-    ClassificationReport,
     SampleEvaluationError,
     check_alpha_m_log_convex,  # unused here; the benchmark's tracer (perfbench/tracer.py) wraps this name
     check_alphas,
@@ -186,54 +185,39 @@ def _require_theorem(theorem: str) -> _Theorem:
 # per-point evaluation
 
 
-@dataclass(frozen=True)
-class _HypOutcome:
-    status: str  # HYP_PASS | HYP_FAIL | HYP_SKIPPED
-    diagnostics: Optional[str] = None  # set when the check kept the bound from being evaluated
+def _gate(
+    f: FunctionExpr, upper: float, classes: Iterable[ClassParams], sampling: Optional[tuple[int, float, int]]
+) -> dict[ClassParams, tuple[str, Optional[str]]]:
+    """The (hypothesis, diagnostics) of each effective class in ``classes``, judged on [0, upper / m_eff].
 
-
-_HYP_OFF = _HypOutcome(HYP_SKIPPED)
-
-
-def _class_checks(
-    f: FunctionExpr, grid_n: int, tol_rel: float, seed: int
-) -> Callable[[float, ClassParams, Sequence[float]], _HypOutcome]:
-    """The memoised class checks of ``f``: ``checks(domain_upper, eff, alphas)`` judges ``eff`` on [0, domain_upper].
-
-    The memo is keyed on (domain_upper, eff), so each is judged once
-    however many theorems, points or intervals need it; the driver asks
-    for [0, upper / m_eff]. On a miss, one sampling pass checks the class
-    (eff.m, alpha) for every alpha in ``alphas``, eff.alpha among them,
-    and fills the memo for all of them. A memo lives for one call of the
-    public entry points only.
+    ``sampling`` is the checks' (grid_n, tol_rel, seed); without it every
+    class is skipped. Otherwise one sampling pass per m_eff judges all of
+    its alphas. A failed class carries the witness of its worst violation,
+    and every class of an aborted pass carries the abort; such diagnostics
+    keep the bound from being evaluated.
     """
-    memo: dict[tuple[float, ClassParams], _HypOutcome] = {}
-
-    def checks(domain_upper: float, eff: ClassParams, alphas: Sequence[float]) -> _HypOutcome:
-        if (domain_upper, eff) not in memo:
-            try:
-                reports = check_alphas(f, domain_upper, eff.m, alphas, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
-                outcomes = [_hyp_outcome(domain_upper, report) for report in reports]
-            except SampleEvaluationError as err:
-                outcomes = [_HypOutcome(HYP_SKIPPED, diagnostics=f"class check aborted: {err}")] * len(alphas)
-            for alpha, outcome in zip(alphas, outcomes):
-                memo[domain_upper, ClassParams(eff.m, alpha)] = outcome
-        return memo[domain_upper, eff]
-
-    return checks
-
-
-def _hyp_outcome(domain_upper: float, report: ClassificationReport) -> _HypOutcome:
-    """A class check's outcome for the reports it gates, with the witness of a fail."""
-    if report.verdict == "pass":
-        return _HypOutcome(HYP_PASS)
-    w = report.worst_violation
-    assert w is not None
-    detail = (
-        f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
-        f" with deficit {w.deficit!r}"
-    )
-    return _HypOutcome(HYP_FAIL, diagnostics=detail)
+    if sampling is None:
+        return dict.fromkeys(classes, (HYP_SKIPPED, None))
+    grid_n, tol_rel, seed = sampling
+    by_m: dict[float, list[ClassParams]] = {}
+    for eff in classes:
+        by_m.setdefault(eff.m, []).append(eff)
+    gate: dict[ClassParams, tuple[str, Optional[str]]] = {}
+    for m, effs in by_m.items():
+        domain_upper = upper / m
+        alphas = [eff.alpha for eff in effs]
+        try:
+            checked = check_alphas(f, domain_upper, m, alphas, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
+        except SampleEvaluationError as err:
+            gate.update(dict.fromkeys(effs, (HYP_SKIPPED, f"class check aborted: {err}")))
+            continue
+        for eff, report in zip(effs, checked):
+            w = report.worst_violation  # None where the class passed
+            gate[eff] = (HYP_PASS, None) if w is None else (HYP_FAIL, (
+                f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
+                f" with deficit {w.deficit!r}"
+            ))
+    return gate
 
 
 class _IntegralCache:
@@ -461,17 +445,18 @@ def _reports(
     *,
     variant: str,
     tol: float,
-    class_checks: Optional[Callable[[float, ClassParams, Sequence[float]], _HypOutcome]],
+    sampling: Optional[tuple[int, float, int]],
     domain_upper: Optional[float] = None,
     reuse: Optional[dict[bytes, _IntegralCache]] = None,
 ) -> Iterator[InequalityReport]:
     """The reports of ``theorems`` for ``f``: by interval, then alpha, then m, then theorem.
 
     Each interval gets one integral cache for all of its (alpha, m) points,
-    and the effective classes are worked out once per call. With
-    ``class_checks``, each is checked on [0, upper / m_eff], upper being
-    ``domain_upper`` or else the interval's b, in one pass with every
-    other alpha that the call pairs with m_eff. A failed or aborted check,
+    and the effective classes are worked out once per call. Every report
+    reads its hypothesis from one ``_gate`` table per distinct upper,
+    ``domain_upper`` or else the interval's b: with ``sampling``, each
+    class is checked on [0, upper / m_eff], in one pass with every other
+    alpha that the call pairs with m_eff. A failed or aborted check,
     a failed evaluation or integral, and a closed form that overflows or
     underflows each make the report inconclusive, with the reason in its
     diagnostics. The reports of one point that carry the same parameters
@@ -491,11 +476,9 @@ def _reports(
         for alpha in alpha_values
         for m in m_values
     ]
-    # The alphas of each m_eff, in order of first need: the classes one pass samples.
-    alphas_of: dict[float, list[float]] = {}
-    for eff in dict.fromkeys(eff for _, _, steps in plan for _, _, eff in steps):
-        alphas_of.setdefault(eff.m, []).append(eff.alpha)
+    classes = list(dict.fromkeys(eff for _, _, steps in plan for _, _, eff in steps))  # in order of first need
     last = {} if reuse is None else reuse
+    gates: dict[float, dict[ClassParams, tuple[str, Optional[str]]]] = {}
     for iv in intervals:
         key = _bits(*(value for _, value in family or ()), iv.a, iv.b, tol)
         cache = last.get(key)
@@ -505,17 +488,19 @@ def _reports(
         else:
             cache.retain(m_values)
         upper = iv.b if domain_upper is None else domain_upper
+        if upper not in gates:
+            gates[upper] = _gate(f, upper, classes, sampling)
+        gate = gates[upper]
         for alpha, m, steps in plan:
             params: dict[bool, ReportParams] = {}
             for theorem, spec, eff in steps:
-                outcome = _HYP_OFF if class_checks is None else class_checks(upper / eff.m, eff, alphas_of[eff.m])
+                hyp, diagnostics = gate[eff]
                 if spec.chain not in params:
                     params[spec.chain] = spec.report_params(iv.a, iv.b, m, alpha, family)
                 rp = params[spec.chain]
-                diagnostics = outcome.diagnostics
                 if diagnostics is None:
                     try:
-                        report = spec.report(theorem, cache, eff, variant, rp, outcome.status)
+                        report = spec.report(theorem, cache, eff, variant, rp, hyp)
                     except (EvaluationError, IntegrandError) as err:
                         diagnostics = str(err)
                     except OverflowError as err:
@@ -523,7 +508,7 @@ def _reports(
                     except ClosedFormUnderflow as err:
                         diagnostics = f"closed form underflowed: {err}"
                 if diagnostics is not None:
-                    report = _inconclusive(theorem, variant, rp, outcome.status, diagnostics)
+                    report = _inconclusive(theorem, variant, rp, hyp, diagnostics)
                 yield report
 
 
@@ -589,7 +574,7 @@ def verify_theorems(
     return list(
         _reports(
             theorems, f, _family_pairs(family), [iv], [alpha], [m], variant=variant, tol=tol,
-            class_checks=_class_checks(f, grid_n, tol_rel, seed) if check_hypothesis else None,
+            sampling=(grid_n, tol_rel, seed) if check_hypothesis else None,
         )
     )
 
@@ -646,13 +631,14 @@ def sweep(
 
     Iteration order is deterministic: family parameters (names sorted),
     then a, b, alpha, m, then the theorems in the order given. Points with
-    a >= b are skipped without a report; a non-finite a or b value is a
-    ValueError before any work. Hypothesis modes: "off" skips
-    membership checks, "per-point" checks each point on [0, b / m_eff],
-    and "once" checks each family member on [0, max(b) / m_eff]. Either
-    way a class is judged once per distinct (family member, domain,
-    effective class), since it does not depend on a, and its outcome is
-    reused; one sampling pass judges every alpha of one domain and m_eff.
+    a >= b are skipped without a report; a non-finite a or b value, or a
+    negative a, is a ValueError before any work. Hypothesis modes: "off"
+    skips membership checks, "per-point" checks each point on
+    [0, b / m_eff], and "once" checks each family member on
+    [0, max(b) / m_eff]. Either way a class is judged once per distinct
+    (family member, domain, effective class), since it does not depend on
+    a: each member's reports read one gate table per domain, and one
+    sampling pass judges every alpha of one domain and m_eff.
 
     Each family member is one run of the shared report driver: its
     effective classes are worked out once per (theorem, alpha, m), and
@@ -671,10 +657,13 @@ def sweep(
     for name, values in (("a", a_values), ("b", b_values)):
         if not all(math.isfinite(value) for value in values):
             raise ValueError(f"{name} values must be finite, got {list(values)!r}")
+    if any(a < 0.0 for a in a_values):
+        raise ValueError(f"a values must stay >= 0, got {list(a_values)!r}")
 
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]
     domain_upper = max(b_values, default=None) if hypothesis == "once" else None
+    sampling = None if hypothesis == "off" else (grid_n, tol_rel, seed)
     reports: list[InequalityReport] = []
     for combo in itertools.product(*grids):
         spec = FamilySpec(family, dict(zip(names, combo)))
@@ -684,8 +673,7 @@ def sweep(
                 theorems, f, _family_pairs(spec),
                 (Interval(a, b) for a in a_values for b in b_values if a < b),
                 alpha_values, m_values, variant=variant, tol=tol,
-                class_checks=None if hypothesis == "off" else _class_checks(f, grid_n, tol_rel, seed),
-                domain_upper=domain_upper,
+                sampling=sampling, domain_upper=domain_upper,
             )
         )
 
@@ -818,7 +806,7 @@ def search_min_margin(
             else:
                 return next(_reports(
                     [theorem], f, _family_pairs(spec), [Interval(a, b)], [alpha], [m], variant=variant,
-                    tol=point_tol, class_checks=None, reuse=last_cache,
+                    tol=point_tol, sampling=None, reuse=last_cache,
                 ))
         rp = _TABLE[theorem].report_params(a, b, m, alpha, _family_pairs(spec))
         return _inconclusive(theorem, variant, rp, HYP_SKIPPED, detail)

@@ -206,6 +206,8 @@ class TestExitCodes:
          "a values must be finite, got [nan]"),
         (["sweep", "--family", "const", "--param", "c=0.5", "--b", "nan,1", "--theorem", "eq4"],
          "b values must be finite, got [nan, 1.0]"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--a", "0,-1", "--b", "1", "--theorem", "eq4"],
+         "a values must stay >= 0, got [0.0, -1.0]"),
         (["search", "--family", "const", "--range", "c=0.2:1", "--param", "a=nan", "--theorem", "eq4"],
          "fixed value for 'a' must be finite, got nan"),
         (["search", "--family", "const", "--range", "c=0.2:1", "--param", "b=inf", "--theorem", "eq4"],

@@ -3,10 +3,11 @@
 A deletion that leaves a stale ``__all__`` entry, or removes a name the
 tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
 traced benchmark run. Importing the package leaves numpy unloaded. On the
-report path only the shared integral cache integrates, and only it and
-``Endpoints.of`` evaluate f. No module reaches into a sibling's private
-names beyond the one listed below, and every name a module imports from a
-sibling is used there, but for the few that only the tracer needs.
+report path only the shared integral cache integrates, only it and
+``Endpoints.of`` evaluate f, and only the class-check gate samples. No
+module reaches into a sibling's private names beyond the one listed
+below, and every name a module imports from a sibling is used there, but
+for the few that only the tracer needs.
 """
 import ast
 import importlib
@@ -122,6 +123,15 @@ def test_only_the_integral_cache_and_the_endpoint_record_evaluate_f():
                     outside.append(f"{name}:{node.lineno}")
     assert outside == []
     assert owned == 5  # the midpoint, and f at a, b, a/m and b/m
+
+
+def test_one_gate_samples_the_class_checks():
+    # Every report reads its hypothesis from the table verify._gate builds,
+    # one sampling pass per m_eff; a second path to check_alphas would
+    # sample again what that table already holds.
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    uses = _uses_of("check_alphas", tree)
+    assert len(uses) == 1 and id(uses[0]) in _inside(tree, "_gate")
 
 
 def test_one_driver_builds_the_integral_caches():

@@ -190,6 +190,40 @@ def test_per_point_sweep_checks_each_domain_once(work):
     assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in checked_per_point]
 
 
+def test_an_aborted_pass_gates_every_class_it_serves(work):
+    # eq4 needs the 0.5-class, eq31 and eq42 the (0.5, 0.5)-class: one pass
+    # on [0, 4] serves both, and 1/(1-x) cannot be evaluated at x = 1
+    reports = verify_theorems(["eq4", "eq31", "eq42"], parse("1/(1-x)"), Interval(0, 2), m=0.5, alpha=0.5)
+    assert (work["passes"], work["outcomes"], work["integrals"]) == (1, 2, 0)
+    assert [(r.verdict, r.hypothesis) for r in reports] == [("inconclusive", HYP_SKIPPED)] * 3
+    assert len({r.diagnostics for r in reports}) == 1
+    assert reports[0].diagnostics.startswith("class check aborted: ")
+
+
+def test_a_per_point_sweep_aborts_only_the_domains_where_f_fails(work):
+    # exp(300 x) is finite on [0, 1] but overflows on [0, 3]; on [0, 1] it
+    # passes the 1-class and fails the (0.5, 1)-class, which eq31 needs at alpha 0.5
+    summary = sweep("exp_linear", {"k": (300.0,)}, (0.0,), (1.0, 3.0), (1.0,), (0.5, 1.0), ("eq4", "eq31"),
+                    hypothesis="per-point")
+    assert (work["passes"], work["outcomes"]) == (2, 4)
+    gated = [(r.params.b, r.params.alpha, r.theorem, r.hypothesis, r.verdict) for r in summary.reports]
+    assert gated == [
+        (1.0, 0.5, "eq4", HYP_PASS, "holds"), (1.0, 0.5, "eq31", HYP_FAIL, "inconclusive"),
+        (1.0, 1.0, "eq4", HYP_PASS, "holds"), (1.0, 1.0, "eq31", HYP_PASS, "holds"),
+    ] + [(3.0, alpha, theorem, HYP_SKIPPED, "inconclusive") for alpha in (0.5, 1.0) for theorem in ("eq4", "eq31")]
+    aborted = {r.diagnostics for r in summary.reports if r.params.b == 3.0}
+    assert len(aborted) == 1 and aborted.pop().startswith("class check aborted: ")
+
+
+def test_a_negative_a_is_refused_before_any_work(work, capsys):
+    # the point (0, 1) comes first, and --hypothesis once would check its class first
+    argv = ["sweep", "--family", "const", "--param", "c=0.5,1", "--a", "0,-1", "--b", "1", "--theorem", "eq4",
+            "--hypothesis", "once"]
+    assert run(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: a values must stay >= 0, got [0.0, -1.0]\n")
+    assert (work["passes"], work["integrals"], work["evaluations"]) == (0, 0, 0)
+
+
 def _one_pass_per_alpha(f, domain_upper, m, alphas, **kwargs):
     """Each class in a pass of its own, as the verifier sampled before one pass served every alpha."""
     return [classify.check_alpha_m_log_convex(f, domain_upper, ClassParams(m, alpha), **kwargs) for alpha in alphas]
@@ -442,7 +476,7 @@ def test_search_shares_a_cache_only_between_bit_identical_points(work, points):
     for k, a in points:
         list(hhverify.verify._reports(
             ["eq4"], f, (("k", k),), [Interval(a, 1.0)], [1.0], [1.0],
-            variant="corrected", tol=1e-10, class_checks=None, reuse=reuse,
+            variant="corrected", tol=1e-10, sampling=None, reuse=reuse,
         ))
     assert work["integrals"] == 3
     assert len(reuse) == 1
@@ -458,7 +492,7 @@ def test_a_carried_cache_is_not_read_at_another_tolerance(work):
     def report(tol, carried):
         return next(hhverify.verify._reports(
             ["eq4"], f, (("k", 3.0),), [Interval(0.0, 1.0)], [1.0], [1.0],
-            variant="corrected", tol=tol, class_checks=None, reuse=carried,
+            variant="corrected", tol=tol, sampling=None, reuse=carried,
         ))
 
     coarse, fine = report(1e-6, reuse), report(1e-10, reuse)
@@ -475,7 +509,7 @@ def test_a_cache_carried_along_m_keeps_only_the_current_m():
         m = 0.25 + i / 100
         reports = list(hhverify.verify._reports(
             ["eq4", "eq11"], f, (("c", 0.5),), [Interval(0.0, 1.0)], [1.0], [m],
-            variant="corrected", tol=1e-10, class_checks=None, reuse=reuse,
+            variant="corrected", tol=1e-10, sampling=None, reuse=reuse,
         ))
         assert [r.verdict for r in reports] == ["holds", "holds"]
     (cache,) = reuse.values()

@@ -265,6 +265,8 @@ class TestSweep:
         ((0.0, math.inf), (1.0,), (1.0,), "eq4", {}, r"a values must be finite, got \[0.0, inf\]"),
         ((0.0,), (1.0,), (1.0,), "eq4", {"b_values": (math.nan, 1.0)}, r"b values must be finite, got \[nan, 1.0\]"),
         ((0.0,), (1.0,), (1.0,), "eq4", {"b_values": (-math.inf,)}, r"b values must be finite, got \[-inf\]"),
+        # a negative a is refused too, although the point (0, 1) comes first
+        ((0.0, -1.0), (1.0,), (1.0,), "eq4", {}, r"a values must stay >= 0, got \[0.0, -1.0\]"),
     ])
     def test_value_validation(self, a_values, m_values, alpha_values, theorem, kwargs, message):
         grids = {"a_values": a_values, "b_values": (1.0,), "m_values": m_values, "alpha_values": alpha_values}
