@@ -27,7 +27,9 @@ failure recorded in diagnostics.
 
 Every report comes from one driver, the generator ``_reports``:
 verify_theorems runs it on one point, sweep once per family member and
-search_min_margin once per point it evaluates.
+search_min_margin once per point it evaluates. Every report is built by
+one constructor, ``_report``, whose verdict is replay_verdict of the
+report's own fields, the inconclusive and inapplicable ones too.
 """
 from __future__ import annotations
 
@@ -286,57 +288,22 @@ class _IntegralCache:
         return self._get(("midpoint", None), lambda: self.f.evaluate(arithmetic_mean(self.iv.a, self.iv.b)))
 
 
-def _inconclusive(theorem: str, variant: str, rp: ReportParams, hyp: str, diagnostics: str) -> InequalityReport:
-    return InequalityReport(
-        theorem, variant, rp, hyp,
-        lhs=None, rhs=None, margin=None, quad_err=0.0,
-        verdict=INCONCLUSIVE, diagnostics=diagnostics,
-    )
-
-
-def _assembled(
+def _report(
     theorem: str,
     variant: str,
     rp: ReportParams,
     hyp: str,
-    lhs_value: float,
-    lhs_err: float,
-    rhs: BoundSide,
+    lhs: Optional[float] = None,
+    rhs: Optional[float] = None,
+    quad_err: float = 0.0,
+    diagnostics: Optional[str] = None,
+    terms: tuple[ChainTerm, ...] = (),
 ) -> InequalityReport:
-    if not rhs.applicable:
-        return InequalityReport(
-            theorem, variant, rp, hyp,
-            lhs=lhs_value, rhs=None, margin=None, quad_err=lhs_err,
-            verdict=INAPPLICABLE, diagnostics=rhs.reason,
-        )
-    assert rhs.value is not None
-    margin = rhs.value - lhs_value
-    quad_err = lhs_err + rhs.err_est
+    """The one constructor of a report: its margin and verdict follow from its own fields."""
+    margin = None if lhs is None or rhs is None else rhs - lhs
     return InequalityReport(
-        theorem, variant, rp, hyp,
-        lhs=lhs_value, rhs=rhs.value, margin=margin, quad_err=quad_err,
-        verdict=replay_verdict(lhs_value, rhs.value, margin, quad_err),
-    )
-
-
-def _chain_report(theorem: str, terms: _Chain, variant: str, rp: ReportParams, hyp: str) -> InequalityReport:
-    best = None
-    best_slack = math.inf
-    for first, second in itertools.pairwise(terms):
-        margin = second.value - first.value
-        err = first.err_est + second.err_est
-        slack = margin + margin_tolerance(first.value, second.value, err)
-        if best is None or slack < best_slack:
-            best = (first, second, margin, err)
-            best_slack = slack
-    assert best is not None
-    first, second, margin, err = best
-    return InequalityReport(
-        theorem, variant, rp, hyp,
-        lhs=first.value, rhs=second.value, margin=margin, quad_err=err,
-        verdict=replay_verdict(first.value, second.value, margin, err),
-        diagnostics=f"tightest adjacent pair: {first.label} <= {second.label}",
-        terms=terms,
+        theorem, variant, rp, hyp, lhs=lhs, rhs=rhs, margin=margin, quad_err=quad_err,
+        verdict=replay_verdict(lhs, rhs, margin, quad_err), diagnostics=diagnostics, terms=terms,
     )
 
 
@@ -344,48 +311,68 @@ def _chain_report(theorem: str, terms: _Chain, variant: str, rp: ReportParams, h
 # the theorem table
 #
 # Each theorem is evaluated at its effective class from the shared
-# integrals: a chain returns its terms, a single bound its lhs value, lhs
-# error and rhs side. The closed forms and chains are looked up in this
+# integrals and returns the fields of its report: (lhs, rhs, quad_err,
+# diagnostics, terms). The closed forms and chains are looked up in this
 # module's namespace at call time, so a wrapper installed on, say,
-# ``hhverify.verify.eq4_rhs`` sees every call.
+# ``hhverify.verify.eq4_rhs`` sees every call. Each theorem fetches its
+# values in a fixed order, so the first one that fails names the error in
+# the report's diagnostics.
 
-_Chain = tuple[ChainTerm, ...]
-_Sides = tuple[float, float, BoundSide]
-
-
-# A chain's values are fetched left to right, so the first one that fails
-# names the error in the report's diagnostics.
-def _dr1(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Chain:
-    return chain_dr1(cache.sym_geometric(), cache.midpoint(), cache.endpoints(1.0))
+_Fields = tuple[float, Optional[float], float, Optional[str], tuple[ChainTerm, ...]]
 
 
-def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Chain:
-    return chain_dr2(cache.endpoints(1.0), cache.mean_log(), cache.sym_geometric(), cache.mean_f(), cache.midpoint())
+def _compare(lhs: float, lhs_err: float, side: BoundSide) -> _Fields:
+    """A single bound's fields: lhs against its closed-form side, or lhs alone and why the side does not apply."""
+    if not side.applicable:
+        return lhs, None, lhs_err, side.reason, ()
+    return lhs, side.value, lhs_err + side.err_est, None, ()
 
 
-def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+def _tightest(terms: tuple[ChainTerm, ...]) -> _Fields:
+    """A chain's fields: its adjacent pair of least margin + tolerance, the first of equal ones."""
+
+    def slack(pair: tuple[ChainTerm, ChainTerm]) -> float:
+        lo, hi = pair
+        return hi.value - lo.value + margin_tolerance(lo.value, hi.value, lo.err_est + hi.err_est)
+
+    first, second = min(itertools.pairwise(terms), key=slack)
+    tightest = f"tightest adjacent pair: {first.label} <= {second.label}"
+    return first.value, second.value, first.err_est + second.err_est, tightest, terms
+
+
+def _dr1(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
+    return _tightest(chain_dr1(cache.sym_geometric(), cache.midpoint(), cache.endpoints(1.0)))
+
+
+def _dr2(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
+    return _tightest(
+        chain_dr2(cache.endpoints(1.0), cache.mean_log(), cache.sym_geometric(), cache.mean_f(), cache.midpoint())
+    )
+
+
+def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
     lhs = cache.mean_f()
-    return lhs.value, lhs.err_est, eq4_rhs(cache.endpoints(eff.m))
+    return _compare(lhs.value, lhs.err_est, eq4_rhs(cache.endpoints(eff.m)))
 
 
-def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
     rhs = cache.mixed_geometric(eff.m)
-    return cache.midpoint(), 0.0, BoundSide(value=rhs.value, err_est=rhs.err_est)
+    return _compare(cache.midpoint(), 0.0, BoundSide(value=rhs.value, err_est=rhs.err_est))
 
 
-def _eq22(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+def _eq22(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
     lhs = cache.sym_geometric()
-    return lhs.value, lhs.err_est, eq22_rhs(cache.endpoints(eff.m), variant)
+    return _compare(lhs.value, lhs.err_est, eq22_rhs(cache.endpoints(eff.m), variant))
 
 
-def _eq31(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+def _eq31(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
     lhs = cache.mean_f()
-    return lhs.value, lhs.err_est, eq31_branches(cache.endpoints(eff.m), eff.alpha)[0]
+    return _compare(lhs.value, lhs.err_est, eq31_branches(cache.endpoints(eff.m), eff.alpha)[0])
 
 
-def _eq42(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Sides:
+def _eq42(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
     lhs = cache.sym_geometric()
-    return lhs.value, lhs.err_est, eq42_rhs(cache.endpoints(eff.m), eff.alpha, variant)
+    return _compare(lhs.value, lhs.err_est, eq42_rhs(cache.endpoints(eff.m), eff.alpha, variant))
 
 
 @dataclass(frozen=True)
@@ -397,7 +384,7 @@ class _Theorem:
     hypothesis needs the (alpha, m)-class; the others need only the m-class.
     """
 
-    compute: Callable[[_IntegralCache, ClassParams, str], _Chain | _Sides]
+    compute: Callable[[_IntegralCache, ClassParams, str], _Fields]
     chain: bool = False
     uses_alpha: bool = False
 
@@ -413,13 +400,6 @@ class _Theorem:
         if self.chain:
             alpha = m = 1.0
         return ReportParams(float(a), float(b), float(alpha), float(m), family)
-
-    def report(
-        self, theorem: str, cache: _IntegralCache, eff: ClassParams, variant: str, rp: ReportParams, hyp: str
-    ) -> InequalityReport:
-        if self.chain:
-            return _chain_report(theorem, self.compute(cache, eff, variant), variant, rp, hyp)
-        return _assembled(theorem, variant, rp, hyp, *self.compute(cache, eff, variant))
 
 
 _TABLE = {
@@ -500,7 +480,7 @@ def _reports(
                 rp = params[spec.chain]
                 if diagnostics is None:
                     try:
-                        report = spec.report(theorem, cache, eff, variant, rp, hyp)
+                        report = _report(theorem, variant, rp, hyp, *spec.compute(cache, eff, variant))
                     except (EvaluationError, IntegrandError) as err:
                         diagnostics = str(err)
                     except OverflowError as err:
@@ -508,7 +488,7 @@ def _reports(
                     except ClosedFormUnderflow as err:
                         diagnostics = f"closed form underflowed: {err}"
                 if diagnostics is not None:
-                    report = _inconclusive(theorem, variant, rp, hyp, diagnostics)
+                    report = _report(theorem, variant, rp, hyp, diagnostics=diagnostics)
                 yield report
 
 
@@ -809,7 +789,7 @@ def search_min_margin(
                     tol=point_tol, sampling=None, reuse=last_cache,
                 ))
         rp = _TABLE[theorem].report_params(a, b, m, alpha, _family_pairs(spec))
-        return _inconclusive(theorem, variant, rp, HYP_SKIPPED, detail)
+        return _report(theorem, variant, rp, HYP_SKIPPED, diagnostics=detail)
 
     screen_tol = max(tol, _SCREEN_TOL)
 
