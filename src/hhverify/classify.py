@@ -66,6 +66,7 @@ __all__ = [
     "SampleEvaluationError",
     "check_alpha_m_log_convex",
     "check_alphas",
+    "check_sampling",
 ]
 
 DEFAULT_SEED = 0x5EED
@@ -177,6 +178,14 @@ def check_alpha_m_log_convex(
     return report
 
 
+def check_sampling(grid_n: int, tol_rel: float) -> None:
+    """Range-check a class check's grid_n, then its tol_rel; a ValueError names the first bad one."""
+    if not 2 <= grid_n <= MAX_GRID_N:
+        raise ValueError(f"grid_n must lie in [2, {MAX_GRID_N}], got {grid_n!r}")
+    if not (math.isfinite(tol_rel) and tol_rel >= 0.0):
+        raise ValueError(f"tol_rel must be a nonnegative real, got {tol_rel!r}")
+
+
 def check_alphas(
     f: FunctionExpr,
     domain_upper: float,
@@ -212,10 +221,7 @@ def check_alphas(
         ClassParams(m, alpha)
     if not (math.isfinite(domain_upper) and domain_upper > 0.0):
         raise ValueError(f"domain_upper must be a positive finite real, got {domain_upper!r}")
-    if not 2 <= grid_n <= MAX_GRID_N:
-        raise ValueError(f"grid_n must lie in [2, {MAX_GRID_N}], got {grid_n!r}")
-    if not (math.isfinite(tol_rel) and tol_rel >= 0.0):
-        raise ValueError(f"tol_rel must be a nonnegative real, got {tol_rel!r}")
+    check_sampling(grid_n, tol_rel)
 
     n = grid_n
     # i/(n-1) is the exactly-rounded rational, so the size 2k+1 grid

@@ -59,6 +59,7 @@ from .classify import (
     SampleEvaluationError,
     check_alpha_m_log_convex,  # unused here; the benchmark's tracer (perfbench/tracer.py) wraps this name
     check_alphas,
+    check_sampling,
 )
 from .funcspec import EvaluationError, FamilyError, FamilySpec, FunctionExpr, family_instantiate, registered_families
 from .means import arithmetic_mean
@@ -196,7 +197,8 @@ def _gate(
     class is skipped. Otherwise one sampling pass per m_eff judges all of
     its alphas. A failed class carries the witness of its worst violation,
     and every class of an aborted pass carries the abort; such diagnostics
-    keep the bound from being evaluated.
+    keep the bound from being evaluated. A pass whose domain overflows,
+    upper / m_eff = inf, is aborted without sampling.
     """
     if sampling is None:
         return dict.fromkeys(classes, (HYP_SKIPPED, None))
@@ -207,6 +209,10 @@ def _gate(
     gate: dict[ClassParams, tuple[str, Optional[str]]] = {}
     for m, effs in by_m.items():
         domain_upper = upper / m
+        if not math.isfinite(domain_upper):
+            aborted = f"class check aborted: the class domain [0, b / m] overflows at b={upper!r}, m={m!r}"
+            gate.update(dict.fromkeys(effs, (HYP_SKIPPED, aborted)))
+            continue
         alphas = [eff.alpha for eff in effs]
         try:
             checked = check_alphas(f, domain_upper, m, alphas, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
@@ -551,6 +557,7 @@ def verify_theorems(
     """
     _check_request(theorems, variant, tol)
     _check_class_values([m], [alpha])
+    check_sampling(grid_n, tol_rel)  # also with check_hypothesis off, like m and alpha
     return list(
         _reports(
             theorems, f, _family_pairs(family), [iv], [alpha], [m], variant=variant, tol=tol,
@@ -611,9 +618,10 @@ def sweep(
 
     Iteration order is deterministic: family parameters (names sorted),
     then a, b, alpha, m, then the theorems in the order given. Points with
-    a >= b are skipped without a report; a non-finite a or b value, or a
-    negative a, is a ValueError before any work. Hypothesis modes: "off"
-    skips membership checks, "per-point" checks each point on
+    a >= b are skipped without a report; a non-finite a or b value, a
+    negative a, or a grid_n or tol_rel that a class check would refuse is
+    a ValueError before any work, whatever the hypothesis mode. Hypothesis
+    modes: "off" skips membership checks, "per-point" checks each point on
     [0, b / m_eff], and "once" checks each family member on
     [0, max(b) / m_eff]. Either way a class is judged once per distinct
     (family member, domain, effective class), since it does not depend on
@@ -639,6 +647,7 @@ def sweep(
             raise ValueError(f"{name} values must be finite, got {list(values)!r}")
     if any(a < 0.0 for a in a_values):
         raise ValueError(f"a values must stay >= 0, got {list(a_values)!r}")
+    check_sampling(grid_n, tol_rel)
 
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]

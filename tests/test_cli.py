@@ -201,6 +201,13 @@ class TestExitCodes:
          "domain_upper must be a positive finite real, got inf"),
         (["classify", "--f", "exp(x)", "--domain-upper", "1", "--tol-rel", "-1"],
          "tol_rel must be a nonnegative real, got -1.0"),
+        # the class check's grid_n and tol_rel, also where nothing is sampled
+        (["check", "--f", "exp(x)", "--theorem", "eq4", "--hypothesis", "off", "--grid-n", "1"],
+         "grid_n must lie in [2, 257], got 1"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--hypothesis", "off",
+          "--grid-n", "100000"], "grid_n must lie in [2, 257], got 100000"),
+        (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--hypothesis", "once",
+          "--tol-rel", "-1", "--b", "0"], "tol_rel must be a nonnegative real, got -1.0"),
         # a non-finite interval endpoint, as check refuses it
         (["sweep", "--family", "const", "--param", "c=0.5", "--a", "nan", "--b", "1", "--theorem", "eq4"],
          "a values must be finite, got [nan]"),

@@ -190,14 +190,22 @@ RATIO_TIE = 1e-13
 GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 
 
+# exp_affine and its two slices, const (k = 0) and exp_linear (c = 1): each
+# slice is built from its own family tree, whose values differ bit for bit
+# from exp_affine's, and is checked against the oracle at the slice's (c, k).
+SLICE_PARAMS = {"exp_affine": ("c", "k"), "const": ("c",), "exp_linear": ("k",)}
+
+
 @st.composite
 def _point_checks_points(draw):
-    """exp_affine members and (a, b, alpha, m) from the ranges of the benchmark's point_checks requests."""
-    c = draw(st.floats(0.2, 2.0))
-    k = draw(st.floats(-2.0, 2.0))
+    """A member of exp_affine or a slice, and (a, b, alpha, m), from the ranges of the point_checks requests."""
+    family = draw(st.sampled_from(sorted(SLICE_PARAMS)))
+    c = draw(st.floats(0.2, 2.0)) if "c" in SLICE_PARAMS[family] else 1.0
+    k = draw(st.floats(-2.0, 2.0)) if "k" in SLICE_PARAMS[family] else 0.0
     a = draw(st.floats(0.0, 1.5))
     b = draw(st.floats(a + 0.1, 2.0))
-    return c, k, a, b, draw(st.floats(0.25, 1.0)), draw(st.floats(0.25, 1.0)), draw(st.sampled_from(VARIANTS))
+    alpha, m, variant = draw(st.floats(0.25, 1.0)), draw(st.floats(0.25, 1.0)), draw(st.sampled_from(VARIANTS))
+    return family, c, k, a, b, alpha, m, variant
 
 
 def _mean_of_exp(lq, u):
@@ -246,9 +254,9 @@ def _close(value, oracle) -> bool:
     return abs(mpmath.mpf(value) - oracle) <= CLOSED_FORM_REL * abs(oracle)
 
 
-def _misses(c, k, a, b, alpha, m, variant) -> list[str]:
-    """Where the verifier's closed-form sides or verdicts differ from the oracle's."""
-    spec = FamilySpec("exp_affine", {"c": c, "k": k})
+def _misses(family, c, k, a, b, alpha, m, variant) -> list[str]:
+    """Where the sides or verdicts of c*exp(k*x), built as ``family``, differ from the oracle's."""
+    spec = FamilySpec(family, {name: {"c": c, "k": k}[name] for name in SLICE_PARAMS[family]})
     reports = verify_theorems(
         GATE_THEOREMS, family_instantiate(spec), Interval(a, b), m=m, alpha=alpha, variant=variant,
         check_hypothesis=False, family=spec,
@@ -285,7 +293,7 @@ def _misses(c, k, a, b, alpha, m, variant) -> list[str]:
     return misses
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=600)  # 200 per family
 @given(_point_checks_points())
 def test_closed_form_sides_and_verdicts_agree_with_mpmath(point):
     assert _misses(*point) == []

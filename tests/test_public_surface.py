@@ -4,10 +4,11 @@ A deletion that leaves a stale ``__all__`` entry, or removes a name the
 tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
 traced benchmark run. Importing the package leaves numpy unloaded. On the
 report path only the shared integral cache integrates, only it and
-``Endpoints.of`` evaluate f, and only the class-check gate samples. No
-module reaches into a sibling's private names beyond the one listed
-below, and every name a module imports from a sibling is used there, but
-for the few that only the tracer needs.
+``Endpoints.of`` evaluate f, only the class-check gate samples, and
+only one constructor builds a report. No module reaches into a sibling's
+private names beyond the one listed below, and every name a module
+imports from a sibling is used there, but for the few that only the
+tracer needs.
 """
 import ast
 import importlib
@@ -132,6 +133,19 @@ def test_one_gate_samples_the_class_checks():
     tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
     uses = _uses_of("check_alphas", tree)
     assert len(uses) == 1 and id(uses[0]) in _inside(tree, "_gate")
+
+
+def test_one_constructor_builds_the_reports():
+    # Every verdict is replay_verdict of the report's own fields, in
+    # verify._report; a second constructor could set a verdict by hand.
+    # cli.report_from_dict rebuilds a serialized report with its stored
+    # verdict on purpose, so that a replay can compare the two.
+    tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "InequalityReport"
+    ]
+    assert len(calls) == 1 and id(calls[0]) in _inside(tree, "_report")
 
 
 def test_one_driver_builds_the_integral_caches():

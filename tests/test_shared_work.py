@@ -224,6 +224,37 @@ def test_a_negative_a_is_refused_before_any_work(work, capsys):
     assert (work["passes"], work["integrals"], work["evaluations"]) == (0, 0, 0)
 
 
+def test_an_overflowing_class_domain_aborts_its_check_unsampled(work, capsys):
+    # b / m = 2e308 overflows to inf: the 0.5-class is aborted before any
+    # sampling, and the report is inconclusive, not a usage error
+    assert run(["check", "--f", "1", "--b", "1e308", "--m", "0.5", "--theorem", "eq4"]) == EXIT_INCONCLUSIVE
+    assert (work["passes"], work["integrals"]) == (0, 0)
+    out = capsys.readouterr().out
+    assert "class check aborted: the class domain [0, b / m] overflows at b=1e+308, m=0.5" in out
+
+
+def test_an_overflowing_class_domain_spares_the_other_passes(work):
+    f, iv = parse("1"), Interval(0.0, 1e308)
+    dr1, eq4 = verify_theorems(["dr1", "eq4"], f, iv, m=0.5)
+    assert work["passes"] == 1  # dr1's 1-class on [0, 1e308]
+    assert (eq4.hypothesis, eq4.verdict) == (HYP_SKIPPED, "inconclusive")
+    alone = verify_theorem("dr1", f, iv)
+    assert dr1 == alone and (dr1.hypothesis, dr1.verdict) == (HYP_PASS, "holds")
+
+
+def test_a_once_sweep_aborts_only_the_m_values_that_overflow(work):
+    # every member is checked on [0, max(b) / m] = [0, 1e308 / m]
+    summary = sweep("const", {"c": (0.5,)}, (0.0,), (1.0, 1e308), (1.0, 0.5), (1.0,), ("eq4",), hypothesis="once")
+    assert work["passes"] == 1
+    assert [(r.params.b, r.params.m, r.hypothesis, r.verdict) for r in summary.reports] == [
+        (1.0, 1.0, HYP_PASS, "holds"), (1.0, 0.5, HYP_SKIPPED, "inconclusive"),
+        (1e308, 1.0, HYP_PASS, "holds"), (1e308, 0.5, HYP_SKIPPED, "inconclusive"),
+    ]
+    assert {r.diagnostics for r in summary.reports if r.params.m == 0.5} == {
+        "class check aborted: the class domain [0, b / m] overflows at b=1e+308, m=0.5"
+    }
+
+
 def _one_pass_per_alpha(f, domain_upper, m, alphas, **kwargs):
     """Each class in a pass of its own, as the verifier sampled before one pass served every alpha."""
     return [classify.check_alpha_m_log_convex(f, domain_upper, ClassParams(m, alpha), **kwargs) for alpha in alphas]
