@@ -293,7 +293,7 @@ def _misses(family, c, k, a, b, alpha, m, variant) -> list[str]:
     return misses
 
 
-@settings(deadline=None, max_examples=600)  # 200 per family
+@settings(deadline=None, max_examples=600)  # about 200 per family
 @given(_point_checks_points())
 def test_closed_form_sides_and_verdicts_agree_with_mpmath(point):
     assert _misses(*point) == []
