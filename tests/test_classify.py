@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -175,8 +176,16 @@ _unit_or_random = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.
 
 
 # At grid_n 17 and 33 the default and 200 split x-planes mid-plane; 16 makes
-# every grid chunk of grid_n >= 9 a single row.
-@pytest.mark.parametrize("chunk", [classify.CHUNK, 200, 16], ids=["default_chunk", "mid_plane", "row_chunks"])
+# every grid chunk of grid_n >= 9 a single row; at grid_n 9, 170 holds two
+# whole x-planes of 81 triples, so the last of the 9 planes is a partial group.
+_CHUNKS = pytest.mark.parametrize(
+    "chunk",
+    [classify.CHUNK, 200, 16, 170],
+    ids=["default_chunk", "mid_plane", "row_chunks", "several_planes"],
+)
+
+
+@_CHUNKS
 @settings(deadline=None)
 @given(
     case=st.one_of(
@@ -206,7 +215,7 @@ def _outcomes_of_one_pass(f, domain_upper, m, alphas, grid_n, tol_rel):
     return [repr(report) for report in reports]
 
 
-@pytest.mark.parametrize("chunk", [classify.CHUNK, 200, 16], ids=["default_chunk", "mid_plane", "row_chunks"])
+@_CHUNKS
 @settings(deadline=None)
 @given(
     case=st.one_of(
@@ -226,6 +235,53 @@ def test_one_pass_matches_the_reference_for_every_alpha(chunk, case, grid_n, m, 
         merged = _outcomes_of_one_pass(f, domain_upper, m, alphas, grid_n, tol_rel)
     separate = [_outcome(reference_check, f, domain_upper, ClassParams(m, alpha), grid_n, tol_rel) for alpha in alphas]
     assert merged == separate
+
+
+# Four families and two failing expressions (the second raises), on coarse
+# and default grids, at m < 1 and m = 1, with 1.0, values below 1 and a
+# repeat among the alphas, at both tolerances.
+_DIGEST_CASES = [
+    (family_instantiate(FamilySpec(name, params)), 2.0)
+    for name, params in [
+        ("const", {"c": 2.0}),
+        ("exp_linear", {"k": 1.5}),
+        ("exp_affine", {"c": 0.3, "k": -2.0}),
+        ("poly_shift", {"p": 2.5, "q": 0.5}),
+    ]
+] + [(parse("x^2+1"), 40.0), (parse("exp(x^2)"), 40.0)]
+# check_alphas over _DIGEST_CASES as pinned before grid chunks became
+# blocks of whole t-rows and chunks that cannot beat the worst so far were skipped
+CLASS_CHECK_SHA256 = "3872c983b9cc74a729ed9325b6b89ea09aa1ad56782659eaf103db1c4ea4801d"
+
+
+def test_class_check_digest():
+    outcomes = [
+        _outcomes_of_one_pass(f, domain_upper, m, (0.5, 1.0, 0.75, 0.5), grid_n, tol_rel)
+        for f, domain_upper in _DIGEST_CASES
+        for grid_n in (9, 33)
+        for m in (0.6, 1.0)
+        for tol_rel in (0.0, 1e-9)
+    ]
+    text = "\n".join(repr(outcome) for outcome in outcomes)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLASS_CHECK_SHA256
+
+
+_BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.5]
+
+
+@pytest.mark.parametrize("bad", _BAD_VALUES + [5e-324], ids=repr)
+@pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+def test_first_bad_agrees_with_a_full_scan(bad, where):
+    values = np.array([1.0, 2.0, 0.5, 3.0, 1e300, 4.0, 7.0])
+    values[where] = bad
+    pts = np.linspace(0.0, 1.0, values.size)
+    expected = None
+    full = ~np.isfinite(values) | (values <= 0.0)
+    if full.any():
+        i = int(np.argmax(full))
+        expected = i, f"f({float(pts[i])!r}) = {float(values[i])!r} is not strictly positive"
+    assert classify._first_bad(values, pts) == expected
+    assert (expected is None) == (bad == 5e-324)
 
 
 @pytest.mark.parametrize(
