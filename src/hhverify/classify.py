@@ -26,19 +26,21 @@ search for the worst violation run once per alpha.
 The grid part is factored: its x and y take only the grid_n axis values,
 so f and ln f are evaluated there once, t**alpha only at the grid_n
 t-values, and only f(z) at every grid point. Both parts are then
-evaluated in chunks of at most CHUNK triples (runs of whole (x, y) rows of
-the grid, each row its grid_n t-values; consecutive draws of the random
-stream), which are the same samples in the same order as one block, with
-the same verdict, witness and error. Only the worst violation so far of
-each alpha is kept, so peak memory is bounded by the chunk size, not by
-grid_n. A chunk's float64 temporaries are 32 KiB each: they stay in cache
-and below the allocator's mmap threshold, so a check reuses freed memory
-instead of mapping fresh pages. tracemalloc puts a check at about 0.66 MB
-for grid_n 65 and 97 alike, with one alpha or three, where one block took
-61.5 MB and 204 MB at 65 and 97; at grid_n 257 the two grid_n**2 tables
-of z's partial products dominate, about 1.3 MB. Time still grows as
-grid_n**3, so grid_n is capped at MAX_GRID_N = 257, a 2k+1 refinement
-level: 2 * 257**3 is about 34 million samples, about a second of work.
+evaluated in chunks of at most CHUNK triples (on the grid, blocks of whole
+t-rows: several whole x-planes, or a run of y-rows in one x-plane, whose z
+and ln rhs are broadcast sums of per-axis products; consecutive draws of
+the random stream), which are the same samples in the same order as one
+block, with the same verdict, witness and error. Only the worst violation
+so far of each alpha is kept, and a chunk none of whose deficits reaches
+it is passed over before its violations are located, so peak memory is
+bounded by the chunk size, not by grid_n. A chunk's float64 temporaries
+are at most 32 KiB each: they stay in cache and below the allocator's mmap
+threshold, so a check reuses freed memory instead of mapping fresh pages.
+tracemalloc puts a check at about 0.66 MB for grid_n 65, 97 and 257 alike,
+with one alpha or three, where one block took 61.5 MB and 204 MB at 65 and
+97. Time still grows as grid_n**3, so grid_n is capped at MAX_GRID_N =
+257, a 2k+1 refinement level: 2 * 257**3 is about 34 million samples,
+about a second of work.
 """
 from __future__ import annotations
 
@@ -54,8 +56,9 @@ if TYPE_CHECKING:  # numpy is imported by the first check, not with the package
 
     # Maps sample indices within a chunk to their x, y and t arrays.
     _Coords = Callable[[np.ndarray], tuple[np.ndarray, ...]]
-    # A chunk's ln f(x), ln f(y) and t, which ln rhs combines for each alpha.
-    _Logs = tuple[np.ndarray, np.ndarray, np.ndarray]
+    # A chunk's ln f(x), ln f(y), t and m*(1-t), which ln rhs combines for
+    # each alpha; on the grid they broadcast to the chunk's block.
+    _Logs = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = [
     "DEFAULT_SEED",
@@ -129,27 +132,34 @@ def _first_bad(values: np.ndarray, pts: np.ndarray) -> Optional[tuple[int, str]]
     """Index and message of the first value that is not finite and positive, or None."""
     import numpy as np
 
-    bad = ~np.isfinite(values) | (values <= 0.0)
-    if not bad.any():
+    if values.min() > 0.0 and values.max() < np.inf:  # a nan fails the min
         return None
+    bad = ~np.isfinite(values) | (values <= 0.0)
     i = int(np.argmax(bad))
     return i, f"f({float(pts[i])!r}) = {float(values[i])!r} is not strictly positive"
 
 
 def _chunk_worst(
-    lhs: np.ndarray, rhs: np.ndarray, tol_rel: float, coords: _Coords
+    lhs: np.ndarray, rhs: np.ndarray, tol_rel: float, coords: _Coords, bar: Optional[Violation]
 ) -> Optional[Violation]:
-    """The chunk's violation of largest deficit, ties broken by the least (x, y, t)."""
+    """The chunk's violation of largest deficit, ties broken by the least (x, y, t).
+
+    None also when no deficit of the chunk reaches the deficit of ``bar``,
+    the worst violation so far; an equal one may still win on (x, y, t).
+    """
     import numpy as np
 
+    deficit = lhs - rhs
+    if bar is not None and deficit.max() < bar.deficit:
+        return None
     violating = lhs > rhs * (1.0 + tol_rel)
     if not violating.any():
         return None
-    deficit = lhs - rhs
-    worst = np.max(deficit[violating])
-    ties = np.flatnonzero(violating & (deficit == worst))
+    # a violating deficit is positive, so the mask never ties with the worst
+    masked = np.where(violating, deficit, -np.inf)
+    ties = np.flatnonzero(masked == masked.max())
     x, y, t = coords(ties)
-    i = int(np.lexsort((t, y, x))[0])
+    i = int(np.lexsort((t, y, x))[0]) if ties.size > 1 else 0
     j = int(ties[i])
     return Violation(
         x=float(x[i]),
@@ -235,32 +245,32 @@ def check_alphas(
 
     def grid_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[_Logs]]]:
         # Over the grid, x and y range over ``axis`` and t over ``base``:
-        # f and ln f are taken there once. z comes from two n**2 tables of
-        # partial products, and ln rhs from ln f(axis) and base chunk by
-        # chunk, in the order of operations of the random chunks. Only f(z)
-        # needs all n**3 points.
+        # f and ln f are taken there once. A chunk is a block of whole
+        # t-rows, x-planes i0:i1 by y-rows j0:j1, whose z and ln rhs are
+        # broadcast from per-axis slices in the order of operations of the
+        # random chunks. Only f(z) needs all n**3 points.
         f_axis = f.evaluate_array(axis)
         hit = _first_bad(f_axis, axis)
         if hit is not None:  # the first samples with x = axis[i] and y = axis[i]
             i, message = hit
             offenders["x"] = ((float(axis[i]), 0.0, 0.0), message)
             offenders["y"] = ((0.0, float(axis[i]), 0.0), message)
-        tx = base * axis[:, None]
-        my = m * (1.0 - base) * axis[:, None]
-        with np.errstate(all="ignore"):  # a bad f(axis) is already noted
-            ln_f = np.log(f_axis)
-        # A chunk is a run of consecutive (x, y) rows, each of the n t-values.
-        rows = max(1, CHUNK // n)
-        for r0 in range(0, n * n, rows):
-            i, j = np.divmod(np.arange(r0, min(n * n, r0 + rows)), n)
+        ln_f = np.log(f_axis)
+        m_rest = m * (1.0 - base)
+        rows = max(1, CHUNK // n)  # (x, y) rows of n t-values
+        planes, rows = (rows // n, n) if rows >= n else (1, rows)
+        for i0 in range(0, n, planes):
+            i1 = min(n, i0 + planes)
+            for j0 in range(0, n, rows):
+                j1 = min(n, j0 + rows)
 
-            def coords(idx: np.ndarray, r0: int = r0) -> tuple[np.ndarray, ...]:
-                r, k = np.divmod(idx, n)
-                i, j = np.divmod(r0 + r, n)
-                return axis[i], axis[j], base[k]
+                def coords(idx: np.ndarray, i0: int = i0, j0: int = j0, shape=(i1 - i0, j1 - j0, n)):
+                    i, j, k = np.unravel_index(idx, shape)
+                    return axis[i0 + i], axis[j0 + j], base[k]
 
-            z = (tx[i] + my[j]).ravel()
-            yield z, coords, None if offenders else (ln_f[i][:, None], ln_f[j][:, None], base)
+                x, y = np.s_[i0:i1, None, None], np.s_[None, j0:j1, None]
+                z = (base * axis[x] + m_rest * axis[y]).ravel()
+                yield z, coords, None if offenders else (ln_f[x], ln_f[y], base, m_rest)
 
     def random_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[_Logs]]]:
         # Consecutive draws continue one stream: the chunks together equal
@@ -271,37 +281,40 @@ def check_alphas(
             x = domain_upper * u[:, 0]
             y = domain_upper * u[:, 1]
             t = u[:, 2].copy()  # contiguous: strided ufunc loops may round differently
+            m_rest = m * (1.0 - t)
 
             def coords(idx: np.ndarray, x=x, y=y, t=t) -> tuple[np.ndarray, ...]:
                 return x[idx], y[idx], t[idx]
 
-            z = t * x + m * (1.0 - t) * y
+            z = t * x + m_rest * y
             fx = f.evaluate_array(x)
             fy = f.evaluate_array(y)
             for key, hit in (("x", _first_bad(fx, x)), ("y", _first_bad(fy, y))):
                 if hit is not None and key not in offenders:
                     offenders[key] = (_triple(coords, hit[0]), hit[1])
-            yield z, coords, None if offenders else (np.log(fx), np.log(fy), t)
+            yield z, coords, None if offenders else (np.log(fx), np.log(fy), t, m_rest)
 
     # The worst violation so far of each alpha, a fixed size however many chunks violate.
     worst: list[Optional[Violation]] = [None] * len(alphas)
-    for z, coords, logs in itertools.chain(grid_chunks(), random_chunks()):
-        lhs = f.evaluate_array(z)
-        hit = _first_bad(lhs, z)
-        if hit is not None:
-            raise SampleEvaluationError(_triple(coords, hit[0]), hit[1])
-        if logs is None:
-            continue
-        ln_fx, ln_fy, t = logs
-        for k, alpha in enumerate(alphas):
-            t_alpha = t if alpha == 1.0 else t**alpha
-            # rhs in log space; t_alpha = 0 and 1 then land on f(y)**m and
-            # (up to one rounding) f(x) with no 0**0 ambiguity.
-            with np.errstate(over="ignore"):
-                rhs = np.exp((t_alpha * ln_fx + m * (1.0 - t_alpha) * ln_fy).ravel())
-            witness = _chunk_worst(lhs, rhs, tol_rel, coords)
-            if witness is not None and (worst[k] is None or _rank(witness) < _rank(worst[k])):
-                worst[k] = witness
+    # A bad f(axis) is noted, not warned about; rhs in log space may
+    # overflow to inf, and t_alpha = 0 and 1 then land on f(y)**m and (up
+    # to one rounding) f(x) with no 0**0 ambiguity.
+    with np.errstate(all="ignore"):
+        for z, coords, logs in itertools.chain(grid_chunks(), random_chunks()):
+            lhs = f.evaluate_array(z)
+            hit = _first_bad(lhs, z)
+            if hit is not None:
+                raise SampleEvaluationError(_triple(coords, hit[0]), hit[1])
+            if logs is None:
+                continue
+            ln_fx, ln_fy, t, m_rest = logs
+            for k, (alpha, bar) in enumerate(zip(alphas, worst)):
+                t_alpha = t if alpha == 1.0 else t**alpha
+                rest = m_rest if alpha == 1.0 else m * (1.0 - t_alpha)
+                rhs = np.exp((t_alpha * ln_fx + rest * ln_fy).ravel())
+                witness = _chunk_worst(lhs, rhs, tol_rel, coords, bar)
+                if witness is not None and (bar is None or _rank(witness) < _rank(bar)):
+                    worst[k] = witness
     for key in ("x", "y"):
         if key in offenders:
             raise SampleEvaluationError(*offenders[key])

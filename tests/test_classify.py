@@ -93,6 +93,13 @@ def test_overflowing_function_reports_offending_triple():
     assert 0.0 <= x <= 40.0 and 0.0 <= y <= 40.0 and 0.0 <= t <= 1.0
 
 
+def test_a_right_side_next_to_overflow_warns_nothing():
+    # rhs * (1 + tol_rel) overflows to inf at the largest float, which only
+    # means no violation there; the test run turns any warning into an error.
+    report = check_alpha_m_log_convex(parse("1.7976931348623157e308"), 1.0, ClassParams(1.0))
+    assert report.verdict == "pass"
+
+
 @pytest.mark.parametrize("m,alpha", [(0.0, 1.0), (1.5, 1.0), (1.0, 0.0), (1.0, 1.5), (-0.5, 0.5)])
 def test_class_params_validation(m, alpha):
     with pytest.raises(ValueError):
@@ -384,7 +391,8 @@ def test_peak_memory_is_bounded_by_the_chunk():
         assert peak65 < 32e6 and peak97 < 32e6
         assert peak97 <= 1.1 * peak65
         assert peak65 < 2e6 and peak97 < 2e6
-        # The grid_n**2 tables of z's partial products (about 1.1 MB) dominate here.
+        # Grid chunks are broadcast from per-axis slices, so even here the
+        # peak stays near 0.67 MB.
         assert _peak_bytes(MAX_GRID_N, alphas) < 4e6
 
 
