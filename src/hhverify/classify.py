@@ -149,12 +149,12 @@ def _chunk_worst(
     """
     import numpy as np
 
-    deficit = lhs - rhs
-    if bar is not None and deficit.max() < bar.deficit:
+    if bar is not None and (lhs - rhs).max() < bar.deficit:
         return None
     violating = lhs > rhs * (1.0 + tol_rel)
     if not violating.any():
         return None
+    deficit = lhs - rhs
     # a violating deficit is positive, so the mask never ties with the worst
     masked = np.where(violating, deficit, -np.inf)
     ties = np.flatnonzero(masked == masked.max())

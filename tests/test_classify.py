@@ -182,9 +182,10 @@ _FAILING = [parse(text) for text in ("ln(x)", "x-0.5", "1/(x-0.3)", "exp(x^2)", 
 _unit_or_random = st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0))
 
 
-# At grid_n 17 and 33 the default and 200 split x-planes mid-plane; 16 makes
-# every grid chunk of grid_n >= 9 a single row; at grid_n 9, 170 holds two
-# whole x-planes of 81 triples, so the last of the 9 planes is a partial group.
+# At grid_n 17 and 33, 200 splits x-planes into runs of rows and the
+# default holds several whole x-planes; 16 makes every grid chunk of
+# grid_n >= 9 a single row; at grid_n 9, 170 holds two whole x-planes of 81
+# triples, so the last of the 9 planes is a partial group.
 _CHUNKS = pytest.mark.parametrize(
     "chunk",
     [classify.CHUNK, 200, 16, 170],
@@ -306,9 +307,9 @@ def test_one_pass_range_checks_m_then_each_alpha(m, alphas, message):
     assert str(info.value) == message
 
 
-# At grid_n 9 chunks of 200 triples hold 22 rows, splitting x-planes of 9
-# rows mid-plane; chunks of 5 hold one row each.
-_SPLIT_PLANES = pytest.mark.parametrize("chunk", [200, 5], ids=["mid_plane", "row_chunks"])
+# At grid_n 9 chunks of 50 triples hold 5 or 4 of an x-plane's 9 rows,
+# chunks of 5 one row each, and chunks of 200 two whole x-planes.
+_SPLIT_PLANES = pytest.mark.parametrize("chunk", [50, 5, 200], ids=["mid_plane", "row_chunks", "whole_planes"])
 
 
 @_SPLIT_PLANES
