@@ -36,11 +36,11 @@ it is passed over before its violations are located, so peak memory is
 bounded by the chunk size, not by grid_n. A chunk's float64 temporaries
 are at most 32 KiB each: they stay in cache and below the allocator's mmap
 threshold, so a check reuses freed memory instead of mapping fresh pages.
-tracemalloc puts a check at about 0.66 MB for grid_n 65, 97 and 257 alike,
-with one alpha or three, where one block took 61.5 MB and 204 MB at 65 and
-97. Time still grows as grid_n**3, so grid_n is capped at MAX_GRID_N =
-257, a 2k+1 refinement level: 2 * 257**3 is about 34 million samples,
-about a second of work.
+tracemalloc puts a check at 0.70 to 0.76 MB for grid_n 65, 97 and 257
+alike, with one alpha or three, where one block took 61.5 MB and 204 MB at
+65 and 97. Time still grows as grid_n**3, so grid_n is capped at
+MAX_GRID_N = 257, a 2k+1 refinement level: 2 * 257**3 is about 34
+million samples, about a second of work.
 """
 from __future__ import annotations
 

@@ -393,7 +393,7 @@ def test_peak_memory_is_bounded_by_the_chunk():
         assert peak97 <= 1.1 * peak65
         assert peak65 < 2e6 and peak97 < 2e6
         # Grid chunks are broadcast from per-axis slices, so even here the
-        # peak stays near 0.67 MB.
+        # peak stays below 0.8 MB.
         assert _peak_bytes(MAX_GRID_N, alphas) < 4e6
 
 
