@@ -268,9 +268,9 @@ def check_alphas(
                     i, j, k = np.unravel_index(idx, shape)
                     return axis[i0 + i], axis[j0 + j], base[k]
 
-                x, y = np.s_[i0:i1, None, None], np.s_[None, j0:j1, None]
-                z = (base * axis[x] + m_rest * axis[y]).ravel()
-                yield z, coords, None if offenders else (ln_f[x], ln_f[y], base, m_rest)
+                xi, yj = np.s_[i0:i1, None, None], np.s_[None, j0:j1, None]
+                z = (base * axis[xi] + m_rest * axis[yj]).ravel()
+                yield z, coords, None if offenders else (ln_f[xi], ln_f[yj], base, m_rest)
 
     def random_chunks() -> Iterator[tuple[np.ndarray, _Coords, Optional[_Logs]]]:
         # Consecutive draws continue one stream: the chunks together equal
