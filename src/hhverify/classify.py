@@ -1,13 +1,23 @@
-"""Sampled membership checks for the two logarithmic convexity classes.
+"""Membership checks for the two logarithmic convexity classes.
 
 A function f on [0, B] is checked against the defining inequality
 
     f(t*x + m*(1-t)*y) <= f(x)**(t**alpha) * f(y)**(m*(1 - t**alpha))
 
 for all sampled triples (x, y, t) in [0, B]^2 x [0, 1]; alpha = 1 gives the
-plain m-logarithmic class. A "pass" is a sampled certificate, not a proof:
-membership was verified only at the sampled triples. A "fail" is sound: the
-reported worst violation re-verifies by direct evaluation.
+plain m-logarithmic class. A sampled "pass" is a certificate, not a
+proof: membership was verified only at the sampled triples. A "fail" is
+sound: the reported worst violation re-verifies by direct evaluation.
+
+The inequality is affine in ln f, so for f = c*exp(k*x) its log-deficit,
+ln lhs - ln rhs, has the closed form
+
+    (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y).
+
+exact_membership decides the class of a const, exp_linear or exp_affine
+member from it wherever one of the two terms vanishes (c = 1, k = 0,
+alpha = 1 or m = 1), with no sampling, so grid_n and seed do not matter
+there; check_alphas and check_alpha_m_log_convex always sample.
 
 Sampling is deterministic. The grid part uses grid_n uniform points per
 axis (endpoints included, grids of size 2k+1 contain the size k+1 grid);
@@ -49,7 +59,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .funcspec import FunctionExpr
+from .funcspec import Binary, Const, FamilyError, FamilySpec, FunctionExpr, Unary, Var, family_instantiate
 
 if TYPE_CHECKING:  # numpy is imported by the first check, not with the package
     import numpy as np
@@ -70,6 +80,7 @@ __all__ = [
     "check_alpha_m_log_convex",
     "check_alphas",
     "check_sampling",
+    "exact_membership",
 ]
 
 DEFAULT_SEED = 0x5EED
@@ -192,8 +203,17 @@ def check_sampling(grid_n: int, tol_rel: float) -> None:
     """Range-check a class check's grid_n, then its tol_rel; a ValueError names the first bad one."""
     if not 2 <= grid_n <= MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [2, {MAX_GRID_N}], got {grid_n!r}")
+    _check_tol_rel(tol_rel)
+
+
+def _check_tol_rel(tol_rel: float) -> None:
     if not (math.isfinite(tol_rel) and tol_rel >= 0.0):
         raise ValueError(f"tol_rel must be a nonnegative real, got {tol_rel!r}")
+
+
+def _check_domain(domain_upper: float) -> None:
+    if not (math.isfinite(domain_upper) and domain_upper > 0.0):
+        raise ValueError(f"domain_upper must be a positive finite real, got {domain_upper!r}")
 
 
 def check_alphas(
@@ -229,8 +249,7 @@ def check_alphas(
     ClassParams(m)
     for alpha in alphas:
         ClassParams(m, alpha)
-    if not (math.isfinite(domain_upper) and domain_upper > 0.0):
-        raise ValueError(f"domain_upper must be a positive finite real, got {domain_upper!r}")
+    _check_domain(domain_upper)
     check_sampling(grid_n, tol_rel)
 
     n = grid_n
@@ -327,3 +346,79 @@ def check_alphas(
 def _rank(w: Violation) -> tuple[float, float, float, float]:
     """Orders violations worst first: the largest deficit, then the least (x, y, t)."""
     return -w.deficit, w.x, w.y, w.t
+
+
+def _log_affine(f: FunctionExpr) -> Optional[tuple[float, float]]:
+    """(c, k) where f is the const, exp_linear or exp_affine member c*exp(k*x), else None.
+
+    f must be the very tree that the family's builder makes; the family's
+    own range check then refuses a c <= 0 and any value that is not finite.
+    """
+    match f.root:
+        case Const(c):
+            spec = FamilySpec("const", {"c": c})
+        case Unary("exp", Binary("*", Const(k), Var())):
+            spec = FamilySpec("exp_linear", {"k": k})
+        case Binary("*", Const(c), Unary("exp", Binary("*", Const(k), Var()))):
+            spec = FamilySpec("exp_affine", {"c": c, "k": k})
+        case _:
+            return None
+    try:
+        family_instantiate(spec)
+    except FamilyError:
+        return None
+    return spec.params.get("c", 1.0), spec.params.get("k", 0.0)
+
+
+def exact_membership(
+    f: FunctionExpr, domain_upper: float, params: ClassParams, tol_rel: float = 1e-9
+) -> Optional[ClassificationReport]:
+    """Decide the (alpha, m)-class of ``f`` on [0, domain_upper] from its closed form, or None where none applies.
+
+    It applies to f = c*exp(k*x) built by the const, exp_linear or
+    exp_affine family when c = 1, k = 0, alpha = 1 or m = 1, and, for
+    k != 0, f is finite and positive at 0 and at domain_upper (so, being
+    monotone, on the whole domain). Then one term of the log-deficit
+    (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y) vanishes and
+    the other is largest at a known triple: (0, 0, 0) for the ln c term,
+    and t = alpha**(1/(1 - alpha)) with (x, y) = (0, B) for k > 0 or
+    (B, 0) for k < 0 for the k term. Where that term cannot be positive
+    (c <= 1 or m = 1; k = 0 or alpha = 1) the report is a pass and
+    nothing is evaluated but those two ends. Otherwise the sampler's own
+    test, lhs > rhs * (1 + tol_rel) with rhs computed in log space, is
+    applied at that triple, and a fail carries it as the worst violation,
+    the one of largest log-deficit. A decided report counts 0 samples.
+
+    Raises:
+        ValueError: domain_upper is not a positive finite real, or tol_rel
+            is not a nonnegative real.
+    """
+    _check_domain(domain_upper)
+    _check_tol_rel(tol_rel)
+    member = _log_affine(f)
+    if member is None:
+        return None
+    c, k = member
+    m, alpha = params.m, params.alpha
+    if k == 0.0 or alpha == 1.0:
+        worst = None if c <= 1.0 or m == 1.0 else (0.0, 0.0, 0.0)
+    elif c == 1.0 or m == 1.0:
+        t = alpha ** (1.0 / (1.0 - alpha))  # where t**alpha - t peaks
+        worst = (0.0, domain_upper, t) if k > 0.0 else (domain_upper, 0.0, t)
+    else:
+        return None
+    if k != 0.0:
+        ends = f.evaluate_array([0.0, domain_upper])
+        if not (ends.min() > 0.0 and ends.max() < math.inf):  # the sampler names the first bad value
+            return None
+    if worst is None:
+        return ClassificationReport(verdict="pass", samples=0)
+    import numpy as np
+
+    x, y, t = (np.array([value]) for value in worst)
+    with np.errstate(all="ignore"):
+        lhs = f.evaluate_array(t * x + m * (1.0 - t) * y)
+        t_alpha = t**alpha
+        rhs = np.exp(t_alpha * np.log(f.evaluate_array(x)) + m * (1.0 - t_alpha) * np.log(f.evaluate_array(y)))
+        w = _chunk_worst(lhs, rhs, tol_rel, lambda idx: (x[idx], y[idx], t[idx]), None)
+    return ClassificationReport(verdict="pass" if w is None else "fail", samples=0, worst_violation=w)

@@ -635,6 +635,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Numerical verifier for integral-mean inequalities of log-convex type functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    decided = (
+        "decided exactly where f is a const, exp_linear or exp_affine member (also as --f, e.g. '2' or "
+        "'exp(2*x)') and c = 1, k = 0, alpha = 1 or m = 1, so --grid-n and --seed do not matter there; "
+        "sampled elsewhere"
+    )
+    gate_help = "check class membership before verifying (default on); " + decided
 
     check = sub.add_parser("check", help="verify inequalities at one parameter point")
     _add_function_options(check, "family parameter, e.g. k=2 (repeatable)")
@@ -646,8 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--m", type=float, default=1.0)
     check.add_argument("--alpha", type=float, default=1.0)
     check.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance (default 1e-10)")
-    check.add_argument("--hypothesis", choices=("on", "off"), default="on",
-                       help="sample class membership before verifying (default on)")
+    check.add_argument("--hypothesis", choices=("on", "off"), default="on", help=gate_help)
     _add_sampling_options(check)
     check.add_argument("--json", metavar="PATH|-", help="write the report(s) as JSON")
     check.add_argument("--csv", metavar="PATH|-", help="write the report(s) as CSV")
@@ -659,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chain.add_argument("--a", type=float, default=0.0)
     chain.add_argument("--b", type=float, default=1.0)
     chain.add_argument("--tol", type=float, default=1e-10)
-    chain.add_argument("--hypothesis", choices=("on", "off"), default="on")
+    chain.add_argument("--hypothesis", choices=("on", "off"), default="on", help=gate_help)
     _add_sampling_options(chain)
     chain.add_argument("--json", metavar="PATH|-")
     chain.set_defaults(handler=_cmd_chain)
@@ -686,7 +691,8 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--alpha", default="1", metavar="GRID", help="grid for alpha (default 1)")
     swp.add_argument("--tol", type=float, default=1e-10)
     swp.add_argument("--hypothesis", choices=("off", "once", "per-point"), default="off",
-                     help="membership checking per point, once per family member, or off (default)")
+                     help="check class membership per point, once per family member, or not at all "
+                          "(default off); " + decided)
     _add_sampling_options(swp)
     swp.add_argument("--json", metavar="PATH|-")
     swp.add_argument("--csv", metavar="PATH|-")

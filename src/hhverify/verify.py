@@ -19,11 +19,12 @@ tolerance. That pair violates its tolerance exactly when some pair in the
 chain does, so replaying the verdict from the reported fields agrees with
 checking the whole chain.
 
-Hypothesis checking is sampling-based class membership (see classify). A
-failed check makes the verdict "inconclusive" rather than letting a bound
-that was never claimed count as violated; a check that cannot run because
-the function is not evaluable on the class domain does the same, with the
-failure recorded in diagnostics.
+Hypothesis checking is class membership (see classify), decided exactly
+where a closed form applies and sampled elsewhere. A failed check makes
+the verdict "inconclusive" rather than letting a bound that was never
+claimed count as violated; a check that cannot run because the function
+is not evaluable on the class domain does the same, with the failure
+recorded in diagnostics.
 
 Every report comes from one driver, the generator ``_reports``:
 verify_theorems runs it on one point, sweep once per family member and
@@ -55,11 +56,13 @@ from .bounds import (
 )
 from .classify import (
     DEFAULT_SEED,
+    ClassificationReport,
     ClassParams,
     SampleEvaluationError,
     check_alpha_m_log_convex,  # unused here; the benchmark's tracer (perfbench/tracer.py) wraps this name
     check_alphas,
     check_sampling,
+    exact_membership,
 )
 from .funcspec import EvaluationError, FamilyError, FamilySpec, FunctionExpr, family_instantiate, registered_families
 from .means import arithmetic_mean
@@ -194,11 +197,12 @@ def _gate(
     """The (hypothesis, diagnostics) of each effective class in ``classes``, judged on [0, upper / m_eff].
 
     ``sampling`` is the checks' (grid_n, tol_rel, seed); without it every
-    class is skipped. Otherwise one sampling pass per m_eff judges all of
-    its alphas. A failed class carries the witness of its worst violation,
-    and every class of an aborted pass carries the abort; such diagnostics
-    keep the bound from being evaluated. A pass whose domain overflows,
-    upper / m_eff = inf, is aborted without sampling.
+    class is skipped. Otherwise a class that ``exact_membership`` decides
+    takes its verdict, and one sampling pass per m_eff judges all of its
+    other alphas, or none runs. A failed class carries the witness of its
+    worst violation, and every class of an aborted pass carries the abort;
+    such diagnostics keep the bound from being evaluated. A pass whose
+    domain overflows, upper / m_eff = inf, is aborted without sampling.
     """
     if sampling is None:
         return dict.fromkeys(classes, (HYP_SKIPPED, None))
@@ -213,19 +217,34 @@ def _gate(
             aborted = f"class check aborted: the class domain [0, b / m] overflows at b={upper!r}, m={m!r}"
             gate.update(dict.fromkeys(effs, (HYP_SKIPPED, aborted)))
             continue
-        alphas = [eff.alpha for eff in effs]
-        try:
-            checked = check_alphas(f, domain_upper, m, alphas, grid_n=grid_n, tol_rel=tol_rel, seed=seed)
-        except SampleEvaluationError as err:
-            gate.update(dict.fromkeys(effs, (HYP_SKIPPED, f"class check aborted: {err}")))
+        sampled = []
+        for eff in effs:
+            report = exact_membership(f, domain_upper, eff, tol_rel)
+            if report is None:
+                sampled.append(eff)
+            else:
+                gate[eff] = _outcome(report, domain_upper)
+        if not sampled:
             continue
-        for eff, report in zip(effs, checked):
-            w = report.worst_violation  # None where the class passed
-            gate[eff] = (HYP_PASS, None) if w is None else (HYP_FAIL, (
-                f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
-                f" with deficit {w.deficit!r}"
-            ))
+        try:
+            checked = check_alphas(
+                f, domain_upper, m, [eff.alpha for eff in sampled], grid_n=grid_n, tol_rel=tol_rel, seed=seed
+            )
+        except SampleEvaluationError as err:
+            gate.update(dict.fromkeys(sampled, (HYP_SKIPPED, f"class check aborted: {err}")))
+            continue
+        for eff, report in zip(sampled, checked):
+            gate[eff] = _outcome(report, domain_upper)
     return gate
+
+
+def _outcome(report: ClassificationReport, domain_upper: float) -> tuple[str, Optional[str]]:
+    """A decided or sampled class's (hypothesis, diagnostics): a fail names its worst violation."""
+    w = report.worst_violation  # None where the class passed
+    return (HYP_PASS, None) if w is None else (HYP_FAIL, (
+        f"class check failed on [0, {domain_upper!r}] at (x={w.x!r}, y={w.y!r}, t={w.t!r})"
+        f" with deficit {w.deficit!r}"
+    ))
 
 
 class _IntegralCache:
@@ -441,8 +460,9 @@ def _reports(
     and the effective classes are worked out once per call. Every report
     reads its hypothesis from one ``_gate`` table per distinct upper,
     ``domain_upper`` or else the interval's b: with ``sampling``, each
-    class is checked on [0, upper / m_eff], in one pass with every other
-    alpha that the call pairs with m_eff. A failed or aborted check,
+    class is checked on [0, upper / m_eff], decided exactly where a rule
+    applies and otherwise sampled in one pass with every other such alpha
+    that the call pairs with m_eff. A failed or aborted check,
     a failed evaluation or integral, and a closed form that overflows or
     underflows each make the report inconclusive, with the reason in its
     diagnostics. The reports of one point that carry the same parameters
@@ -545,15 +565,18 @@ def verify_theorems(
 ) -> list[InequalityReport]:
     """Verify several inequalities for ``f`` on ``iv``, one report each, in order.
 
-    With check_hypothesis on, class membership is sampled on
+    With check_hypothesis on, class membership is judged on
     [0, b / m_eff] first (m_eff from each theorem's effective class); a
     failed or aborted check yields an inconclusive report instead of a
-    numeric comparison. Each distinct effective class is judged once, the
-    classes of one m_eff in one sampling pass, and each integral is
-    computed once, so the reports equal those of separate
-    ``verify_theorem`` calls at a fraction of the cost. ``family`` is
-    labeling metadata only; it does not have to match ``f``, but the CLI
-    always passes the spec it built the function from.
+    numeric comparison. A class is decided exactly where
+    ``classify.exact_membership`` applies (f a const, exp_linear or
+    exp_affine tree with c = 1, k = 0, alpha = 1 or m = 1), and grid_n
+    and seed then do not matter; the others are sampled. Each distinct
+    effective class is judged once, the sampled classes of one m_eff in
+    one sampling pass, and each integral is computed once, so the reports
+    equal those of separate ``verify_theorem`` calls at a fraction of the
+    cost. ``family`` is labeling metadata only; it does not have to match
+    ``f``, but the CLI always passes the spec it built the function from.
     """
     _check_request(theorems, variant, tol)
     _check_class_values([m], [alpha])
@@ -625,8 +648,11 @@ def sweep(
     [0, b / m_eff], and "once" checks each family member on
     [0, max(b) / m_eff]. Either way a class is judged once per distinct
     (family member, domain, effective class), since it does not depend on
-    a: each member's reports read one gate table per domain, and one
-    sampling pass judges every alpha of one domain and m_eff.
+    a: each member's reports read one gate table per domain. A class that
+    ``classify.exact_membership`` decides (const, exp_linear and
+    exp_affine members with c = 1, k = 0, alpha = 1 or m = 1) is not
+    sampled, so grid_n and seed do not matter to it; one sampling pass
+    judges every other alpha of one domain and m_eff.
 
     Each family member is one run of the shared report driver: its
     effective classes are worked out once per (theorem, alpha, m), and

@@ -399,10 +399,11 @@ class _RecordingSizes:
 
     def __init__(self, f):
         self.f = f
+        self.root = f.root
         self.sizes = []
 
     def evaluate_array(self, xs):
-        self.sizes.append(xs.size)
+        self.sizes.append(np.size(xs))
         return self.f.evaluate_array(xs)
 
 
@@ -492,12 +493,60 @@ def test_classifier_agrees_with_exact_membership(member, m, alpha, upper):
     c, k = params.get("c", 1.0), params.get("k", 0.0)
     f = family_instantiate(FamilySpec(family, params))
     report = check_alpha_m_log_convex(f, upper, ClassParams(m, alpha))
+    # the gate's rule decides every draw, without sampling and also in the thin band
+    exact = classify.exact_membership(f, upper, ClassParams(m, alpha))
+    assert exact is not None and exact.samples == 0
     deficit = _worst_log_deficit(c, k, m, alpha, upper)
     if deficit <= 0.0:
-        assert report.verdict == "pass"
+        assert report.verdict == exact.verdict == "pass"
     elif deficit > THIN_LOG_DEFICIT:
-        assert report.verdict == "fail"
+        assert report.verdict == exact.verdict == "fail"
     else:
         event(f"thin violation: {report.verdict}")  # the miss rate shows with --hypothesis-show-statistics
-    if report.verdict == "fail":
-        assert _violates_at_50_digits(c, k, m, alpha, report.worst_violation, 1e-9)
+    for checked in (report, exact):
+        if checked.verdict == "fail":
+            assert _violates_at_50_digits(c, k, m, alpha, checked.worst_violation, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "f,params,sizes",
+    [
+        (parse("0.5"), ClassParams(0.3, 0.5), []),  # c < 1
+        (parse("2"), ClassParams(1.0, 0.5), []),  # m = 1, as `check --f 2` builds it
+        (family_instantiate(FamilySpec("exp_linear", {"k": 0.0})), ClassParams(0.5, 0.5), []),  # k = 0
+        # alpha = 1 and c < 1; with k != 0 f is read at the two domain ends
+        (family_instantiate(FamilySpec("exp_affine", {"c": 0.5, "k": -2.0})), ClassParams(0.5, 1.0), [2]),
+    ],
+)
+def test_exact_membership_passes_by_structure_evaluating_at_most_the_domain_ends(f, params, sizes):
+    f = _RecordingSizes(f)
+    assert classify.exact_membership(f, 3.0, params) == ClassificationReport("pass", 0)
+    assert f.sizes == sizes
+
+
+@pytest.mark.parametrize(
+    "f,upper,params",
+    [
+        (parse("exp(x)"), 2.0, ClassParams(1.0, 0.5)),  # exp(x), not exp(1*x): not a builder's tree
+        (parse("exp(-2*x)"), 2.0, ClassParams(1.0, 0.5)),  # the parser negates a constant with a node
+        (parse("x^2+1"), 2.0, ClassParams(1.0)),
+        (family_instantiate(FamilySpec("poly_shift", {"p": 2.5, "q": 0.5})), 2.0, ClassParams(1.0)),
+        # exp_affine off its slices: c != 1, k != 0, alpha < 1 and m < 1
+        (family_instantiate(FamilySpec("exp_affine", {"c": 0.3, "k": 2.0})), 2.0, ClassParams(0.5, 0.75)),
+        # f(3) overflows or underflows: the sampler reports the first bad value
+        (family_instantiate(FamilySpec("exp_linear", {"k": 300.0})), 3.0, ClassParams(1.0)),
+        (family_instantiate(FamilySpec("exp_linear", {"k": -300.0})), 3.0, ClassParams(1.0)),
+        # not a family member: the const family refuses c <= 0
+        (parse("0"), 2.0, ClassParams(1.0)),
+    ],
+    ids=["exp_x", "negated_k", "square_plus_one", "poly_shift", "exp_affine_off_slices", "overflow",
+         "underflow", "zero"],
+)
+def test_exact_membership_leaves_the_rest_to_the_sampler(f, upper, params):
+    assert classify.exact_membership(f, upper, params) is None
+
+
+@pytest.mark.parametrize("upper,tol_rel", [(0.0, 1e-9), (math.inf, 1e-9), (1.0, -1e-9), (1.0, math.nan)])
+def test_exact_membership_range_checks_its_domain_and_tolerance(upper, tol_rel):
+    with pytest.raises(ValueError):
+        classify.exact_membership(parse("2"), upper, ClassParams(0.5), tol_rel)

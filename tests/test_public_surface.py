@@ -4,8 +4,8 @@ A deletion that leaves a stale ``__all__`` entry, or removes a name the
 tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
 traced benchmark run. Importing the package leaves numpy unloaded. On the
 report path only the shared integral cache integrates, only it and
-``Endpoints.of`` evaluate f, only the class-check gate samples, and
-only one constructor builds a report. No module reaches into a sibling's
+``Endpoints.of`` evaluate f, only the class-check gate decides and
+samples class membership, and only one constructor builds a report. No module reaches into a sibling's
 private names beyond the one listed below, and every name a module
 imports from a sibling is used there, but for the few that only the
 tracer needs.
@@ -127,12 +127,13 @@ def test_only_the_integral_cache_and_the_endpoint_record_evaluate_f():
 
 
 def test_one_gate_samples_the_class_checks():
-    # Every report reads its hypothesis from the table verify._gate builds,
-    # one sampling pass per m_eff; a second path to check_alphas would
-    # sample again what that table already holds.
+    # Every report reads its hypothesis from the table verify._gate builds:
+    # the exact rule first, then one sampling pass per m_eff for the rest;
+    # a second path to either would judge again what that table already holds.
     tree = ast.parse((SRC / "verify.py").read_text(), filename="verify.py")
-    uses = _uses_of("check_alphas", tree)
-    assert len(uses) == 1 and id(uses[0]) in _inside(tree, "_gate")
+    for name in ("check_alphas", "exact_membership"):
+        uses = _uses_of(name, tree)
+        assert len(uses) == 1 and id(uses[0]) in _inside(tree, "_gate"), name
 
 
 def test_one_constructor_builds_the_reports():

@@ -4,10 +4,12 @@ Class checks are counted at ``hhverify.verify.check_alphas``, integrals at
 ``hhverify.quadrature.integrate`` and evaluations of f at
 ``FunctionExpr.evaluate``, the names the verifier reaches them through. A
 class check counts twice: once per sampling pass, which serves every alpha
-of one (domain, m), and once per (domain, m, alpha) outcome. Every count is
-deterministic, so the tests pin exact numbers, and each one also checks
-that sharing the work leaves the reports equal to those computed without
-it.
+of one (domain, m), and once per (domain, m, alpha) outcome. A class that
+``classify.exact_membership`` decides is neither, so the tests of how
+passes are shared use functions that no rule covers (poly_shift, x+1,
+x^2+1). Every count is deterministic, so the tests pin exact numbers, and
+each one also checks that sharing the work leaves the reports equal to
+those computed without it.
 """
 import dataclasses
 import importlib.util
@@ -126,9 +128,9 @@ def test_sweep_integrates_once_per_member_and_interval(work):
     intervals = sum(1 for a in GRID17 for b in GRID17 if a < b)
     assert intervals == 136
     # per interval: mean of f, the symmetric kernel, and the mixed kernel at
-    # each m < 1; one class check per m on [0, 2 / m]
+    # each m < 1; at alpha 1 with c < 1 the rule passes every class unsampled
     assert work["integrals"] == intervals * (2 + 3)
-    assert (work["passes"], work["outcomes"]) == (len(M4), len(M4))
+    assert (work["passes"], work["outcomes"]) == (0, 0)
     assert len(summary.reports) == intervals * len(M4) * len(GATE_THEOREMS)
     assert all(r.hypothesis == HYP_PASS for r in summary.reports)
 
@@ -166,24 +168,24 @@ def test_sweep_evaluates_the_endpoints_once_per_interval_and_m(work):
 
 
 def test_per_point_sweep_checks_each_domain_once(work):
-    ks, a_values, b_values, m_values = (0.5, 2.0), (0.0, 0.5, 1.0), (1.0, 2.0), (0.5, 1.0)
-    summary = sweep("exp_linear", {"k": ks}, a_values, b_values, m_values, (0.5,), ("eq4", "eq31"),
+    ps, a_values, b_values, m_values = (0.5, 2.0), (0.0, 0.5, 1.0), (1.0, 2.0), (0.5, 1.0)
+    summary = sweep("poly_shift", {"p": ps, "q": (1.0,)}, a_values, b_values, m_values, (0.5,), ("eq4", "eq31"),
                     hypothesis="per-point")
-    points = len(ks) * 5 * len(m_values)  # five intervals with a < b
+    points = len(ps) * 5 * len(m_values)  # five intervals with a < b
     assert len(summary.reports) == 2 * points
     # a check depends on (member, b / m_eff, effective class), not on a:
     # per member, 4 domains for the m-class and 4 for the (alpha, m)-class,
     # and one pass per domain serves both
-    assert (work["passes"], work["outcomes"]) == (len(ks) * 4, len(ks) * 4 * 2)
+    assert (work["passes"], work["outcomes"]) == (len(ps) * 4, len(ps) * 4 * 2)
 
     checked_per_point = [
         report
-        for k in ks
+        for p in ps
         for a in a_values for b in b_values if a < b
         for m in m_values
         for report in verify_theorems(
-            ("eq4", "eq31"), family_instantiate(FamilySpec("exp_linear", {"k": k})), Interval(a, b),
-            m=m, alpha=0.5, family=FamilySpec("exp_linear", {"k": k}),
+            ("eq4", "eq31"), family_instantiate(FamilySpec("poly_shift", {"p": p, "q": 1.0})), Interval(a, b),
+            m=m, alpha=0.5, family=FamilySpec("poly_shift", {"p": p, "q": 1.0}),
         )
     ]
     assert list(summary.reports) == checked_per_point
@@ -202,10 +204,12 @@ def test_an_aborted_pass_gates_every_class_it_serves(work):
 
 def test_a_per_point_sweep_aborts_only_the_domains_where_f_fails(work):
     # exp(300 x) is finite on [0, 1] but overflows on [0, 3]; on [0, 1] it
-    # passes the 1-class and fails the (0.5, 1)-class, which eq31 needs at alpha 0.5
+    # passes the 1-class and fails the (0.5, 1)-class, which eq31 needs at
+    # alpha 0.5. The rule decides both there; on [0, 3] f(3) = inf, so the
+    # classes are sampled and the pass aborts, as it did before any rule.
     summary = sweep("exp_linear", {"k": (300.0,)}, (0.0,), (1.0, 3.0), (1.0,), (0.5, 1.0), ("eq4", "eq31"),
                     hypothesis="per-point")
-    assert (work["passes"], work["outcomes"]) == (2, 4)
+    assert (work["passes"], work["outcomes"]) == (1, 2)
     gated = [(r.params.b, r.params.alpha, r.theorem, r.hypothesis, r.verdict) for r in summary.reports]
     assert gated == [
         (1.0, 0.5, "eq4", HYP_PASS, "holds"), (1.0, 0.5, "eq31", HYP_FAIL, "inconclusive"),
@@ -234,21 +238,24 @@ def test_an_overflowing_class_domain_aborts_its_check_unsampled(work, capsys):
 
 
 def test_an_overflowing_class_domain_spares_the_other_passes(work):
-    f, iv = parse("1"), Interval(0.0, 1e308)
+    f, iv = parse("x+1"), Interval(0.0, 1e308)
     dr1, eq4 = verify_theorems(["dr1", "eq4"], f, iv, m=0.5)
-    assert work["passes"] == 1  # dr1's 1-class on [0, 1e308]
+    assert work["passes"] == 1  # dr1's 1-class on [0, 1e308], which x+1 fails
     assert (eq4.hypothesis, eq4.verdict) == (HYP_SKIPPED, "inconclusive")
     alone = verify_theorem("dr1", f, iv)
-    assert dr1 == alone and (dr1.hypothesis, dr1.verdict) == (HYP_PASS, "holds")
+    assert dr1 == alone and (dr1.hypothesis, dr1.verdict) == (HYP_FAIL, "inconclusive")
+    assert dr1.diagnostics == alone.diagnostics and dr1.diagnostics.startswith("class check failed on [0, 1e+308]")
 
 
 def test_a_once_sweep_aborts_only_the_m_values_that_overflow(work):
-    # every member is checked on [0, max(b) / m] = [0, 1e308 / m]
-    summary = sweep("const", {"c": (0.5,)}, (0.0,), (1.0, 1e308), (1.0, 0.5), (1.0,), ("eq4",), hypothesis="once")
+    # every member is checked on [0, max(b) / m] = [0, 1e308 / m]; x + 0.5
+    # is finite there at m = 1 and fails the 1-class
+    summary = sweep("poly_shift", {"p": (1.0,), "q": (0.5,)}, (0.0,), (1.0, 1e308), (1.0, 0.5), (1.0,), ("eq4",),
+                    hypothesis="once")
     assert work["passes"] == 1
     assert [(r.params.b, r.params.m, r.hypothesis, r.verdict) for r in summary.reports] == [
-        (1.0, 1.0, HYP_PASS, "holds"), (1.0, 0.5, HYP_SKIPPED, "inconclusive"),
-        (1e308, 1.0, HYP_PASS, "holds"), (1e308, 0.5, HYP_SKIPPED, "inconclusive"),
+        (1.0, 1.0, HYP_FAIL, "inconclusive"), (1.0, 0.5, HYP_SKIPPED, "inconclusive"),
+        (1e308, 1.0, HYP_FAIL, "inconclusive"), (1e308, 0.5, HYP_SKIPPED, "inconclusive"),
     ]
     assert {r.diagnostics for r in summary.reports if r.params.m == 0.5} == {
         "class check aborted: the class domain [0, b / m] overflows at b=1e+308, m=0.5"
@@ -260,22 +267,22 @@ def _one_pass_per_alpha(f, domain_upper, m, alphas, **kwargs):
     return [classify.check_alpha_m_log_convex(f, domain_upper, ClassParams(m, alpha), **kwargs) for alpha in alphas]
 
 
-@pytest.mark.parametrize("family,params", [("const", {"c": 0.6}), ("exp_linear", {"k": 1.5})])
-def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, family, params):
-    # A const member as in the gated acceptance sweep, and an exp_linear one
-    # that fails the (alpha, m)-classes with alpha < 1. Per m, the m-class
-    # and the classes at alpha 0.5 and 0.75 share the domain [0, 2 / m].
-    args = (family, {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
+# x^2.5 + 0.5 fails every class on [0, 2 / m]; x^2 + 4 is log-convex on
+# [0, 2], so it passes the 1-class there and fails every other class.
+@pytest.mark.parametrize("params,in_one_class", [({"p": 2.5, "q": 0.5}, False), ({"p": 2.0, "q": 4.0}, True)])
+def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, params, in_one_class):
+    # Per m, the m-class and the classes at alpha 0.5 and 0.75 share the domain [0, 2 / m].
+    args = ("poly_shift", {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
     summary = sweep(*args, hypothesis="once")
     assert (work["passes"], work["outcomes"]) == (4, 12)
-    # the integrals inline f: per interval, the midpoint once for eq11 at
-    # every (alpha, m), and f at a, b, a/m and b/m once per m
-    assert work["evaluations"] == 136 * (1 + 4 * len(M4))
-    failed = {(r.theorem, r.params.alpha) for r in summary.reports if r.hypothesis == HYP_FAIL}
-    if family == "const":
-        assert failed == set()
-    else:
-        assert failed == {(t, alpha) for t in ("eq31", "eq42") for alpha in (0.5, 0.75)}
+    # only the reports of the 1-class evaluate their bounds, whose integrals
+    # inline f: per interval, the midpoint once for eq11 and f at a, b, a/1 and b/1
+    assert work["evaluations"] == (136 * (1 + 4) if in_one_class else 0)
+    passed = {(r.theorem, r.params.alpha, r.params.m) for r in summary.reports if r.hypothesis == HYP_PASS}
+    one_class = {
+        (t, alpha, 1.0) for t in GATE_THEOREMS for alpha in (0.5, 0.75, 1.0) if alpha == 1.0 or t not in ("eq31", "eq42")
+    }
+    assert passed == (one_class if in_one_class else set())
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(hhverify.verify, "check_alphas", _one_pass_per_alpha)
@@ -284,11 +291,47 @@ def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, family, pa
     assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in separate.reports]
 
 
-def test_point_checks_workload_samples_200_passes_for_360_outcomes(work, tmp_path, monkeypatch):
+@pytest.mark.parametrize("family,params", [("const", {"c": 0.6}), ("exp_linear", {"k": 1.5})])
+def test_a_gated_sweep_member_samples_no_pass(work, monkeypatch, family, params):
+    # A const member as in the gated acceptance sweep, and an exp_linear one
+    # that fails the (alpha, m)-classes with alpha < 1: the rule decides
+    # every class, with the sampler's verdict on every report.
+    args = (family, {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
+    summary = sweep(*args, hypothesis="once")
+    assert (work["passes"], work["outcomes"]) == (0, 0)
+    failed = {(r.theorem, r.params.alpha) for r in summary.reports if r.hypothesis == HYP_FAIL}
+    assert failed == (set() if family == "const" else {(t, alpha) for t in ("eq31", "eq42") for alpha in (0.5, 0.75)})
+
+    monkeypatch.setattr(hhverify.verify, "exact_membership", lambda *args: None)
+    sampled = sweep(*args, hypothesis="once")
+    assert (work["passes"], work["outcomes"]) == (4, 12)
+    # equal but for the diagnostics of a fail, whose witness is each one's own worst triple
+    assert summary.reports == sampled.reports
+
+
+def test_a_parsed_constant_is_decided_with_the_sampler_s_witness(work, capsys, monkeypatch):
+    # `--f 2` parses to the const family's tree. At m < 1 the worst triple
+    # is (0, 0, 0), which is also the least of the sampler's tied worst
+    # triples, so the table's note reads the same.
+    argv = ["check", "--f", "2", "--m", "0.5", "--theorem", "eq4,eq22"]
+    assert run(argv) == EXIT_INCONCLUSIVE
+    decided = capsys.readouterr()
+    assert work["passes"] == 0
+    assert "class check failed on [0, 2.0] at (x=0.0, y=0.0, t=0.0) with deficit" in decided.out
+    monkeypatch.setattr(hhverify.verify, "exact_membership", lambda *args: None)
+    assert run(argv) == EXIT_INCONCLUSIVE
+    assert work["passes"] == 1
+    assert capsys.readouterr() == decided
+
+
+def test_point_checks_workload_samples_88_passes_for_129_outcomes(work, tmp_path, monkeypatch):
     # The benchmark's seed-0 point_checks requests: 160 five-theorem checks,
-    # one pass each for the m-class and its (alpha, m)-class, and 40 dr2
-    # chains, one pass each for the plain class. At 2 * 33**3 samples a pass
-    # that is 14,374,800 samples, where one pass per class took 25,874,640.
+    # which need the m-class and its (alpha, m)-class, and 40 dr2 chains,
+    # which need the plain class. The rule decides every class of the const
+    # and exp_linear members and the exp_affine classes at alpha 1 or m 1;
+    # poly_shift and the other exp_affine classes are sampled. At 2 * 33**3
+    # samples a pass that is 6,324,912 samples, where sampling every class
+    # took 200 passes for 360 outcomes, 14,374,800 samples.
     spec = importlib.util.spec_from_file_location("hhverify_bench_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
@@ -297,7 +340,7 @@ def test_point_checks_workload_samples_200_passes_for_360_outcomes(work, tmp_pat
     assert [r.kind for r in requests].count("check") == 160 and len(requests) == 200
     for request in requests:
         run(list(request.argv))
-    assert (work["passes"], work["outcomes"]) == (200, 360)
+    assert (work["passes"], work["outcomes"]) == (88, 129)
 
 
 @pytest.mark.parametrize(
