@@ -8,12 +8,7 @@ small expressions in x or as members of registered parametric families;
 class membership itself can be sampled. See the command line tool
 ``hhverify`` for the same operations without writing code.
 """
-from .bounds import (
-    BoundSide,
-    ChainTerm,
-    Endpoints,
-    exp_mean_factor,
-)
+from .bounds import ChainTerm, Endpoints, exp_mean_factor
 from .classify import (
     ClassificationReport,
     ClassParams,
@@ -48,7 +43,6 @@ from .verify import (
     THEOREMS,
     VIOLATED,
     InequalityReport,
-    MinMargin,
     ReportParams,
     SearchResult,
     SweepSummary,
@@ -77,11 +71,11 @@ __all__ = [
     "ClassParams", "ClassificationReport", "Violation", "SampleEvaluationError",
     "check_alpha_m_log_convex",
     # bounds and chain terms
-    "BoundSide", "Endpoints", "ChainTerm", "exp_mean_factor",
+    "Endpoints", "ChainTerm", "exp_mean_factor",
     # verification
     "THEOREMS", "HOLDS", "VIOLATED", "INAPPLICABLE", "INCONCLUSIVE",
     "HYP_PASS", "HYP_FAIL", "HYP_SKIPPED",
-    "ReportParams", "InequalityReport", "MinMargin", "SweepSummary",
+    "ReportParams", "InequalityReport", "SweepSummary",
     "SearchResult", "margin_tolerance", "replay_verdict",
     "verify_theorem", "verify_theorems", "sweep", "search_min_margin",
 ]

@@ -10,8 +10,8 @@ values they compare, the midpoint value, the integral means and the record
 at m = 1, which the caller fetches. This module neither builds integrands
 nor integrates; ``quadrature`` does both. All products and powers of
 function values are computed in log space so that nothing overflows before
-it has to. Inapplicable sides (endpoint ratios above one, where the closed
-form stops being an upper bound) are reported as data, never raised.
+it has to. Each side is a float; a side whose endpoint ratio exceeds one,
+where the kernel stops being an upper bound, is None, never raised.
 
 Two inequalities exist in a printed and a corrected variant. The printed
 closed forms compare the geometric-mean integral
@@ -44,7 +44,6 @@ __all__ = [
     "RATIO_ONE_REL",
     "RATIO_ABOVE_ONE",
     "VARIANTS",
-    "BoundSide",
     "ClosedFormUnderflow",
     "Endpoints",
     "ChainTerm",
@@ -55,6 +54,7 @@ __all__ = [
 # Ratios within this relative distance of 1 take the exact limit value.
 RATIO_ONE_REL = 1e-14
 
+# The diagnostics of a report whose closed-form side is None.
 RATIO_ABOVE_ONE = "ratio_above_one"
 VARIANTS = ("printed", "corrected")
 
@@ -72,20 +72,6 @@ def _exp_positive(u: float, name: str) -> float:
 
 
 @dataclass(frozen=True)
-class BoundSide:
-    """One closed-form side of an inequality, or the reason it does not apply."""
-
-    value: Optional[float]
-    err_est: float = 0.0
-    applicable: bool = True
-    reason: Optional[str] = None
-
-    @staticmethod
-    def inapplicable(reason: str) -> "BoundSide":
-        return BoundSide(value=None, err_est=0.0, applicable=False, reason=reason)
-
-
-@dataclass(frozen=True)
 class ChainTerm:
     """One labeled term of a refinement chain; each term should not exceed the next."""
 
@@ -94,14 +80,13 @@ class ChainTerm:
     err_est: float = 0.0
 
 
-def exp_mean_factor(r: float, alpha: float) -> BoundSide:
+def exp_mean_factor(r: float, alpha: float) -> Optional[float]:
     """Closed-form upper bound for the average of r**(t**alpha) over t in [0, 1].
 
     For 0 < r < 1 the average is at most (r**alpha - 1)/(alpha * ln r),
     evaluated here as expm1(u)/u with u = alpha*ln(r) to stay exact near
     r = 1; at r = 1 (within RATIO_ONE_REL relative) the value is exactly 1.
-    For r > 1 the closed form is not an upper bound, so the side comes back
-    inapplicable with reason "ratio_above_one".
+    For r > 1 the closed form is not an upper bound, and the result is None.
 
     Raises:
         ValueError: r is not a positive finite real, or alpha is outside (0, 1].
@@ -110,11 +95,11 @@ def exp_mean_factor(r: float, alpha: float) -> BoundSide:
         raise ValueError(f"ratio must be a positive finite real, got {r!r}")
     ClassParams(1.0, alpha)  # range-check alpha
     if abs(r - 1.0) <= RATIO_ONE_REL * max(1.0, r):
-        return BoundSide(value=1.0)
+        return 1.0
     if r > 1.0:
-        return BoundSide.inapplicable(RATIO_ABOVE_ONE)
+        return None
     u = alpha * math.log(r)
-    return BoundSide(value=math.expm1(u) / u)
+    return math.expm1(u) / u
 
 
 @dataclass(frozen=True)
@@ -164,14 +149,14 @@ def check_variant(variant: str) -> None:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
 
 
-def eq4_rhs(ends: Endpoints) -> BoundSide:
+def eq4_rhs(ends: Endpoints) -> float:
     """min of L(f(a), f(b/m)**m) and L(f(b), f(a/m)**m)."""
     fam_m = math.exp(ends.m * ends.lam)
     fbm_m = math.exp(ends.m * ends.lbm)
-    return BoundSide(value=min(logarithmic_mean(ends.fa, fbm_m), logarithmic_mean(ends.fb, fam_m)))
+    return min(logarithmic_mean(ends.fa, fbm_m), logarithmic_mean(ends.fb, fam_m))
 
 
-def eq22_rhs(ends: Endpoints, variant: str = "corrected") -> BoundSide:
+def eq22_rhs(ends: Endpoints, variant: str = "corrected") -> float:
     check_variant(variant)
     if variant == "printed":
         # products of two values of f can underflow; the square roots below cannot
@@ -180,32 +165,29 @@ def eq22_rhs(ends: Endpoints, variant: str = "corrected") -> BoundSide:
     else:
         p = math.exp(0.5 * (ends.la + ends.lb))
         q = math.exp(0.5 * ends.m * (ends.lam + ends.lbm))
-    return BoundSide(value=logarithmic_mean(p, q))
+    return logarithmic_mean(p, q)
 
 
-def _scaled(side: BoundSide, coefficient: float) -> BoundSide:
-    if not side.applicable:
-        return side
-    return BoundSide(value=coefficient * side.value, err_est=coefficient * side.err_est)
+def _scaled(factor: Optional[float], coefficient: float) -> Optional[float]:
+    return None if factor is None else coefficient * factor
 
 
-def eq31_branches(ends: Endpoints, alpha: float) -> tuple[BoundSide, dict[str, BoundSide]]:
+def eq31_branches(ends: Endpoints, alpha: float) -> tuple[Optional[float], dict[str, Optional[float]]]:
     """rhs and both labeled branches of the endpoint-ratio mean bound.
 
     The "phi" branch scales the kernel at phi by f(b/m)**m, the "ell"
     branch scales the kernel at ell by f(a/m)**m; the rhs is the minimum
-    of the applicable branches, or inapplicable when both ratios exceed 1.
+    of the branches that are not None, or None when both ratios exceed 1.
     """
     branches = {
         "phi": _scaled(exp_mean_factor(ends.phi, alpha), math.exp(ends.m * ends.lbm)),
         "ell": _scaled(exp_mean_factor(ends.ell, alpha), math.exp(ends.m * ends.lam)),
     }
-    usable = [side.value for side in branches.values() if side.applicable]
-    rhs = BoundSide(value=min(usable)) if usable else BoundSide.inapplicable(RATIO_ABOVE_ONE)
-    return rhs, branches
+    usable = [side for side in branches.values() if side is not None]
+    return min(usable, default=None), branches
 
 
-def eq42_rhs(ends: Endpoints, alpha: float, variant: str = "corrected") -> BoundSide:
+def eq42_rhs(ends: Endpoints, alpha: float, variant: str = "corrected") -> Optional[float]:
     check_variant(variant)
     if variant == "printed":
         coefficient = math.exp(ends.m * (ends.lam + ends.lbm))

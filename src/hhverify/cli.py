@@ -273,7 +273,7 @@ def _summary_json(summary: SweepSummary, objects: str) -> str:
         best_json = "null"
     else:
         best_json = _MIN_MARGIN_JSON % (
-            _number(best.value)[0], _json_string(best.theorem), _json_string(best.variant),
+            _number(best.margin)[0], _json_string(best.theorem), _json_string(best.variant),
             _point_text(best.params, _family_text(best.params))[0],
         )
     return '{"reports":[%s],"min_margin":%s}' % (objects, best_json)
@@ -434,6 +434,13 @@ def _exit_code(reports: Sequence[InequalityReport]) -> int:
     return EXIT_OK
 
 
+def _check_outputs(args) -> None:
+    """Refuse ``--json`` and ``--csv`` naming one file, where the second write would replace the first."""
+    paths = [path for path in (args.json, args.csv) if path not in (None, "-")]
+    if len(paths) == 2 and os.path.realpath(paths[0]) == os.path.realpath(paths[1]):
+        raise _CliError(f"--json and --csv name the same file: {args.json!r} and {args.csv!r}")
+
+
 def _emit_reports(args, reports: Sequence[InequalityReport], wrap_json: Callable[[str], str]) -> bool:
     """Write ``--json`` (the joined report objects through ``wrap_json``) and ``--csv``.
 
@@ -456,6 +463,7 @@ def _emit_reports(args, reports: Sequence[InequalityReport], wrap_json: Callable
 
 
 def _cmd_check(args) -> int:
+    _check_outputs(args)
     f, family = _resolve_function(args)
     theorems = _parse_theorems(args.theorem)
     seed = _resolve_seed(args.seed)
@@ -541,6 +549,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs(args)
     theorems = _parse_theorems(args.theorem)
     seed = _resolve_seed(args.seed)
     summary = sweep(
@@ -568,7 +577,7 @@ def _cmd_sweep(args) -> int:
             p = mm.params
             print(
                 "min margin: %.12g (%s, a=%.6g b=%.6g alpha=%.6g m=%.6g%s)"
-                % (mm.value, mm.theorem, p.a, p.b, p.alpha, p.m,
+                % (mm.margin, mm.theorem, p.a, p.b, p.alpha, p.m,
                    f", {_family_cell(p)}" if p.family else "")
             )
     return _exit_code(summary.reports)

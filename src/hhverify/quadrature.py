@@ -282,8 +282,8 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
     """Return the average of ``f`` over ``iv``: (1/(b-a)) * integral.
 
     ``f`` may be a FunctionExpr, integrated through its compiled value
-    kernel, any other object with an ``evaluate(x)`` method, or a plain
-    callable. Value and error estimate are both scaled by 1/(b-a).
+    kernel, or an integrand built above or a plain callable, as given to
+    ``integrate``. Value and error estimate are both scaled by 1/(b-a).
 
     Raises:
         IntegrandError: if the interval is too narrow to average over,
@@ -299,6 +299,5 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
             iv.a, f"interval width {iv.width!r} is too narrow to average over: the panel weight (b-a)/12 is subnormal"
         )
     s = 1.0 / iv.width
-    g = value_integrand(f) if isinstance(f, FunctionExpr) else getattr(f, "evaluate", f)
-    r = integrate(g, iv, tol)
+    r = integrate(value_integrand(f) if isinstance(f, FunctionExpr) else f, iv, tol)
     return QuadResult(r.value * s, r.err_est * s, r.evals, r.converged)

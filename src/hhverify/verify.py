@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .bounds import (
-    BoundSide,
+    RATIO_ABOVE_ONE,
     ChainTerm,
     ClosedFormUnderflow,
     Endpoints,
@@ -84,7 +84,6 @@ __all__ = [
     "HYP_SKIPPED",
     "ReportParams",
     "InequalityReport",
-    "MinMargin",
     "SweepSummary",
     "SearchResult",
     "margin_tolerance",
@@ -137,17 +136,9 @@ class InequalityReport:
 
 
 @dataclass(frozen=True)
-class MinMargin:
-    value: float
-    theorem: str
-    variant: str
-    params: ReportParams
-
-
-@dataclass(frozen=True)
 class SweepSummary:
     reports: tuple[InequalityReport, ...]
-    min_margin: Optional[MinMargin]
+    min_margin: Optional[InequalityReport]  # the first report of least margin
     counts: Mapping[str, int]
 
 
@@ -346,11 +337,11 @@ def _report(
 _Fields = tuple[float, Optional[float], float, Optional[str], tuple[ChainTerm, ...]]
 
 
-def _compare(lhs: float, lhs_err: float, side: BoundSide) -> _Fields:
-    """A single bound's fields: lhs against its closed-form side, or lhs alone and why the side does not apply."""
-    if not side.applicable:
-        return lhs, None, lhs_err, side.reason, ()
-    return lhs, side.value, lhs_err + side.err_est, None, ()
+def _compare(lhs: float, lhs_err: float, rhs: Optional[float], rhs_err: float = 0.0) -> _Fields:
+    """A single bound's fields: lhs against its side, or lhs alone where the closed form's ratio exceeds one."""
+    if rhs is None:
+        return lhs, None, lhs_err, RATIO_ABOVE_ONE, ()
+    return lhs, rhs, lhs_err + rhs_err, None, ()
 
 
 def _tightest(terms: tuple[ChainTerm, ...]) -> _Fields:
@@ -382,7 +373,7 @@ def _eq4(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
 
 def _eq11(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
     rhs = cache.mixed_geometric(eff.m)
-    return _compare(cache.midpoint(), 0.0, BoundSide(value=rhs.value, err_est=rhs.err_est))
+    return _compare(cache.midpoint(), 0.0, rhs.value, rhs.err_est)
 
 
 def _eq22(cache: _IntegralCache, eff: ClassParams, variant: str) -> _Fields:
@@ -589,30 +580,13 @@ def verify_theorems(
     )
 
 
-def verify_theorem(
-    theorem: str,
-    f: FunctionExpr,
-    iv: Interval,
-    *,
-    m: float = 1.0,
-    alpha: float = 1.0,
-    variant: str = "corrected",
-    tol: float = 1e-10,
-    check_hypothesis: bool = True,
-    grid_n: int = 33,
-    tol_rel: float = 1e-9,
-    seed: int = DEFAULT_SEED,
-    family: Optional[FamilySpec] = None,
-) -> InequalityReport:
+def verify_theorem(theorem: str, f: FunctionExpr, iv: Interval, **keywords: Any) -> InequalityReport:
     """Verify one inequality for ``f`` on ``iv`` and return the report.
 
-    The single-theorem case of :func:`verify_theorems`, with the same
-    keywords.
+    The single-theorem case of :func:`verify_theorems`, which takes the
+    keywords and owns their defaults.
     """
-    return verify_theorems(
-        [theorem], f, iv, m=m, alpha=alpha, variant=variant, tol=tol,
-        check_hypothesis=check_hypothesis, grid_n=grid_n, tol_rel=tol_rel, seed=seed, family=family,
-    )[0]
+    return verify_theorems([theorem], f, iv, **keywords)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -693,11 +667,11 @@ def sweep(
         )
 
     counts = dict.fromkeys(VERDICTS, 0)
-    best: Optional[MinMargin] = None
+    best: Optional[InequalityReport] = None
     for report in reports:
         counts[report.verdict] += 1
-        if report.margin is not None and (best is None or report.margin < best.value):
-            best = MinMargin(report.margin, report.theorem, report.variant, report.params)
+        if report.margin is not None and (best is None or report.margin < best.margin):
+            best = report
     return SweepSummary(reports=tuple(reports), min_margin=best, counts=counts)
 
 

@@ -515,6 +515,20 @@ class TestJsonAndCsvTogether:
         assert both.err == json_only.err == csv_only.err == ""
         assert both.out == json_only.out + csv_only.out
 
+    @pytest.mark.parametrize("json_path,csv_path", [("P", "P"), ("P", "./P")])
+    @pytest.mark.parametrize("argv", [["check", "--f", "2", "--theorem", "eq4,eq22"], MIXED_SWEEP_ARGS])
+    def test_one_file_for_both_is_usage(self, tmp_path, capsys, monkeypatch, argv, json_path, csv_path):
+        def computed(*args, **kwargs):
+            raise AssertionError("a refused request computed reports")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "verify_theorems", computed)
+        monkeypatch.setattr(cli, "sweep", computed)
+        assert run(argv + ["--json", json_path, "--csv", csv_path]) == EXIT_USAGE
+        message = f"error: --json and --csv name the same file: {json_path!r} and {csv_path!r}\n"
+        assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("theorems", ["eq4", "eq4,eq22,eq31"])
     def test_check(self, tmp_path, capsys, theorems):
         argv = ["check", "--family", "const", "--param", "c=1e200", "--theorem", theorems,
@@ -627,6 +641,26 @@ class TestDefaults:
         }
         assert set(parsed) & set(signature) == names
         assert {name: parsed[name] for name in names} == {name: signature[name] for name in names}
+
+    def test_every_signature_declares_one_default_per_keyword(self):
+        keywords = ("tol", "variant", "grid_n", "tol_rel", "seed")
+        declared = {keyword: {} for keyword in keywords}  # keyword -> default -> the functions declaring it
+        for name in ("bounds", "classify", "cli", "funcspec", "means", "quadrature", "verify"):
+            module = importlib.import_module(f"hhverify.{name}")
+            for function_name, function in vars(module).items():
+                if function_name.startswith("_") or not inspect.isfunction(function):
+                    continue
+                if function.__module__ != module.__name__:
+                    continue
+                for keyword, p in inspect.signature(function).parameters.items():
+                    if keyword in declared and p.default is not inspect.Parameter.empty:
+                        declared[keyword].setdefault(p.default, []).append(function_name)
+        assert all(len(defaults) == 1 for defaults in declared.values()), declared
+        declaring = {name for defaults in declared.values() for names in defaults.values() for name in names}
+        assert declaring >= {
+            "check_alpha_m_log_convex", "check_alphas", "exact_membership", "integrate", "mean_integral",
+            "eq22_rhs", "eq42_rhs", "verify_theorems", "sweep", "search_min_margin",
+        }
 
     def test_help_states_the_parsed_default(self):
         stated = set()

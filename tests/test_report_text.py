@@ -7,6 +7,7 @@ references here are the generic recursive walk
 report's cells, every number through ``_fmt_float``.
 """
 import csv
+import dataclasses
 import io
 import math
 
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st
 
 import hhverify.cli as cli
 from hhverify.cli import _fmt_float, _json_value, _render, _summary_json
-from hhverify.verify import InequalityReport, MinMargin, ReportParams, SweepSummary
+from hhverify.verify import InequalityReport, ReportParams, SweepSummary
 
 SPECIAL = [None, math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, -1e308, 0.1, -2.75]
 # 1e308 + 1e308 overflows, so four finite numbers can still miss the fast path;
@@ -109,13 +110,10 @@ def test_json_and_csv_match_the_generic_encoders(reports):
 
 @given(report_lists(), st.one_of(st.none(), present))
 def test_summary_json_matches_the_generic_encoder(reports, best_value):
-    best = None
-    if best_value is not None:
-        r = reports[-1]
-        best = MinMargin(best_value, r.theorem, r.variant, r.params)
+    best = None if best_value is None else dataclasses.replace(reports[-1], margin=best_value)
     summary = SweepSummary(reports=tuple(reports), min_margin=best, counts={})
     best_dict = None if best is None else {
-        "value": best.value, "theorem": best.theorem, "variant": best.variant,
+        "value": best.margin, "theorem": best.theorem, "variant": best.variant,
         "params": _reference_dict(reports[-1])["params"],
     }
     expected = _json_value({"reports": [_reference_dict(r) for r in reports], "min_margin": best_dict})

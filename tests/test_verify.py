@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -18,9 +19,12 @@ from hhverify import (
     margin_tolerance,
     parse,
     replay_verdict,
+    THEOREMS,
+    family_instantiate,
     search_min_margin,
     sweep,
     verify_theorem,
+    verify_theorems,
 )
 from hhverify.bounds import RATIO_ABOVE_ONE
 
@@ -43,12 +47,29 @@ def test_eq22_printed_const_is_violated():
     assert r.variant == "printed"
 
 
-def test_eq31_large_constant_is_inapplicable():
-    r = verify_theorem("eq31", parse("2"), UNIT, m=0.5, check_hypothesis=False)
+@pytest.mark.parametrize("theorem", ["eq31", "eq42"])
+@pytest.mark.parametrize("variant", ["printed", "corrected"])
+def test_large_constant_is_inapplicable(theorem, variant):
+    r = verify_theorem(theorem, parse("2"), UNIT, m=0.5, variant=variant, check_hypothesis=False)
     assert r.verdict == INAPPLICABLE
     assert r.lhs == pytest.approx(2.0, rel=1e-12)
     assert r.rhs is None and r.margin is None
     assert r.diagnostics == RATIO_ABOVE_ONE
+
+
+def test_verify_theorem_forwards_its_keywords():
+    assert all(p.default is inspect.Parameter.empty for p in inspect.signature(verify_theorem).parameters.values())
+    family = FamilySpec("poly_shift", {"p": 2.0, "q": 0.5})
+    f, iv = family_instantiate(family), Interval(0.5, 1.5)
+    keywords = dict(
+        m=0.75, alpha=0.5, variant="printed", tol=1e-9, check_hypothesis=True, grid_n=9, tol_rel=1e-6, seed=7,
+        family=family,
+    )
+    for theorem in THEOREMS:
+        for given in ({}, keywords):
+            one = verify_theorem(theorem, f, iv, **given)
+            (listed,) = verify_theorems([theorem], f, iv, **given)
+            assert (one, one.diagnostics, one.terms) == (listed, listed.diagnostics, listed.terms)
 
 
 def test_hypothesis_failure_is_inconclusive():
@@ -172,12 +193,25 @@ class TestSweep:
         assert all(r.hypothesis == HYP_PASS for r in summary.reports)
         assert summary.counts == {HOLDS: 6, VIOLATED: 0, INAPPLICABLE: 0, INCONCLUSIVE: 0}
         assert summary.min_margin is not None
-        assert abs(summary.min_margin.value) <= 1e-8
+        assert abs(summary.min_margin.margin) <= 1e-8
         again = sweep(
             "exp_linear", {"k": (0.5, 1.0, 2.0)},
             (0.0,), (1.0,), (0.5, 1.0), (1.0,), ("eq4",), **kwargs,
         )
         assert again == summary
+
+    def test_min_margin_is_the_first_report_of_least_margin(self):
+        # c = 2 has an inapplicable eq31 (no margin); the two c = 0.5 members tie at the least margin
+        summary = sweep(
+            "const", {"c": (2.0, 0.5, 0.5)},
+            (0.0,), (1.0,), (0.5,), (1.0,), ("eq31", "eq22"), variant="printed",
+        )
+        reports = summary.reports
+        assert [r.verdict for r in reports] == [INAPPLICABLE, HOLDS, HOLDS, VIOLATED, HOLDS, VIOLATED]
+        assert reports[3] == reports[5] and reports[3].margin == reports[5].margin
+        assert summary.min_margin is reports[3]
+        least = min(r.margin for r in reports if r.margin is not None)
+        assert summary.min_margin is next(r for r in reports if r.margin == least)
 
     def test_iteration_order(self):
         summary = sweep(
