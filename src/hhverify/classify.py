@@ -14,10 +14,11 @@ ln lhs - ln rhs, has the closed form
 
     (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y).
 
-exact_membership decides the class of a const, exp_linear or exp_affine
-member from it wherever one of the two terms vanishes (c = 1, k = 0,
-alpha = 1 or m = 1), with no sampling, so grid_n and seed do not matter
-there; check_alphas and check_alpha_m_log_convex always sample.
+Its worst case over (x, y) does not depend on t, so its maximum over
+[0, B]^2 x [0, 1] is one over t alone, with a closed-form peak.
+exact_membership decides the class of every const, exp_linear and
+exp_affine member from it, with no sampling, so grid_n and seed do not
+matter there; check_alphas and check_alpha_m_log_convex always sample.
 
 Sampling is deterministic. The grid part uses grid_n uniform points per
 axis (endpoints included, grids of size 2k+1 contain the size k+1 grid);
@@ -59,7 +60,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .funcspec import Binary, Const, FamilyError, FamilySpec, FunctionExpr, Unary, Var, family_instantiate
+from .funcspec import Binary, Const, FamilyError, FamilySpec, FunctionExpr, Node, Unary, Var, family_instantiate
 
 if TYPE_CHECKING:  # numpy is imported by the first check, not with the package
     import numpy as np
@@ -348,26 +349,51 @@ def _rank(w: Violation) -> tuple[float, float, float, float]:
     return -w.deficit, w.x, w.y, w.t
 
 
+def _number(node: Node) -> Optional[float]:
+    """v where ``node`` is the constant v or its negation -v, else None."""
+    match node:
+        case Const(v):
+            return v
+        case Unary("neg", Const(v)):
+            return -v
+    return None
+
+
+def _slope(node: Node) -> Optional[float]:
+    """k where ``node`` is k*x, also spelled x (k = 1) or -x (k = -1), else None."""
+    match node:
+        case Var():
+            return 1.0
+        case Unary("neg", Var()):
+            return -1.0
+        case Binary("*", factor, Var()):
+            return _number(factor)
+    return None
+
+
 def _log_affine(f: FunctionExpr) -> Optional[tuple[float, float]]:
     """(c, k) where f is the const, exp_linear or exp_affine member c*exp(k*x), else None.
 
-    f must be the very tree that the family's builder makes; the family's
-    own range check then refuses a c <= 0 and any value that is not finite.
+    f is the tree that the family's builder makes, or the same tree with
+    x for 1*x, -x for -1*x or -v for a constant -v, as the parser reads
+    `exp(x)`, `exp(-x)` or `exp(-2*x)`; each is exact, so such a tree
+    evaluates bit for bit as the builder's. The exp_affine family's range
+    check then refuses a c <= 0 and any value that is not finite.
     """
     match f.root:
-        case Const(c):
-            spec = FamilySpec("const", {"c": c})
-        case Unary("exp", Binary("*", Const(k), Var())):
-            spec = FamilySpec("exp_linear", {"k": k})
-        case Binary("*", Const(c), Unary("exp", Binary("*", Const(k), Var()))):
-            spec = FamilySpec("exp_affine", {"c": c, "k": k})
-        case _:
-            return None
+        case Unary("exp", arg):
+            c, k = 1.0, _slope(arg)
+        case Binary("*", factor, Unary("exp", arg)):
+            c, k = _number(factor), _slope(arg)
+        case root:
+            c, k = _number(root), 0.0
+    if c is None or k is None:
+        return None
     try:
-        family_instantiate(spec)
+        family_instantiate(FamilySpec("exp_affine", {"c": c, "k": k}))
     except FamilyError:
         return None
-    return spec.params.get("c", 1.0), spec.params.get("k", 0.0)
+    return c, k
 
 
 def exact_membership(
@@ -375,19 +401,24 @@ def exact_membership(
 ) -> Optional[ClassificationReport]:
     """Decide the (alpha, m)-class of ``f`` on [0, domain_upper] from its closed form, or None where none applies.
 
-    It applies to f = c*exp(k*x) built by the const, exp_linear or
-    exp_affine family when c = 1, k = 0, alpha = 1 or m = 1, and, for
-    k != 0, f is finite and positive at 0 and at domain_upper (so, being
-    monotone, on the whole domain). Then one term of the log-deficit
-    (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y) vanishes and
-    the other is largest at a known triple: (0, 0, 0) for the ln c term,
-    and t = alpha**(1/(1 - alpha)) with (x, y) = (0, B) for k > 0 or
-    (B, 0) for k < 0 for the k term. Where that term cannot be positive
-    (c <= 1 or m = 1; k = 0 or alpha = 1) the report is a pass and
-    nothing is evaluated but those two ends. Otherwise the sampler's own
-    test, lhs > rhs * (1 + tol_rel) with rhs computed in log space, is
-    applied at that triple, and a fail carries it as the worst violation,
-    the one of largest log-deficit. A decided report counts 0 samples.
+    It applies to f = c*exp(k*x), a const, exp_linear or exp_affine
+    member, where for k != 0 f is finite and positive at 0 and at
+    domain_upper = B (so, being monotone, on the whole domain). Its
+    log-deficit is (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y)
+    and t - t**alpha <= 0, so at every t the k term is largest at
+    (x, y) = (0, B) for k > 0 and (B, 0) for k < 0. That leaves
+
+        phi(t) = a*(1 - t**alpha) + s*(t**alpha - t),
+
+    with a = (1 - m)*ln c, and s = k*m*B for k > 0, -k*B for k < 0, and 0
+    for alpha = 1. phi(0) = a, phi(1) = 0 and phi' falls, so phi peaks at
+    t = 0 where s <= a, at t = 1 where alpha*(1 - a/s) >= 1, and else at
+    t = (alpha*(1 - a/s))**(1/(1 - alpha)). Where that peak is at most 0
+    the report is a pass, and nothing is evaluated but the two ends.
+    Otherwise the sampler's own test, lhs > rhs * (1 + tol_rel) with rhs
+    computed in log space, is applied at the peak's triple, (0, 0, 0) for
+    t = 0, and a fail carries it as the worst violation, the one of
+    largest log-deficit. A decided report counts 0 samples.
 
     Raises:
         ValueError: domain_upper is not a positive finite real, or tol_rel
@@ -400,13 +431,15 @@ def exact_membership(
         return None
     c, k = member
     m, alpha = params.m, params.alpha
-    if k == 0.0 or alpha == 1.0:
-        worst = None if c <= 1.0 or m == 1.0 else (0.0, 0.0, 0.0)
-    elif c == 1.0 or m == 1.0:
-        t = alpha ** (1.0 / (1.0 - alpha))  # where t**alpha - t peaks
-        worst = (0.0, domain_upper, t) if k > 0.0 else (domain_upper, 0.0, t)
+    a = (1.0 - m) * math.log(c)
+    s = 0.0 if alpha == 1.0 else k * m * domain_upper if k > 0.0 else -k * domain_upper
+    if s <= a:  # phi peaks at t = 0
+        worst = None if a <= 0.0 else (0.0, 0.0, 0.0)
+    elif s == 0.0 or (peak := alpha * (1.0 - a / s)) >= 1.0:  # at t = 1; s = 0 also where k*B underflows
+        worst = None
     else:
-        return None
+        t = peak ** (1.0 / (1.0 - alpha))  # where phi' = 0
+        worst = (0.0, domain_upper, t) if k > 0.0 else (domain_upper, 0.0, t)
     if k != 0.0:
         ends = f.evaluate_array([0.0, domain_upper])
         if not (ends.min() > 0.0 and ends.max() < math.inf):  # the sampler names the first bad value

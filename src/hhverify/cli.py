@@ -645,9 +645,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     decided = (
-        "decided exactly where f is a const, exp_linear or exp_affine member (also as --f, e.g. '2' or "
-        "'exp(2*x)') and c = 1, k = 0, alpha = 1 or m = 1, so --grid-n and --seed do not matter there; "
-        "sampled elsewhere"
+        "decided exactly where f = c*exp(k*x) is a const, exp_linear or exp_affine member (also as --f, e.g. "
+        "'2', 'exp(x)', 'exp(-2*x)' or '2*exp(x)'), so --grid-n and --seed do not matter there; sampled elsewhere"
     )
     gate_help = "check class membership before verifying (default on); " + decided
 

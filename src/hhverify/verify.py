@@ -20,11 +20,11 @@ chain does, so replaying the verdict from the reported fields agrees with
 checking the whole chain.
 
 Hypothesis checking is class membership (see classify), decided exactly
-where a closed form applies and sampled elsewhere. A failed check makes
-the verdict "inconclusive" rather than letting a bound that was never
-claimed count as violated; a check that cannot run because the function
-is not evaluable on the class domain does the same, with the failure
-recorded in diagnostics.
+for the const, exp_linear and exp_affine members and sampled elsewhere. A
+failed check makes the verdict "inconclusive" rather than letting a bound
+that was never claimed count as violated; a check that cannot run
+because the function is not evaluable on the class domain does the same,
+with the failure recorded in diagnostics.
 
 Every report comes from one driver, the generator ``_reports``:
 verify_theorems runs it on one point, sweep once per family member and
@@ -451,8 +451,8 @@ def _reports(
     and the effective classes are worked out once per call. Every report
     reads its hypothesis from one ``_gate`` table per distinct upper,
     ``domain_upper`` or else the interval's b: with ``sampling``, each
-    class is checked on [0, upper / m_eff], decided exactly where a rule
-    applies and otherwise sampled in one pass with every other such alpha
+    class is checked on [0, upper / m_eff], decided exactly where the rule
+    covers f and otherwise sampled in one pass with every other such alpha
     that the call pairs with m_eff. A failed or aborted check,
     a failed evaluation or integral, and a closed form that overflows or
     underflows each make the report inconclusive, with the reason in its
@@ -560,14 +560,14 @@ def verify_theorems(
     [0, b / m_eff] first (m_eff from each theorem's effective class); a
     failed or aborted check yields an inconclusive report instead of a
     numeric comparison. A class is decided exactly where
-    ``classify.exact_membership`` applies (f a const, exp_linear or
-    exp_affine tree with c = 1, k = 0, alpha = 1 or m = 1), and grid_n
-    and seed then do not matter; the others are sampled. Each distinct
-    effective class is judged once, the sampled classes of one m_eff in
-    one sampling pass, and each integral is computed once, so the reports
-    equal those of separate ``verify_theorem`` calls at a fraction of the
-    cost. ``family`` is labeling metadata only; it does not have to match
-    ``f``, but the CLI always passes the spec it built the function from.
+    ``classify.exact_membership`` applies (f = c*exp(k*x), a const,
+    exp_linear or exp_affine member), and grid_n and seed then do not
+    matter; the others are sampled. Each distinct effective class is
+    judged once, the sampled classes of one m_eff in one sampling pass,
+    and each integral is computed once, so the reports equal those of
+    separate ``verify_theorem`` calls at a fraction of the cost.
+    ``family`` is labeling metadata only; it does not have to match ``f``,
+    but the CLI always passes the spec it built the function from.
     """
     _check_request(theorems, variant, tol)
     _check_class_values([m], [alpha])
@@ -624,9 +624,9 @@ def sweep(
     (family member, domain, effective class), since it does not depend on
     a: each member's reports read one gate table per domain. A class that
     ``classify.exact_membership`` decides (const, exp_linear and
-    exp_affine members with c = 1, k = 0, alpha = 1 or m = 1) is not
-    sampled, so grid_n and seed do not matter to it; one sampling pass
-    judges every other alpha of one domain and m_eff.
+    exp_affine members) is not sampled, so grid_n and seed do not matter
+    to it; one sampling pass judges every other alpha of one domain and
+    m_eff.
 
     Each family member is one run of the shared report driver: its
     effective classes are worked out once per (theorem, alpha, m), and
