@@ -16,9 +16,10 @@ ln lhs - ln rhs, has the closed form
 
 Its worst case over (x, y) does not depend on t, so its maximum over
 [0, B]^2 x [0, 1] is one over t alone, with a closed-form peak.
-exact_membership decides the class of every const, exp_linear and
-exp_affine member from it, with no sampling, so grid_n and seed do not
-matter there; check_alphas and check_alpha_m_log_convex always sample.
+exact_membership decides from it, with no sampling, the class of every f
+that reads as c*exp(k*x) (exp of an affine form in x, a constant, and
+products and quotients of these), so grid_n and seed do not matter
+there; check_alphas and check_alpha_m_log_convex always sample.
 
 Sampling is deterministic. The grid part uses grid_n uniform points per
 axis (endpoints included, grids of size 2k+1 contain the size k+1 grid);
@@ -60,7 +61,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from .funcspec import Binary, Const, FamilyError, FamilySpec, FunctionExpr, Node, Unary, Var, family_instantiate
+from .funcspec import Binary, Const, FunctionExpr, Node, Unary, Var
 
 if TYPE_CHECKING:  # numpy is imported by the first check, not with the package
     import numpy as np
@@ -200,11 +201,13 @@ def check_alpha_m_log_convex(
     return report
 
 
-def check_sampling(grid_n: int, tol_rel: float) -> None:
-    """Range-check a class check's grid_n, then its tol_rel; a ValueError names the first bad one."""
+def check_sampling(grid_n: int, tol_rel: float, seed: int) -> None:
+    """Range-check a class check's grid_n, tol_rel and seed, in order; a ValueError names the first bad one."""
     if not 2 <= grid_n <= MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [2, {MAX_GRID_N}], got {grid_n!r}")
     _check_tol_rel(tol_rel)
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def _check_tol_rel(tol_rel: float) -> None:
@@ -238,8 +241,8 @@ def check_alphas(
     Raises:
         ValueError: m or an alpha lies outside (0, 1] (checked through
             ClassParams, m first), domain_upper is not a positive finite
-            real, grid_n is outside [2, MAX_GRID_N], or tol_rel is not a
-            nonnegative real.
+            real, grid_n is outside [2, MAX_GRID_N], tol_rel is not a
+            nonnegative real, or seed is negative.
         SampleEvaluationError: ``f`` produced a non-positive or non-finite
             value at some sampled point; the offending triple is attached.
             It is the first bad f(z) in sampling order, else the first bad
@@ -251,7 +254,7 @@ def check_alphas(
     for alpha in alphas:
         ClassParams(m, alpha)
     _check_domain(domain_upper)
-    check_sampling(grid_n, tol_rel)
+    check_sampling(grid_n, tol_rel, seed)
 
     n = grid_n
     # i/(n-1) is the exactly-rounded rational, so the size 2k+1 grid
@@ -349,51 +352,40 @@ def _rank(w: Violation) -> tuple[float, float, float, float]:
     return -w.deficit, w.x, w.y, w.t
 
 
-def _number(node: Node) -> Optional[float]:
-    """v where ``node`` is the constant v or its negation -v, else None."""
+def _affine(node: Node) -> Optional[tuple[float, float]]:
+    """(a, k) with ``node`` = a + k*x, constants folded as f folds them, else None."""
     match node:
         case Const(v):
-            return v
-        case Unary("neg", Const(v)):
-            return -v
-    return None
-
-
-def _slope(node: Node) -> Optional[float]:
-    """k where ``node`` is k*x, also spelled x (k = 1) or -x (k = -1), else None."""
-    match node:
+            return v, 0.0
         case Var():
-            return 1.0
-        case Unary("neg", Var()):
-            return -1.0
-        case Binary("*", factor, Var()):
-            return _number(factor)
+            return 0.0, 1.0
+        case Unary("neg", arg) if form := _affine(arg):
+            return -form[0], -form[1]
+        case Binary(op, left, right) if (lf := _affine(left)) and (rf := _affine(right)):
+            (a, k), (b, j) = lf, rf
+            if op in ("+", "-"):
+                return (a + b, k + j) if op == "+" else (a - b, k - j)
+            if op == "*" and (j == 0.0 or k == 0.0):  # one factor is a constant
+                return a * b, k * b if j == 0.0 else a * j
+            if op == "/" and j == 0.0:
+                return a / b, k / b
     return None
 
 
-def _log_affine(f: FunctionExpr) -> Optional[tuple[float, float]]:
-    """(c, k) where f is the const, exp_linear or exp_affine member c*exp(k*x), else None.
+def _log_affine(node: Node) -> Optional[tuple[float, float]]:
+    """(c, k) with ``node`` = c*exp(k*x), else None; it raises where f's constants overflow or divide by 0.
 
-    f is the tree that the family's builder makes, or the same tree with
-    x for 1*x, -x for -1*x or -v for a constant -v, as the parser reads
-    `exp(x)`, `exp(-x)` or `exp(-2*x)`; each is exact, so such a tree
-    evaluates bit for bit as the builder's. The exp_affine family's range
-    check then refuses a c <= 0 and any value that is not finite.
+    exp(a + k*x) reads as (exp(a), k); a product or quotient multiplies or
+    divides c and adds or subtracts k; any other node must be a constant.
     """
-    match f.root:
-        case Unary("exp", arg):
-            c, k = 1.0, _slope(arg)
-        case Binary("*", factor, Unary("exp", arg)):
-            c, k = _number(factor), _slope(arg)
-        case root:
-            c, k = _number(root), 0.0
-    if c is None or k is None:
-        return None
-    try:
-        family_instantiate(FamilySpec("exp_affine", {"c": c, "k": k}))
-    except FamilyError:
-        return None
-    return c, k
+    match node:
+        case Unary("exp", arg) if form := _affine(arg):
+            return math.exp(form[0]), form[1]
+        case Binary("*" | "/" as op, left, right) if (lf := _log_affine(left)) and (rf := _log_affine(right)):
+            (c, k), (d, j) = lf, rf
+            return (c * d, k + j) if op == "*" else (c / d, k - j)
+    form = _affine(node)
+    return form if form and form[1] == 0.0 else None
 
 
 def exact_membership(
@@ -401,11 +393,12 @@ def exact_membership(
 ) -> Optional[ClassificationReport]:
     """Decide the (alpha, m)-class of ``f`` on [0, domain_upper] from its closed form, or None where none applies.
 
-    It applies to f = c*exp(k*x), a const, exp_linear or exp_affine
-    member, where for k != 0 f is finite and positive at 0 and at
-    domain_upper = B (so, being monotone, on the whole domain). Its
-    log-deficit is (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y)
-    and t - t**alpha <= 0, so at every t the k term is largest at
+    It applies where f reads as c*exp(k*x) with c > 0 and k finite (exp of
+    an affine form in x, a constant, and products and quotients of these)
+    and is finite and positive at 0 and at domain_upper = B (so on the
+    whole domain, c*exp(k*x) being monotone). Its log-deficit is
+    (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y) and
+    t - t**alpha <= 0, so at every t the k term is largest at
     (x, y) = (0, B) for k > 0 and (B, 0) for k < 0. That leaves
 
         phi(t) = a*(1 - t**alpha) + s*(t**alpha - t),
@@ -418,7 +411,11 @@ def exact_membership(
     Otherwise the sampler's own test, lhs > rhs * (1 + tol_rel) with rhs
     computed in log space, is applied at the peak's triple, (0, 0, 0) for
     t = 0, and a fail carries it as the worst violation, the one of
-    largest log-deficit. A decided report counts 0 samples.
+    largest log-deficit. A decided report counts 0 samples. A tree that
+    evaluates bit for bit like a family builder's, as `exp(x)*2` does,
+    gets that tree's report. Others, such as `exp(2*x+1)`, may differ from
+    c*exp(k*x) by some ulps: a pass is then a claim about the real
+    function, and a fail still tests f itself at the witness.
 
     Raises:
         ValueError: domain_upper is not a positive finite real, or tol_rel
@@ -426,8 +423,11 @@ def exact_membership(
     """
     _check_domain(domain_upper)
     _check_tol_rel(tol_rel)
-    member = _log_affine(f)
-    if member is None:
+    try:
+        member = _log_affine(f.root)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if member is None or not (0.0 < member[0] < math.inf and math.isfinite(member[1])):
         return None
     c, k = member
     m, alpha = params.m, params.alpha
@@ -440,10 +440,9 @@ def exact_membership(
     else:
         t = peak ** (1.0 / (1.0 - alpha))  # where phi' = 0
         worst = (0.0, domain_upper, t) if k > 0.0 else (domain_upper, 0.0, t)
-    if k != 0.0:
-        ends = f.evaluate_array([0.0, domain_upper])
-        if not (ends.min() > 0.0 and ends.max() < math.inf):  # the sampler names the first bad value
-            return None
+    ends = f.evaluate_array([0.0, domain_upper])
+    if not (ends.min() > 0.0 and ends.max() < math.inf):  # the sampler names the first bad value
+        return None
     if worst is None:
         return ClassificationReport(verdict="pass", samples=0)
     import numpy as np

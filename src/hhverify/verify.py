@@ -20,11 +20,11 @@ chain does, so replaying the verdict from the reported fields agrees with
 checking the whole chain.
 
 Hypothesis checking is class membership (see classify), decided exactly
-for the const, exp_linear and exp_affine members and sampled elsewhere. A
-failed check makes the verdict "inconclusive" rather than letting a bound
-that was never claimed count as violated; a check that cannot run
-because the function is not evaluable on the class domain does the same,
-with the failure recorded in diagnostics.
+where f reads as c*exp(k*x) and sampled elsewhere. A failed check makes
+the verdict "inconclusive" rather than letting a bound that was never
+claimed count as violated; a check that cannot run because the function
+is not evaluable on the class domain does the same, with the failure
+recorded in diagnostics.
 
 Every report comes from one driver, the generator ``_reports``:
 verify_theorems runs it on one point, sweep once per family member and
@@ -560,18 +560,18 @@ def verify_theorems(
     [0, b / m_eff] first (m_eff from each theorem's effective class); a
     failed or aborted check yields an inconclusive report instead of a
     numeric comparison. A class is decided exactly where
-    ``classify.exact_membership`` applies (f = c*exp(k*x), a const,
-    exp_linear or exp_affine member), and grid_n and seed then do not
-    matter; the others are sampled. Each distinct effective class is
-    judged once, the sampled classes of one m_eff in one sampling pass,
-    and each integral is computed once, so the reports equal those of
-    separate ``verify_theorem`` calls at a fraction of the cost.
+    ``classify.exact_membership`` applies (f reads as c*exp(k*x)), and
+    grid_n and seed then do not matter; the others are sampled. Each
+    distinct effective class is judged once, the sampled classes of one
+    m_eff in one sampling pass, and each integral is computed once, so the
+    reports equal those of separate ``verify_theorem`` calls at a fraction
+    of the cost.
     ``family`` is labeling metadata only; it does not have to match ``f``,
     but the CLI always passes the spec it built the function from.
     """
     _check_request(theorems, variant, tol)
     _check_class_values([m], [alpha])
-    check_sampling(grid_n, tol_rel)  # also with check_hypothesis off, like m and alpha
+    check_sampling(grid_n, tol_rel, seed)  # also with check_hypothesis off, like m and alpha
     return list(
         _reports(
             theorems, f, _family_pairs(family), [iv], [alpha], [m], variant=variant, tol=tol,
@@ -616,17 +616,16 @@ def sweep(
     Iteration order is deterministic: family parameters (names sorted),
     then a, b, alpha, m, then the theorems in the order given. Points with
     a >= b are skipped without a report; a non-finite a or b value, a
-    negative a, or a grid_n or tol_rel that a class check would refuse is
-    a ValueError before any work, whatever the hypothesis mode. Hypothesis
-    modes: "off" skips membership checks, "per-point" checks each point on
-    [0, b / m_eff], and "once" checks each family member on
+    negative a, or a grid_n, tol_rel or seed that a class check would
+    refuse is a ValueError before any work, whatever the hypothesis mode.
+    Hypothesis modes: "off" skips membership checks, "per-point" checks
+    each point on [0, b / m_eff], and "once" checks each family member on
     [0, max(b) / m_eff]. Either way a class is judged once per distinct
     (family member, domain, effective class), since it does not depend on
     a: each member's reports read one gate table per domain. A class that
-    ``classify.exact_membership`` decides (const, exp_linear and
-    exp_affine members) is not sampled, so grid_n and seed do not matter
-    to it; one sampling pass judges every other alpha of one domain and
-    m_eff.
+    ``classify.exact_membership`` decides (f that reads as c*exp(k*x))
+    is not sampled, so grid_n and seed do not matter to it; one sampling
+    pass judges every other alpha of one domain and m_eff.
 
     Each family member is one run of the shared report driver: its
     effective classes are worked out once per (theorem, alpha, m), and
@@ -647,7 +646,7 @@ def sweep(
             raise ValueError(f"{name} values must be finite, got {list(values)!r}")
     if any(a < 0.0 for a in a_values):
         raise ValueError(f"a values must stay >= 0, got {list(a_values)!r}")
-    check_sampling(grid_n, tol_rel)
+    check_sampling(grid_n, tol_rel, seed)
 
     names = sorted(family_grids)
     grids = [list(family_grids[name]) for name in names]

@@ -208,6 +208,21 @@ class TestExitCodes:
           "--grid-n", "100000"], "grid_n must lie in [2, 257], got 100000"),
         (["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--hypothesis", "once",
           "--tol-rel", "-1", "--b", "0"], "tol_rel must be a nonnegative real, got -1.0"),
+        # the sampling seed, for an f the rule decides, an f it samples, and with nothing sampled
+        *[(argv + ["--seed", "-1"], "seed must be a nonnegative integer, got -1") for argv in (
+            ["check", "--f", "exp(x)", "--theorem", "eq4"],
+            ["check", "--f", "x^2+1", "--theorem", "eq4"],
+            ["check", "--f", "exp(x)", "--theorem", "eq4", "--hypothesis", "off"],
+            ["chain", "--f", "exp(x)", "--theorem", "dr1"],
+            ["chain", "--f", "x^2+1", "--theorem", "dr1"],
+            ["chain", "--f", "x^2+1", "--theorem", "dr1", "--hypothesis", "off"],
+            ["sweep", "--family", "const", "--param", "c=0.5", "--theorem", "eq4", "--hypothesis", "once"],
+            ["sweep", "--family", "poly_shift", "--param", "p=2", "--param", "q=1", "--theorem", "eq4",
+             "--hypothesis", "per-point"],
+            ["sweep", "--family", "poly_shift", "--param", "p=2", "--param", "q=1", "--theorem", "eq4"],
+            ["classify", "--f", "exp(x)", "--domain-upper", "1"],
+            ["classify", "--f", "x^2+1", "--domain-upper", "1"],
+        )],
         # a non-finite interval endpoint, as check refuses it
         (["sweep", "--family", "const", "--param", "c=0.5", "--a", "nan", "--b", "1", "--theorem", "eq4"],
          "a values must be finite, got [nan]"),
@@ -225,6 +240,11 @@ class TestExitCodes:
     def test_out_of_range_value_is_usage(self, capsys, argv, stderr):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {stderr}\n")
+
+    def test_a_negative_seed_from_the_environment_is_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("HH_SEED", "-5")
+        assert run(["classify", "--f", "x^2+1", "--domain-upper", "1"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -5\n")
 
     def test_conflicting_function_flags(self, capsys):
         code = run(["check", "--theorem", "eq4", "--f", "exp(x)", "--param", "c=1"])
