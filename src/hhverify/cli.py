@@ -18,7 +18,8 @@ renders a command's reports in one pass: each report's four numbers go
 through one %.17g format that feeds both its JSON object and its CSV row,
 each made from a % template. A point's text (a, b, alpha, m and the
 family) is made once for each run of reports that share it, and each
-string cell is escaped for JSON and quoted by ``csv.writer``'s rules once.
+string cell is escaped for JSON by ``json.dumps`` and quoted by
+``csv.writer``'s rules once.
 ``check`` and ``sweep`` write their reports through one ``_emit_reports``.
 The generic recursive encoder ``_json_value`` serves only the payloads
 that are not reports (classify, chain terms, search points).
@@ -29,6 +30,7 @@ import argparse
 import csv
 import functools
 import io
+import json
 import math
 import os
 import sys
@@ -98,20 +100,8 @@ def _fmt_float(value: float) -> str:
     return "%.17g" % value
 
 
-_STRING_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _json_string(text: str) -> str:
-    parts = ['"']
-    for ch in text:
-        if ch in _STRING_ESCAPES:
-            parts.append(_STRING_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            parts.append("\\u%04x" % ord(ch))
-        else:
-            parts.append(ch)
-    parts.append('"')
-    return "".join(parts)
+# json.dumps(text, ensure_ascii=False), with its encoder built once
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _json_value(value) -> str:
@@ -181,29 +171,19 @@ _PARAMS_JSON = '{"a":%s,"b":%s,"alpha":%s,"m":%s,"family_params":%s}'
 _MIN_MARGIN_JSON = '{"value":%s,"theorem":%s,"variant":%s,"params":%s}'
 
 
-def _number(value) -> tuple[str, str]:
-    """``_json_value(value)`` and its CSV cell: empty for None, else ``%.17g`` (``inf``, ``nan``)."""
-    if value is None:
-        return "null", ""
-    text = _fmt_float(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return text, text
-    return _json_value(value), text
-
-
 def _numbers(values: tuple) -> tuple[str, str]:
     """The JSON and CSV text of four numbers, each formatted once, joined by commas.
 
     Four finite plain floats, the usual case, take one ``%`` format and
-    share their text; the rest, and finite floats whose sum overflows,
-    take ``_number``. No number's text has a comma, so each splits back.
+    share their text. Each of the rest, and of finite floats whose sum
+    overflows, is ``_json_value`` in JSON and ``%.17g`` in CSV, or empty for
+    None. No number's text has a comma, so each splits back.
     """
     w, x, y, z = values
     if w.__class__ is x.__class__ is y.__class__ is z.__class__ is float and math.isfinite(w + x + y + z):
         text = "%.17g,%.17g,%.17g,%.17g" % values
         return text, text
-    json_text, csv_text = zip(*map(_number, values))
-    return ",".join(json_text), ",".join(csv_text)
+    return ",".join(map(_json_value, values)), ",".join("" if v is None else _fmt_float(v) for v in values)
 
 
 class _StringText(dict):
@@ -273,7 +253,7 @@ def _summary_json(summary: SweepSummary, objects: str) -> str:
         best_json = "null"
     else:
         best_json = _MIN_MARGIN_JSON % (
-            _number(best.margin)[0], _json_string(best.theorem), _json_string(best.variant),
+            _json_value(best.margin), _json_string(best.theorem), _json_string(best.variant),
             _point_text(best.params, _family_text(best.params))[0],
         )
     return '{"reports":[%s],"min_margin":%s}' % (objects, best_json)
@@ -350,23 +330,18 @@ def _resolve_seed(cli_seed: Optional[int]) -> int:
     return DEFAULT_SEED
 
 
-def _split_assignment(item: str, what: str) -> tuple[str, str]:
-    name, sep, value = item.partition("=")
-    if not sep or not name or not value:
-        raise _CliError(f"{what} expects NAME=VALUE, got {item!r}")
-    return name, value
-
-
 _Value = TypeVar("_Value")
 
 
-def _parse_params(items: Sequence[str], convert: Callable[[str], _Value]) -> dict[str, _Value]:
-    """The ``--param NAME=VALUE`` items, each value through ``convert`` (``float`` or ``_parse_grid``)."""
+def _parse_params(items: Sequence[str], convert: Callable[[str], _Value], option: str = "--param") -> dict[str, _Value]:
+    """``option``'s NAME=VALUE items; each name is checked before ``convert`` reads its value."""
     out: dict[str, _Value] = {}
     for item in items:
-        name, value = _split_assignment(item, "--param")
+        name, sep, value = item.partition("=")
+        if not sep or not name or not value:
+            raise _CliError(f"{option} expects NAME=VALUE, got {item!r}")
         if name in out:
-            raise _CliError(f"duplicate --param {name!r}")
+            raise _CliError(f"duplicate {option} {name!r}")
         out[name] = convert(value)
     return out
 
@@ -388,17 +363,11 @@ def _parse_grid(text: str) -> list[float]:
     return [float(part) for part in text.split(",")]
 
 
-def _parse_ranges(items: Sequence[str]) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
-    for item in items:
-        name, value = _split_assignment(item, "--range")
-        parts = value.split(":")
-        if len(parts) != 2:
-            raise _CliError(f"--range expects NAME=LO:HI, got {item!r}")
-        if name in out:
-            raise _CliError(f"duplicate --range {name!r}")
-        out[name] = (float(parts[0]), float(parts[1]))
-    return out
+def _parse_range(text: str) -> tuple[float, float]:
+    parts = text.split(":")
+    if len(parts) != 2:
+        raise _CliError(f"range must be 'lo:hi', got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
 def _parse_theorems(items: Sequence[str]) -> list[str]:
@@ -596,7 +565,7 @@ def _cmd_search(args) -> int:
     seed = _resolve_seed(args.seed)
     result = search_min_margin(
         args.family,
-        _parse_ranges(args.range),
+        _parse_params(args.range, _parse_range, "--range"),
         args.theorem,
         variant=args.variant,
         budget=args.budget,

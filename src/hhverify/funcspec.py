@@ -35,7 +35,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # numpy is imported on first use, not with the package
     import numpy as np
@@ -59,6 +59,8 @@ __all__ = [
     "unparse",
     "generate",
     "family_instantiate",
+    "family_parameters",
+    "check_family_value",
     "registered_families",
 ]
 
@@ -141,9 +143,12 @@ _CONSTANTS = {"e": math.e, "pi": math.pi}
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-_OPS = "+-*/^()"
+# One token after optional whitespace: a decimal literal, a name, an operator,
+# or the end of the text (\Z, since $ also matches before a final newline).
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])|(?P<end>\Z))"
+)
 
 
 @dataclass(frozen=True)
@@ -155,29 +160,17 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
+    i = 0
+    while True:
+        match = _TOKEN_RE.match(text, i)
+        if match is None:
+            i = len(text) - len(text[i:].lstrip())  # the first character that is not a space
+            raise ExprSyntaxError(f"unexpected character {text[i]!r}", i)
+        kind = match.lastgroup
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+        if kind == "end":
+            return tokens
+        i = match.end()
 
 
 MAX_DEPTH = 400
@@ -292,7 +285,7 @@ def parse(text: str) -> "FunctionExpr":
 # ---------------------------------------------------------------------------
 # unparsing
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+_PREC = {**{op: prec for op, (prec, _) in _BINARY.items()}, "neg": _NEG_PREC}
 _ATOM_PREC = 5
 
 
@@ -573,23 +566,47 @@ def _build_poly_shift(p: float, q: float) -> Node:
     return Binary("+", Binary("^", Var(), Const(p)), Const(q))
 
 
-def _positive(name: str, value: float) -> None:
-    if not value > 0.0:
-        raise FamilyError(f"parameter {name!r} must be > 0, got {value!r}")
-
-
-# name -> (ordered parameter names, builder, range check)
-_FAMILIES: dict[str, tuple[tuple[str, ...], Callable[..., Node], Callable[..., None]]] = {
-    "const": (("c",), _build_const, lambda c: _positive("c", c)),
-    "exp_linear": (("k",), _build_exp_linear, lambda k: None),
-    "exp_affine": (("c", "k"), _build_exp_affine, lambda c, k: _positive("c", c)),
-    "poly_shift": (("p", "q"), _build_poly_shift, lambda p, q: _positive("q", q)),
+# name -> (builder, its parameters in the builder's order, each mapped to
+# whether its value must be > 0; every value must be finite)
+_FAMILIES: dict[str, tuple[Callable[..., Node], dict[str, bool]]] = {
+    "const": (_build_const, {"c": True}),
+    "exp_linear": (_build_exp_linear, {"k": False}),
+    "exp_affine": (_build_exp_affine, {"c": True, "k": False}),
+    "poly_shift": (_build_poly_shift, {"p": False, "q": True}),
 }
 
 
 def registered_families() -> dict[str, tuple[str, ...]]:
     """Return {family name: ordered parameter names} for all registered families."""
-    return {name: entry[0] for name, entry in _FAMILIES.items()}
+    return {name: tuple(entry[1]) for name, entry in _FAMILIES.items()}
+
+
+def family_parameters(family: str, given: Optional[Iterable[str]] = None) -> tuple[str, ...]:
+    """The ordered parameter names of ``family``.
+
+    Raises:
+        FamilyError: unknown family, or ``given`` names that are not exactly these.
+    """
+    if family not in _FAMILIES:
+        raise FamilyError(f"unknown family {family!r} (known: {', '.join(sorted(_FAMILIES))})")
+    names = tuple(_FAMILIES[family][1])
+    if given is not None and set(given) != set(names):
+        missing, extra = sorted(set(names) - set(given)), sorted(set(given) - set(names))
+        parts = [f"{word} {found}" for word, found in (("missing", missing), ("unexpected", extra)) if found]
+        raise FamilyError(f"family {family!r}: " + ", ".join(parts))
+    return names
+
+
+def check_family_value(family: str, name: str, value: float) -> float:
+    """``value`` as a float, or FamilyError if parameter ``name`` of ``family`` may not take it."""
+    if name not in family_parameters(family):
+        raise FamilyError(f"family {family!r}: unexpected {[name]}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise FamilyError(f"parameter {name!r} must be finite, got {v!r}")
+    if _FAMILIES[family][1][name] and not v > 0.0:
+        raise FamilyError(f"parameter {name!r} must be > 0, got {v!r}")
+    return v
 
 
 def family_instantiate(spec: FamilySpec) -> FunctionExpr:
@@ -599,26 +616,6 @@ def family_instantiate(spec: FamilySpec) -> FunctionExpr:
         FamilyError: unknown family, missing/unexpected parameter names,
             a non-finite parameter value, or a value outside its range.
     """
-    if spec.name not in _FAMILIES:
-        known = ", ".join(sorted(_FAMILIES))
-        raise FamilyError(f"unknown family {spec.name!r} (known: {known})")
-    param_names, builder, check = _FAMILIES[spec.name]
-    given = set(spec.params)
-    expected = set(param_names)
-    if given != expected:
-        missing = sorted(expected - given)
-        extra = sorted(given - expected)
-        parts = []
-        if missing:
-            parts.append(f"missing {missing}")
-        if extra:
-            parts.append(f"unexpected {extra}")
-        raise FamilyError(f"family {spec.name!r}: " + ", ".join(parts))
-    values = []
-    for name in param_names:
-        v = float(spec.params[name])
-        if not math.isfinite(v):
-            raise FamilyError(f"parameter {name!r} must be finite, got {v!r}")
-        values.append(v)
-    check(*values)
-    return FunctionExpr(builder(*values))
+    names = family_parameters(spec.name, spec.params)
+    values = [check_family_value(spec.name, name, spec.params[name]) for name in names]
+    return FunctionExpr(_FAMILIES[spec.name][0](*values))

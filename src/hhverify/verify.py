@@ -64,7 +64,9 @@ from .classify import (
     check_sampling,
     exact_membership,
 )
-from .funcspec import EvaluationError, FamilyError, FamilySpec, FunctionExpr, family_instantiate, registered_families
+from .funcspec import (
+    EvaluationError, FamilyError, FamilySpec, FunctionExpr, check_family_value, family_instantiate, family_parameters,
+)
 from .means import arithmetic_mean
 from .quadrature import (
     IntegrandError, Interval, QuadResult, check_tol, log_integrand, mean_integral, mixed_geometric_integrand,
@@ -618,6 +620,8 @@ def sweep(
     a >= b are skipped without a report; a non-finite a or b value, a
     negative a, or a grid_n, tol_rel or seed that a class check would
     refuse is a ValueError before any work, whatever the hypothesis mode.
+    An unknown family, a missing or unexpected parameter name, or any grid
+    value outside its parameter's range is a FamilyError, before any work too.
     Hypothesis modes: "off" skips membership checks, "per-point" checks
     each point on [0, b / m_eff], and "once" checks each family member on
     [0, max(b) / m_eff]. Either way a class is judged once per distinct
@@ -647,9 +651,10 @@ def sweep(
     if any(a < 0.0 for a in a_values):
         raise ValueError(f"a values must stay >= 0, got {list(a_values)!r}")
     check_sampling(grid_n, tol_rel, seed)
+    family_parameters(family, family_grids)
 
     names = sorted(family_grids)
-    grids = [list(family_grids[name]) for name in names]
+    grids = [[check_family_value(family, name, value) for value in family_grids[name]] for name in names]
     domain_upper = max(b_values, default=None) if hypothesis == "once" else None
     sampling = None if hypothesis == "off" else (grid_n, tol_rel, seed)
     reports: list[InequalityReport] = []
@@ -708,10 +713,12 @@ def search_min_margin(
     refinement from the best point until the budget runs out, a cycle
     stops improving, or brackets shrink below 1e-12 of each range.
 
-    Points that fail to evaluate (a >= b after assembly, a parameter out
-    of its family's range, evaluation errors) count toward the budget with
-    an infinite margin. Hypothesis checking is never run here; the point
-    of the search is hunting violations, gated or not.
+    An unknown family or a fixed family value outside its parameter's
+    range is a FamilyError before any work. Points that fail to evaluate
+    (a >= b after assembly, a box value outside its family parameter's
+    range, evaluation errors) count toward the budget with an infinite
+    margin. Hypothesis checking is never run here; the point of the search
+    is hunting violations, gated or not.
 
     Points are ranked by their margin alone, at a screening tolerance,
     max(tol, 1e-6): every lattice point and every point of a line search
@@ -734,10 +741,7 @@ def search_min_margin(
     _check_request([theorem], variant, tol)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
-    families = registered_families()
-    if family not in families:
-        raise FamilyError(f"unknown family {family!r} (known: {', '.join(sorted(families))})")
-    param_names = families[family]
+    param_names = family_parameters(family)
     fixed = dict(fixed or {})
 
     allowed = set(param_names) | set(_POINT_KEYS)
@@ -770,6 +774,9 @@ def search_min_margin(
         [fixed["m"]] if "m" in fixed else box.get("m", ()),
         [fixed["alpha"]] if "alpha" in fixed else box.get("alpha", ()),
     )
+    for name in param_names:
+        if name in fixed:
+            check_family_value(family, name, fixed[name])
 
     def assemble(coords: Sequence[float]) -> dict[str, float]:
         point = dict(_POINT_DEFAULTS)

@@ -722,3 +722,30 @@ def test_a_peak_between_the_samples_is_decided_a_fail(capsys):
     assert out.count(f"class check failed on [0, {w.y!r}] at (x=0.0, y={w.y!r}, t={w.t!r})") == 2
     assert _violates_at_50_digits(c, k, m, alpha, w, 1e-5)  # lhs/rhs - 1 is 1.53e-5 there
     assert [check_alpha_m_log_convex(f, b / m, params, grid_n=n).verdict for n in (33, 65)] == ["pass", "fail"]
+
+
+# At m = 1 the class inequality f(t x + (1 - t) y) <= f(x)^(t^alpha) f(y)^(1 - t^alpha)
+# is homogeneous: c f satisfies it exactly where f does, for any c > 0. So the
+# sampler's verdict may not move when f is scaled by a power of two, except
+# where a class sits near the tie at tol_rel; such a class is judged at half
+# and at twice tol_rel first and left out when the two verdicts differ.
+# Witnesses may differ, since rhs is computed in log space.
+_SCALED_EXPRESSIONS = ["x^2+1", "exp(x^2)", "1/(x+1)", "sqrt(x+1)", "exp(x)+1", "ln(x+2)", "x^3+0.5"]
+_SCALED_POLY_SHIFTS = [(0.5, 0.1), (1.5, 0.2), (1.5, 2.0), (2.0, 1.0), (2.5, 0.3), (3.0, 2.0), (3.0, 0.1), (1.2, 1.5)]
+
+
+@pytest.mark.parametrize("f", [parse(text) for text in _SCALED_EXPRESSIONS] + [
+    family_instantiate(FamilySpec("poly_shift", {"p": p, "q": q})) for p, q in _SCALED_POLY_SHIFTS
+], ids=_SCALED_EXPRESSIONS + [f"poly_shift_{p}_{q}" for p, q in _SCALED_POLY_SHIFTS])
+def test_scaling_f_keeps_the_sampled_verdict_at_m_1(f):
+    alphas, tol_rel, grid_n = (0.25, 0.5, 0.75, 1.0), 1e-9, 17
+
+    def verdicts(g, tol):
+        return [r.verdict for r in classify.check_alphas(g, 2.0, 1.0, alphas, grid_n=grid_n, tol_rel=tol)]
+
+    clear = [lo == hi for lo, hi in zip(verdicts(f, tol_rel / 2), verdicts(f, 2 * tol_rel))]
+    expected = verdicts(f, tol_rel)
+    for k in (-3, -2, -1, 1, 2, 3):
+        scaled = FunctionExpr(Binary("*", Const(2.0 ** k), f.root))
+        got = verdicts(scaled, tol_rel)
+        assert [g for g, c in zip(got, clear) if c] == [e for e, c in zip(expected, clear) if c], k

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import hhverify.cli as cli
+import hhverify.verify
 from hhverify import Interval, parse, search_min_margin, sweep, verify_theorem, verify_theorems
 from hhverify.classify import MAX_GRID_N, check_alpha_m_log_convex
 from hhverify.funcspec import MAX_DEPTH
@@ -39,6 +40,18 @@ CSV_HEADER = "theorem,variant,a,b,alpha,m,family_params,lhs,rhs,margin,quad_err,
 @pytest.fixture(autouse=True)
 def _no_ambient_seed(monkeypatch):
     monkeypatch.delenv("HH_SEED", raising=False)
+
+
+FAMILY_VALUE_ERRORS = [
+    (["sweep", "--family", "const", "--param", "c=0.5,-1", "--theorem", "eq4", "--a", "0:1:50", "--b", "1:2:50",
+      "--m", "0.5,1"], "parameter 'c' must be > 0, got -1.0"),
+    (["sweep", "--family", "exp_affine", "--param", "c=0.5", "--param", "k=1,2,nan", "--theorem", "eq4"],
+     "parameter 'k' must be finite, got nan"),
+    (["search", "--family", "const", "--param", "c=-1", "--range", "b=0.5:2", "--theorem", "eq4", "--budget", "400"],
+     "parameter 'c' must be > 0, got -1.0"),
+    (["search", "--family", "poly_shift", "--param", "q=0", "--range", "p=1:3", "--theorem", "eq4"],
+     "parameter 'q' must be > 0, got 0.0"),
+]
 
 
 class TestExitCodes:
@@ -236,10 +249,19 @@ class TestExitCodes:
          "fixed value for 'b' must be finite, got inf"),
         (["search", "--family", "const", "--range", "c=0.2:1", "--param", "a=-1", "--theorem", "eq4"],
          "fixed value for 'a' must stay >= 0"),
+        # a family value, before the members or points that come first are computed
+        *FAMILY_VALUE_ERRORS,
     ])
     def test_out_of_range_value_is_usage(self, capsys, argv, stderr):
         assert run(argv) == EXIT_USAGE
         assert capsys.readouterr() == ("", f"error: {stderr}\n")
+
+    @pytest.mark.parametrize("argv,stderr", FAMILY_VALUE_ERRORS)
+    def test_a_bad_family_value_is_refused_before_any_report(self, monkeypatch, argv, stderr):
+        fail = lambda *args, **kwargs: pytest.fail("a report was computed")  # noqa: E731
+        monkeypatch.setattr(hhverify.verify, "_reports", fail)
+        monkeypatch.setattr(hhverify.verify, "_report", fail)
+        assert run(argv) == EXIT_USAGE
 
     def test_a_negative_seed_from_the_environment_is_usage(self, capsys, monkeypatch):
         monkeypatch.setenv("HH_SEED", "-5")
@@ -256,6 +278,11 @@ class TestExitCodes:
         (["check", "--theorem", ",", "--f", "exp(x)"], "at least one --theorem is required"),
         (["search", "--family", "const", "--range", "c=0.1:1", "--range", "c=0.2:1", "--theorem", "eq4"],
          "duplicate --range 'c'"),
+        # names are checked before values, as for --param
+        (["search", "--family", "const", "--range", "c=1:2", "--range", "c=bad", "--theorem", "eq4"],
+         "duplicate --range 'c'"),
+        (["search", "--family", "const", "--range", "c", "--theorem", "eq4"], "--range expects NAME=VALUE, got 'c'"),
+        (["search", "--family", "const", "--range", "c=1", "--theorem", "eq4"], "range must be 'lo:hi', got '1'"),
     ])
     def test_malformed_request_is_usage(self, capsys, argv, stderr):
         assert run(argv) == EXIT_USAGE
@@ -576,6 +603,7 @@ class TestSearch:
             "--theorem", "eq4",
         ])
         assert code == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: range must be 'lo:hi', got '0.9'\n")
 
 
 PARAM_COMMANDS = {

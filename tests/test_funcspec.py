@@ -2,10 +2,11 @@ import dataclasses
 import math
 import operator
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hhverify import (
     DomainError,
@@ -23,7 +24,7 @@ from hhverify import (
     unparse,
     verify_theorems,
 )
-from hhverify.funcspec import MAX_DEPTH, Binary, Const, FunctionExpr, Unary, Var
+from hhverify.funcspec import MAX_DEPTH, Binary, Const, FunctionExpr, Unary, Var, _Token, _tokenize, check_family_value
 from hhverify.quadrature import log_integrand, mixed_geometric_integrand, sym_geometric_integrand
 
 
@@ -73,6 +74,67 @@ def test_unknown_identifier():
 def test_malformed_inputs_rejected(text):
     with pytest.raises(ExprSyntaxError):
         parse(text)
+
+
+# ``_reference_tokenize`` is ``_tokenize`` as it was before one pattern
+# matched every token: a character loop over three separate rules. The
+# pattern must give the same (kind, text, pos) list, or raise the same error
+# with the same message and offset.
+
+_REFERENCE_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_REFERENCE_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        m = _REFERENCE_NUMBER_RE.match(text, i) or _REFERENCE_IDENT_RE.match(text, i)
+        if m:
+            tokens.append(_Token("num" if m.re is _REFERENCE_NUMBER_RE else "ident", m.group(), i))
+            i = m.end()
+            continue
+        if ch in "+-*/^()":
+            tokens.append(_Token("op", ch, i))
+            i += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ExprSyntaxError as err:
+        return type(err), str(err), err.offset
+
+
+# digits, letters, operators, dots, exponents, ASCII and Unicode spaces, a
+# Unicode decimal digit, and characters that are neither spaces nor digits
+_TOKEN_ALPHABET = "0123456789.eE+-xyz_pi*/^()" + " \t\n\r\x0b\x0c\x1c\x85  　" + "٣²é$#"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=20))
+@example("x\n")
+@example("1e5e")
+@example("٣.5 x")
+@example("x ²")
+def test_one_pattern_tokenizes_as_the_character_loop_did(text):
+    assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text)
+
+
+def test_every_code_point_before_x_tokenizes_as_the_character_loop_did():
+    for code in range(0x110000):
+        if 0xD800 <= code < 0xE000:
+            continue  # surrogates
+        text = chr(code) + "x"
+        assert _tokens_or_error(_tokenize, text) == _tokens_or_error(_reference_tokenize, text), hex(code)
 
 
 def test_log_of_negative_is_domain_error():
@@ -443,3 +505,21 @@ def test_poly_shift_example():
 def test_family_errors(spec):
     with pytest.raises(FamilyError):
         family_instantiate(spec)
+
+
+@pytest.mark.parametrize("family,name,value,message", [
+    ("nope", "c", 1.0, "unknown family 'nope' (known: const, exp_affine, exp_linear, poly_shift)"),
+    ("const", "k", 1.0, "family 'const': unexpected ['k']"),
+    ("exp_linear", "k", math.nan, "parameter 'k' must be finite, got nan"),
+    ("exp_affine", "c", -0.0, "parameter 'c' must be > 0, got -0.0"),
+    ("poly_shift", "q", 0, "parameter 'q' must be > 0, got 0.0"),
+])
+def test_check_family_value_refuses(family, name, value, message):
+    with pytest.raises(FamilyError) as info:
+        check_family_value(family, name, value)
+    assert str(info.value) == message
+
+
+def test_check_family_value_returns_a_float():
+    assert [check_family_value("poly_shift", "p", -2), check_family_value("exp_linear", "k", -0.0)] == [-2.0, -0.0]
+    assert math.copysign(1.0, check_family_value("exp_linear", "k", -0.0)) == -1.0

@@ -307,6 +307,19 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             sweep("const", {"c": (0.5,)}, theorems=(theorem,), **{**grids, **kwargs})
 
+    @pytest.mark.parametrize("family,grids,message", [
+        ("const", {"c": (0.5, -1.0)}, r"parameter 'c' must be > 0, got -1.0"),
+        ("exp_affine", {"c": (0.5,), "k": (1.0, 2.0, math.nan)}, r"parameter 'k' must be finite, got nan"),
+        ("poly_shift", {"p": (2.0,), "q": (1.0, 0.0)}, r"parameter 'q' must be > 0, got 0.0"),
+        ("const", {"z": (1.0,)}, r"family 'const': missing \['c'\], unexpected \['z'\]"),
+        ("gaussian", {"s": (1.0,)}, r"unknown family 'gaussian'"),
+    ])
+    def test_family_values_are_refused_before_any_report(self, monkeypatch, family, grids, message):
+        # the valid members before the bad value are not computed first
+        monkeypatch.setattr(hhverify.verify, "_reports", lambda *args, **kwargs: pytest.fail("a report was computed"))
+        with pytest.raises(FamilyError, match=message):
+            sweep(family, grids, (0.0,), (1.0,), (1.0,), (1.0,), ("eq4",))
+
 
 def test_replay_matches_every_reported_verdict():
     reports = [
@@ -422,6 +435,24 @@ class TestSearch:
     def test_unknown_family(self):
         with pytest.raises(FamilyError):
             search_min_margin("gaussian", {"s": (0.1, 1.0)}, "eq4")
+
+    @pytest.mark.parametrize("family,box,fixed,message", [
+        ("const", {"b": (0.5, 2.0)}, {"c": -1.0}, r"parameter 'c' must be > 0, got -1.0"),
+        ("poly_shift", {"p": (1.0, 2.0)}, {"q": 0.0}, r"parameter 'q' must be > 0, got 0.0"),
+        ("exp_linear", {"b": (0.5, 2.0)}, {"k": math.inf}, r"parameter 'k' must be finite, got inf"),
+    ])
+    def test_fixed_family_value_out_of_range(self, monkeypatch, family, box, fixed, message):
+        # refused before the lattice: no point is evaluated, not even as a failing one
+        fail = lambda *args, **kwargs: pytest.fail("a point was evaluated")  # noqa: E731
+        monkeypatch.setattr(hhverify.verify, "_reports", fail)
+        monkeypatch.setattr(hhverify.verify, "_report", fail)
+        with pytest.raises(FamilyError, match=message):
+            search_min_margin(family, box, "eq4", fixed=fixed, budget=50)
+
+    def test_box_value_out_of_range_counts_as_a_failing_point(self):
+        result = search_min_margin("const", {"c": (-1.0, 1.0)}, "eq4", budget=20)
+        assert result.best_params["c"] > 0.0
+        assert result.evals == 20
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
