@@ -22,11 +22,16 @@ products and quotients of these), so grid_n and seed do not matter
 there; check_alphas and check_alpha_m_log_convex always sample.
 
 Sampling is deterministic. The grid part uses grid_n uniform points per
-axis (endpoints included, grids of size 2k+1 contain the size k+1 grid);
-the random part draws grid_n**3 extra triples from a fixed-seed generator
-as one stream, so enlarging grid_n extends the same stream instead of
-reshuffling it. Consequently a fail verdict never flips back to pass under
-refinement.
+axis, endpoints included; a size-c grid lies inside a size-n grid bit for
+bit whenever c - 1 divides n - 1 (size 2k+1 contains size k+1, and 33
+contains 9). The random part draws grid_n**3 extra triples from a
+fixed-seed generator as one stream, so the random part of a smaller
+grid_n is a prefix of the same stream. Consequently a fail verdict never
+flips back to pass under such a refinement. The verifier's gate uses
+this: it screens a pass at grid_n 9 and samples in full only the alphas
+that the screen does not fail (see verify._gate). check_alphas itself,
+and so the classify command, always samples in full: its job is the
+worst sampled witness and a sample count.
 
 One pass of (f, domain, m) serves every alpha: everything but the
 right-hand side is independent of alpha (the samples, f and ln f at them,
@@ -257,8 +262,8 @@ def check_alphas(
     check_sampling(grid_n, tol_rel, seed)
 
     n = grid_n
-    # i/(n-1) is the exactly-rounded rational, so the size 2k+1 grid
-    # contains the size k+1 grid bitwise.
+    # i/(n-1) is the correctly rounded rational, so a size-c grid lies
+    # inside a size-n grid bitwise whenever c - 1 divides n - 1.
     base = np.arange(n, dtype=float) / (n - 1)
     axis = domain_upper * base
     # The first bad f(x) and the first bad f(y), as (triple, message). A

@@ -20,7 +20,8 @@ chain does, so replaying the verdict from the reported fields agrees with
 checking the whole chain.
 
 Hypothesis checking is class membership (see classify), decided exactly
-where f reads as c*exp(k*x) and sampled elsewhere. A failed check makes
+where f reads as c*exp(k*x) and sampled elsewhere, where a coarse screen
+decides every class it fails (see ``_gate``). A failed check makes
 the verdict "inconclusive" rather than letting a bound that was never
 claimed count as violated; a check that cannot run because the function
 is not evaluable on the class domain does the same, with the failure
@@ -183,7 +184,6 @@ def _require_theorem(theorem: str) -> _Theorem:
 # ---------------------------------------------------------------------------
 # per-point evaluation
 
-
 def _gate(
     f: FunctionExpr, upper: float, classes: Iterable[ClassParams], sampling: Optional[tuple[int, float, int]]
 ) -> dict[ClassParams, tuple[str, Optional[str]]]:
@@ -196,6 +196,18 @@ def _gate(
     worst violation, and every class of an aborted pass carries the abort;
     such diagnostics keep the bound from being evaluated. A pass whose
     domain overflows, upper / m_eff = inf, is aborted without sampling.
+
+    A fail needs one witness; only a pass needs every sample. Where
+    grid_n > 9 and 8 divides grid_n - 1, each pass is screened first at
+    grid_n 9, whose sample is part of the full one bit for bit (every
+    4th axis point at 33, and the first 729 random draws). An alpha that
+    fails the screen is decided with the screen's worst violation; only
+    the others go on to the full pass. A screen that aborts decides
+    nothing, and the full pass then aborts with the first bad value in
+    full-sample order. So an f that is bad only where the full sample
+    reaches, and fails the screen, reads as a witnessed fail rather than
+    an abort: both are inconclusive, and the witness, at which f is
+    finite and positive, proves f outside the class.
     """
     if sampling is None:
         return dict.fromkeys(classes, (HYP_SKIPPED, None))
@@ -217,17 +229,22 @@ def _gate(
                 sampled.append(eff)
             else:
                 gate[eff] = _outcome(report, domain_upper)
-        if not sampled:
-            continue
-        try:
-            checked = check_alphas(
-                f, domain_upper, m, [eff.alpha for eff in sampled], grid_n=grid_n, tol_rel=tol_rel, seed=seed
-            )
-        except SampleEvaluationError as err:
-            gate.update(dict.fromkeys(sampled, (HYP_SKIPPED, f"class check aborted: {err}")))
-            continue
-        for eff, report in zip(sampled, checked):
-            gate[eff] = _outcome(report, domain_upper)
+        # the 9-grid lies inside the full sample where 8 | grid_n - 1, so a fail there is a fail
+        for size in (9, grid_n) if grid_n > 9 and (grid_n - 1) % 8 == 0 else (grid_n,):
+            if not sampled:
+                break
+            try:
+                checked = check_alphas(
+                    f, domain_upper, m, [eff.alpha for eff in sampled], grid_n=size, tol_rel=tol_rel, seed=seed
+                )
+            except SampleEvaluationError as err:  # a screen's abort decides nothing
+                if size == grid_n:
+                    gate.update(dict.fromkeys(sampled, (HYP_SKIPPED, f"class check aborted: {err}")))
+                continue
+            for eff, report in zip(sampled, checked):
+                if size == grid_n or report.worst_violation is not None:
+                    gate[eff] = _outcome(report, domain_upper)
+            sampled = [eff for eff in sampled if eff not in gate]
     return gate
 
 
@@ -454,8 +471,9 @@ def _reports(
     reads its hypothesis from one ``_gate`` table per distinct upper,
     ``domain_upper`` or else the interval's b: with ``sampling``, each
     class is checked on [0, upper / m_eff], decided exactly where the rule
-    covers f and otherwise sampled in one pass with every other such alpha
-    that the call pairs with m_eff. A failed or aborted check,
+    covers f and otherwise sampled with every other such alpha that the
+    call pairs with m_eff: in one screen, then in one full pass for the
+    alphas the screen does not fail. A failed or aborted check,
     a failed evaluation or integral, and a closed form that overflows or
     underflows each make the report inconclusive, with the reason in its
     diagnostics. The reports of one point that carry the same parameters
@@ -565,7 +583,8 @@ def verify_theorems(
     ``classify.exact_membership`` applies (f reads as c*exp(k*x)), and
     grid_n and seed then do not matter; the others are sampled. Each
     distinct effective class is judged once, the sampled classes of one
-    m_eff in one sampling pass, and each integral is computed once, so the
+    m_eff in one screen and one full sampling pass for those it does not
+    fail (see ``_gate``), and each integral is computed once, so the
     reports equal those of separate ``verify_theorem`` calls at a fraction
     of the cost.
     ``family`` is labeling metadata only; it does not have to match ``f``,
@@ -628,8 +647,9 @@ def sweep(
     (family member, domain, effective class), since it does not depend on
     a: each member's reports read one gate table per domain. A class that
     ``classify.exact_membership`` decides (f that reads as c*exp(k*x))
-    is not sampled, so grid_n and seed do not matter to it; one sampling
-    pass judges every other alpha of one domain and m_eff.
+    is not sampled, so grid_n and seed do not matter to it; one screen,
+    then one sampling pass for the alphas it does not fail, judges every
+    other alpha of one domain and m_eff.
 
     Each family member is one run of the shared report driver: its
     effective classes are worked out once per (theorem, alpha, m), and

@@ -1,13 +1,18 @@
 import hashlib
+import itertools
 import math
+import operator
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
+import hhverify.verify
 from hhverify import (
+    HYP_SKIPPED,
     ClassParams,
     ClassificationReport,
     FamilySpec,
@@ -749,3 +754,125 @@ def test_scaling_f_keeps_the_sampled_verdict_at_m_1(f):
         scaled = FunctionExpr(Binary("*", Const(2.0 ** k), f.root))
         got = verdicts(scaled, tol_rel)
         assert [g for g, c in zip(got, clear) if c] == [e for e, c in zip(expected, clear) if c], k
+
+
+# ---------------------------------------------------------------------------
+# the gate's screen against the full sampler
+#
+# At grid_n 33, verify._gate judges each sampling pass first at grid_n 9,
+# whose sample lies inside the full one bit for bit, and decides every
+# alpha that fails there with the screen's witness. Only the others reach
+# the full pass, and a screen that aborts decides nothing.
+
+# f is negative only in a band about 1e-4 wide at x = 0.61: the full sample
+# on [0, 2] reaches it, the screen does not, and the screen fails the class.
+_BAND = "(x-0.61)^2+0.000001-0.00001*exp(-((x-0.61)*3000)^2)"
+# Outside the exact rule, with a pole, a negative stretch, a zero and the band.
+_SCREENED = [
+    parse(text)
+    for text in ("x^2+1", "exp(x^2)", "1/(x+1)", "sqrt(x+1)", "ln(x+2)", "x^3+0.5", "exp(x)+1",
+                 "1/(x-0.3)", "x-0.5", "(x-0.25)^2", _BAND)
+]
+_MP_UNARY = {"neg": operator.neg, "exp": mpmath.exp, "ln": mpmath.log, "sqrt": mpmath.sqrt}
+_MP_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv, "^": operator.pow}
+
+
+def _mp_value(node, x):
+    """The tree's value at x, in mpmath at the working precision."""
+    match node:
+        case Const(v):
+            return mpmath.mpf(v)
+        case Var():
+            return x
+        case Unary(op, arg):
+            return _MP_UNARY[op](_mp_value(arg, x))
+        case Binary(op, left, right):
+            return _MP_BINARY[op](_mp_value(left, x), _mp_value(right, x))
+
+
+def _tree_violates_at_50_digits(f, m, alpha, w, tol_rel):
+    with mpmath.workdps(50):
+        x, y, t, m, alpha = (mpmath.mpf(v) for v in (w.x, w.y, w.t, m, alpha))
+        t_alpha = t**alpha
+        lhs = _mp_value(f.root, t * x + m * (1 - t) * y)
+        rhs = _mp_value(f.root, x) ** t_alpha * _mp_value(f.root, y) ** (m * (1 - t_alpha))
+        return lhs > rhs * (1 + mpmath.mpf(tol_rel))
+
+
+def _screen_triples(domain_upper):
+    """The grid_n 9 sample, taken from the grid_n 33 one: every 4th axis value, and the first 9**3 draws."""
+    base = np.arange(33, dtype=float) / 32
+    axis = domain_upper * base
+    u = np.random.Generator(np.random.PCG64(classify.DEFAULT_SEED)).random((33**3, 3))[: 9**3]
+    grid = itertools.product(axis[::4], axis[::4], base[::4])
+    drawn = zip(domain_upper * u[:, 0], domain_upper * u[:, 1], u[:, 2])
+    return {tuple(map(float, triple)) for triple in itertools.chain(grid, drawn)}
+
+
+@pytest.mark.parametrize("grid_n", [17, 33, 65, 129, MAX_GRID_N])
+def test_the_screen_sample_lies_inside_every_full_sample_it_screens(grid_n):
+    # what makes a screen's fail a fail of the full pass, bit for bit
+    base = np.arange(grid_n, dtype=float) / (grid_n - 1)
+    assert np.array_equal(base[:: (grid_n - 1) // 8], np.arange(9, dtype=float) / 8)
+    draws = [np.random.Generator(np.random.PCG64(classify.DEFAULT_SEED)).random((n**3, 3)) for n in (9, grid_n)]
+    assert np.array_equal(draws[0], draws[1][: 9**3])
+
+
+def _sampled(f, domain_upper, m, alphas, grid_n, tol_rel):
+    try:
+        return classify.check_alphas(f, domain_upper, m, alphas, grid_n=grid_n, tol_rel=tol_rel)
+    except SampleEvaluationError as err:
+        return err
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    f=st.one_of(
+        st.builds(
+            lambda p, q: family_instantiate(FamilySpec("poly_shift", {"p": p, "q": q})),
+            st.floats(min_value=0.25, max_value=3.0), st.floats(min_value=0.01, max_value=2.0),
+        ),
+        st.sampled_from(_SCREENED),
+    ),
+    upper=st.floats(min_value=0.5, max_value=4.0),
+    m=_unit_or_random,
+    alphas=st.lists(st.one_of(_unit_or_random, st.sampled_from([0.5, 0.75])), min_size=1, max_size=3),
+    tol_rel=st.sampled_from([0.0, 1e-9, 1e-6]),
+)
+@example(f=parse(_BAND), upper=2.0, m=1.0, alphas=[1.0], tol_rel=1e-9)  # the abort edge
+@example(f=parse("1/(x-0.3)"), upper=2.0, m=0.5, alphas=[0.5, 1.0], tol_rel=1e-9)  # bad on the screen itself
+def test_the_gate_s_screen_agrees_with_the_full_sampler(f, upper, m, alphas, tol_rel):
+    classes = list(dict.fromkeys(ClassParams(m, alpha) for alpha in alphas))
+    domain_upper = upper / m
+    assert all(classify.exact_membership(f, domain_upper, eff, tol_rel) is None for eff in classes)
+    gate = hhverify.verify._gate(f, upper, classes, (33, tol_rel, classify.DEFAULT_SEED))
+    alphas = [eff.alpha for eff in classes]
+    screen, full = (_sampled(f, domain_upper, m, alphas, grid_n, tol_rel) for grid_n in (9, 33))
+    aborted = isinstance(full, SampleEvaluationError)
+    screen_triples = _screen_triples(domain_upper)
+    tally = Counter()
+    for k, eff in enumerate(classes):
+        if isinstance(screen, SampleEvaluationError) or screen[k].verdict == "pass":
+            tally["classes that reached the full pass"] += 1
+            if aborted:
+                assert gate[eff] == (HYP_SKIPPED, f"class check aborted: {full}")
+            else:
+                assert gate[eff] == hhverify.verify._outcome(full[k], domain_upper)
+            continue
+        tally["classes the screen decided"] += 1
+        assert gate[eff] == hhverify.verify._outcome(screen[k], domain_upper)
+        w = screen[k].worst_violation
+        assert (w.x, w.y, w.t) in screen_triples
+        if aborted:
+            # a witnessed fail where the full pass aborts: f is finite and positive at the witness
+            tally["classes at the abort edge"] += 1
+            z = w.t * w.x + eff.m * (1.0 - w.t) * w.y
+            values = f.evaluate_array(np.array([w.x, w.y, z]))
+            assert np.all(np.isfinite(values)) and np.all(values > 0.0)
+        else:
+            assert full[k].verdict == "fail" and w.deficit <= full[k].worst_violation.deficit
+        # float evaluation of f moves lhs / rhs by far less than 1e-6
+        if w.lhs > w.rhs * (1.0 + tol_rel) * (1.0 + 1e-6):
+            assert _tree_violates_at_50_digits(f, eff.m, eff.alpha, w, tol_rel)
+    for name, count in tally.items():
+        event(name, count)  # --hypothesis-show-statistics gives the share of examples per (name, count)

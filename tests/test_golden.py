@@ -34,7 +34,7 @@ SWEEP_CASES = (
     ("poly_shift", {"p": (0.5, 2.0), "q": (0.1, 1.0)}, "per-point"),
 )
 SWEEP_SHA256 = "9f3cf453963f6381dba20dc4708537fe733782edd9fcb207fd98a74aaaecc89b"
-CHAIN_SHA256 = "a107c52ea95b17b59c645552529288fd845072ded4ad2a2738c729e9801371c9"
+CHAIN_SHA256 = "e78bd9cd541567e3c9d65ac9fa0f790feb05d67f8551885e4d34434dce08275b"
 
 FIVE = "eq4,eq11,eq22,eq31,eq42"
 # check requests with one theorem (a bare JSON object) and five (a list);

@@ -4,7 +4,10 @@ Class checks are counted at ``hhverify.verify.check_alphas``, integrals at
 ``hhverify.quadrature.integrate`` and evaluations of f at
 ``FunctionExpr.evaluate``, the names the verifier reaches them through. A
 class check counts twice: once per sampling pass, which serves every alpha
-of one (domain, m), and once per (domain, m, alpha) outcome. A class that
+of one (domain, m), and once per (domain, m, alpha) outcome. Screens, the
+grid_n 9 calls that judge a pass's alphas first, count apart from full
+passes: "screens" and "screened" against "passes" and "outcomes". An
+alpha that fails its screen goes to no full pass. A class that
 ``classify.exact_membership`` decides is neither, so the tests of how
 passes are shared use functions that no rule covers (poly_shift, x+1,
 x^2+1). Every count is deterministic, so the tests pin exact numbers, and
@@ -46,6 +49,7 @@ from hhverify.cli import EXIT_INCONCLUSIVE, EXIT_USAGE, _exit_code, _render, run
 GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 GRID17 = tuple(i * 2.0 / 16 for i in range(17))
 M4 = (0.25, 0.5, 0.75, 1.0)
+SCREEN_N = 9  # the tests sample at the default grid_n 33, which a grid_n 9 screen precedes
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
@@ -61,8 +65,9 @@ def work(monkeypatch) -> Counter:
     evaluate, effective_class = FunctionExpr.evaluate, hhverify.verify._Theorem.effective_class
 
     def counted_check(f, domain_upper, m, alphas, **kwargs):
-        counts["passes"] += 1
-        counts["outcomes"] += len(alphas)
+        screen = kwargs["grid_n"] == SCREEN_N
+        counts["screens" if screen else "passes"] += 1
+        counts["screened" if screen else "outcomes"] += len(alphas)
         return check(f, domain_upper, m, alphas, **kwargs)
 
     def counted_integrate(*args, **kwargs):
@@ -85,22 +90,24 @@ def work(monkeypatch) -> Counter:
 
 
 @pytest.mark.parametrize(
-    "f_text,alpha,outcomes",
+    "f_text,alpha,outcomes,passes",
     [
-        ("exp(x^2)", 0.5, 2),  # the m-class and the (alpha, m)-class
-        ("exp(x^2)", 1.0, 1),  # both classes are the m-class
-        ("x^2+1", 0.5, 2),   # both checks fail: every report is inconclusive
+        ("exp(x^2)", 0.5, 2, 1),  # the m-class and the (alpha, m)-class
+        ("exp(x^2)", 1.0, 1, 1),  # both classes are the m-class
+        ("x^2+1", 0.5, 2, 0),   # both checks fail on the screen: every report is inconclusive
     ],
 )
-def test_check_samples_each_effective_class_once(work, capsys, f_text, alpha, outcomes):
+def test_check_samples_each_effective_class_once(work, capsys, f_text, alpha, outcomes, passes):
     argv = [
         "check", "--theorem", ",".join(GATE_THEOREMS), "--f", f_text, "--a", "0.5", "--b", "1.5",
         "--m", "0.5", "--alpha", str(alpha), "--json", "-",
     ]
     code = run(argv)
     out = capsys.readouterr().out
-    # both classes share the domain [0, 1.5 / 0.5], so one pass serves both
-    assert (work["passes"], work["outcomes"]) == (1, outcomes)
+    # both classes share the domain [0, 1.5 / 0.5], so one screen serves
+    # both, and one pass serves those the screen does not fail
+    assert (work["screens"], work["screened"]) == (1, outcomes)
+    assert (work["passes"], work["outcomes"]) == (passes, outcomes * passes)
     # mean of f, the symmetric kernel and the mixed kernel at m = 0.5,
     # unless every theorem was gated off
     assert work["integrals"] == (3 if f_text == "exp(x^2)" else 0)
@@ -175,8 +182,10 @@ def test_per_point_sweep_checks_each_domain_once(work):
     assert len(summary.reports) == 2 * points
     # a check depends on (member, b / m_eff, effective class), not on a:
     # per member, 4 domains for the m-class and 4 for the (alpha, m)-class,
-    # and one pass per domain serves both
-    assert (work["passes"], work["outcomes"]) == (len(ps) * 4, len(ps) * 4 * 2)
+    # and one screen per domain serves both. Only x^2 + 1 on [0, 1] passes
+    # its 1-class screen, so that class alone is sampled in full.
+    assert (work["screens"], work["screened"]) == (len(ps) * 4, len(ps) * 4 * 2)
+    assert (work["passes"], work["outcomes"]) == (1, 1)
 
     checked_per_point = [
         report
@@ -192,14 +201,76 @@ def test_per_point_sweep_checks_each_domain_once(work):
     assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in checked_per_point]
 
 
-def test_an_aborted_pass_gates_every_class_it_serves(work):
+@pytest.mark.parametrize(
+    "f_text,bad",
+    [
+        ("1/(1-x)", "(x=0.0, y=2.0, t=0.0): f(1.0) = inf"),
+        # the screen meets the pole first at (0.0, 0.5, 0.75); the abort names
+        # the first bad value in full-sample order, as it did before the screen
+        ("1/(x-0.0625)^2", "(x=0.0, y=0.125, t=0.0): f(0.0625) = inf"),
+    ],
+    ids=["pole_on_the_screen", "pole_earlier_in_the_full_sample"],
+)
+def test_an_aborted_pass_gates_every_class_it_serves(work, f_text, bad):
     # eq4 needs the 0.5-class, eq31 and eq42 the (0.5, 0.5)-class: one pass
-    # on [0, 4] serves both, and 1/(1-x) cannot be evaluated at x = 1
-    reports = verify_theorems(["eq4", "eq31", "eq42"], parse("1/(1-x)"), Interval(0, 2), m=0.5, alpha=0.5)
+    # on [0, 4] serves both, and f has a pole on the screen's sample too
+    reports = verify_theorems(["eq4", "eq31", "eq42"], parse(f_text), Interval(0, 2), m=0.5, alpha=0.5)
+    # the screen's abort decides nothing, and the full pass aborts
+    assert (work["screens"], work["screened"]) == (1, 2)
     assert (work["passes"], work["outcomes"], work["integrals"]) == (1, 2, 0)
     assert [(r.verdict, r.hypothesis) for r in reports] == [("inconclusive", HYP_SKIPPED)] * 3
-    assert len({r.diagnostics for r in reports}) == 1
-    assert reports[0].diagnostics.startswith("class check aborted: ")
+    assert {r.diagnostics for r in reports} == {
+        f"class check aborted: evaluation failed at sampled triple {bad} is not strictly positive"
+    }
+
+
+@pytest.mark.parametrize(
+    "grid_n,sizes",
+    [(2, [2]), (9, [9]), (12, [12]), (16, [16]), (17, [9, 17]), (25, [9, 25]), (33, [9, 33]), (129, [9, 129])],
+)
+def test_a_screen_runs_where_its_sample_lies_inside_the_full_one(monkeypatch, grid_n, sizes):
+    # x^2 + 4 is log-convex on [0, 2], so dr1's class passes the screen,
+    # where one runs, and is then sampled in full
+    calls = []
+    check = hhverify.verify.check_alphas
+
+    def recorded(f, domain_upper, m, alphas, **kwargs):
+        calls.append(kwargs["grid_n"])
+        return check(f, domain_upper, m, alphas, **kwargs)
+
+    monkeypatch.setattr(hhverify.verify, "check_alphas", recorded)
+    report = verify_theorem("dr1", parse("x^2+4"), Interval(0.0, 2.0), grid_n=grid_n)
+    assert report.hypothesis == HYP_PASS
+    assert calls == sizes
+
+
+# Negative only in a band about 1e-4 wide at x = 0.61, which the full sample
+# on [0, 2] reaches at z = 0.6098837555696451 and the screen does not.
+BAND = "(x-0.61)^2+0.000001-0.00001*exp(-((x-0.61)*3000)^2)"
+
+
+def test_a_screen_fail_outranks_an_abort_that_only_the_full_sample_reaches(work, capsys):
+    # The screen fails the 1-class on [0, 2] with a witness at which f is
+    # finite and positive, which proves f outside the class. So no full pass
+    # runs to meet the negative band: the class reads fail, not skipped, and
+    # the report is inconclusive either way.
+    argv = ["check", "--f", BAND, "--a", "0", "--b", "2", "--theorem", "eq4"]
+    assert run(argv + ["--json", "-"]) == EXIT_INCONCLUSIVE
+    report = json.loads(capsys.readouterr().out)
+    assert (report["hypothesis"], report["verdict"]) == (HYP_FAIL, "inconclusive")
+    assert (work["screens"], work["passes"]) == (1, 0)
+    assert run(argv) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.endswith(
+        "note (eq4): class check failed on [0, 2.0] at (x=1.6882261578654194, y=0.6059468038799352,"
+        " t=0.8100532614799856) with deficit 0.6205634495666298\n"
+    )
+    # the classify command samples in full, so it still aborts at the band
+    assert run(["classify", "--f", BAND, "--domain-upper", "2", "--m", "1"]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().err == (
+        "error: evaluation failed at sampled triple (x=0.42192033847689525, y=1.6590060555861437,"
+        " t=0.848059504290477): f(0.6098837555696451) = -7.841380206769017e-06 is not strictly positive\n"
+    )
+    assert (work["screens"], work["passes"]) == (2, 0)  # one screen per check; classify does not pass the gate
 
 
 def test_a_per_point_sweep_aborts_only_the_domains_where_f_fails(work):
@@ -209,7 +280,7 @@ def test_a_per_point_sweep_aborts_only_the_domains_where_f_fails(work):
     # classes are sampled and the pass aborts, as it did before any rule.
     summary = sweep("exp_linear", {"k": (300.0,)}, (0.0,), (1.0, 3.0), (1.0,), (0.5, 1.0), ("eq4", "eq31"),
                     hypothesis="per-point")
-    assert (work["passes"], work["outcomes"]) == (1, 2)
+    assert (work["screens"], work["screened"], work["passes"], work["outcomes"]) == (1, 2, 1, 2)
     gated = [(r.params.b, r.params.alpha, r.theorem, r.hypothesis, r.verdict) for r in summary.reports]
     assert gated == [
         (1.0, 0.5, "eq4", HYP_PASS, "holds"), (1.0, 0.5, "eq31", HYP_FAIL, "inconclusive"),
@@ -240,7 +311,8 @@ def test_an_overflowing_class_domain_aborts_its_check_unsampled(work, capsys):
 def test_an_overflowing_class_domain_spares_the_other_passes(work):
     f, iv = parse("x+1"), Interval(0.0, 1e308)
     dr1, eq4 = verify_theorems(["dr1", "eq4"], f, iv, m=0.5)
-    assert work["passes"] == 1  # dr1's 1-class on [0, 1e308], which x+1 fails
+    # dr1's 1-class on [0, 1e308], which x+1 fails on the screen
+    assert (work["screens"], work["passes"]) == (1, 0)
     assert (eq4.hypothesis, eq4.verdict) == (HYP_SKIPPED, "inconclusive")
     alone = verify_theorem("dr1", f, iv)
     assert dr1 == alone and (dr1.hypothesis, dr1.verdict) == (HYP_FAIL, "inconclusive")
@@ -252,7 +324,7 @@ def test_a_once_sweep_aborts_only_the_m_values_that_overflow(work):
     # is finite there at m = 1 and fails the 1-class
     summary = sweep("poly_shift", {"p": (1.0,), "q": (0.5,)}, (0.0,), (1.0, 1e308), (1.0, 0.5), (1.0,), ("eq4",),
                     hypothesis="once")
-    assert work["passes"] == 1
+    assert (work["screens"], work["passes"]) == (1, 0)  # the screen fails the one class that is sampled
     assert [(r.params.b, r.params.m, r.hypothesis, r.verdict) for r in summary.reports] == [
         (1.0, 1.0, HYP_FAIL, "inconclusive"), (1.0, 0.5, HYP_SKIPPED, "inconclusive"),
         (1e308, 1.0, HYP_FAIL, "inconclusive"), (1e308, 0.5, HYP_SKIPPED, "inconclusive"),
@@ -274,7 +346,9 @@ def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, params, in
     # Per m, the m-class and the classes at alpha 0.5 and 0.75 share the domain [0, 2 / m].
     args = ("poly_shift", {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
     summary = sweep(*args, hypothesis="once")
-    assert (work["passes"], work["outcomes"]) == (4, 12)
+    # every fail is found on the screen, and only the 1-class that passes is sampled in full
+    assert (work["screens"], work["screened"]) == (4, 12)
+    assert (work["passes"], work["outcomes"]) == ((1, 1) if in_one_class else (0, 0))
     # only the reports of the 1-class evaluate their bounds, whose integrals
     # inline f: per interval, the midpoint once for eq11 and f at a, b, a/1 and b/1
     assert work["evaluations"] == (136 * (1 + 4) if in_one_class else 0)
@@ -291,27 +365,29 @@ def test_gated_sweep_member_samples_each_m_once_for_every_alpha(work, params, in
     assert [r.diagnostics for r in summary.reports] == [r.diagnostics for r in separate.reports]
 
 
-@pytest.mark.parametrize("family,params", [("const", {"c": 0.6}), ("exp_linear", {"k": 1.5})])
-def test_a_gated_sweep_member_samples_no_pass(work, monkeypatch, family, params):
+@pytest.mark.parametrize("family,params,passed", [("const", {"c": 0.6}, 12), ("exp_linear", {"k": 1.5}, 4)])
+def test_a_gated_sweep_member_samples_no_pass(work, monkeypatch, family, params, passed):
     # A const member as in the gated acceptance sweep, and an exp_linear one
     # that fails the (alpha, m)-classes with alpha < 1: the rule decides
     # every class, with the sampler's verdict on every report.
     args = (family, {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (0.5, 0.75, 1.0), GATE_THEOREMS)
     summary = sweep(*args, hypothesis="once")
-    assert (work["passes"], work["outcomes"]) == (0, 0)
+    assert (work["screens"], work["passes"], work["outcomes"]) == (0, 0, 0)
     failed = {(r.theorem, r.params.alpha) for r in summary.reports if r.hypothesis == HYP_FAIL}
     assert failed == (set() if family == "const" else {(t, alpha) for t in ("eq31", "eq42") for alpha in (0.5, 0.75)})
 
     monkeypatch.setattr(hhverify.verify, "exact_membership", lambda *args: None)
     sampled = sweep(*args, hypothesis="once")
-    assert (work["passes"], work["outcomes"]) == (4, 12)
+    # the screen fails the classes the rule fails, and the full pass judges the ``passed`` others
+    assert (work["screens"], work["screened"]) == (4, 12)
+    assert (work["passes"], work["outcomes"]) == (4, passed)
     # equal but for the diagnostics of a fail, whose witness is each one's own worst triple
     assert summary.reports == sampled.reports
 
 
 def test_a_parsed_constant_is_decided_with_the_sampler_s_witness(work, capsys, monkeypatch):
     # `--f 2` parses to the const family's tree. At m < 1 the worst triple
-    # is (0, 0, 0), which is also the least of the sampler's tied worst
+    # is (0, 0, 0), which is also the least of the screen's tied worst
     # triples, so the table's note reads the same.
     argv = ["check", "--f", "2", "--m", "0.5", "--theorem", "eq4,eq22"]
     assert run(argv) == EXIT_INCONCLUSIVE
@@ -320,17 +396,19 @@ def test_a_parsed_constant_is_decided_with_the_sampler_s_witness(work, capsys, m
     assert "class check failed on [0, 2.0] at (x=0.0, y=0.0, t=0.0) with deficit" in decided.out
     monkeypatch.setattr(hhverify.verify, "exact_membership", lambda *args: None)
     assert run(argv) == EXIT_INCONCLUSIVE
-    assert work["passes"] == 1
+    assert (work["screens"], work["passes"]) == (1, 0)
     assert capsys.readouterr() == decided
 
 
-def test_point_checks_workload_samples_50_passes_for_91_outcomes(work, tmp_path, monkeypatch):
+def test_point_checks_workload_screens_50_passes_and_samples_4_in_full(work, tmp_path, monkeypatch):
     # The benchmark's seed-0 point_checks requests: 160 five-theorem checks,
     # which need the m-class and its (alpha, m)-class, and 40 dr2 chains,
     # which need the plain class. The rule decides every class of the
     # const, exp_linear and exp_affine members; only poly_shift is sampled.
-    # At 2 * 33**3 samples a pass that is 3,593,700 samples, where sampling
-    # every class took 200 passes for 360 outcomes, 14,374,800 samples.
+    # Its 50 passes are screened at 2 * 9**3 samples each, and the screens
+    # fail 85 of the 91 outcomes; 4 full passes at 2 * 33**3 judge the 6
+    # others, 360,396 samples in all. Without the screen the 50 full passes
+    # took 3,593,700, and sampling every class 200 passes, 14,374,800.
     spec = importlib.util.spec_from_file_location("hhverify_bench_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
@@ -339,7 +417,8 @@ def test_point_checks_workload_samples_50_passes_for_91_outcomes(work, tmp_path,
     assert [r.kind for r in requests].count("check") == 160 and len(requests) == 200
     for request in requests:
         run(list(request.argv))
-    assert (work["passes"], work["outcomes"]) == (50, 91)
+    assert (work["screens"], work["screened"]) == (50, 91)
+    assert (work["passes"], work["outcomes"]) == (4, 6)
 
 
 @pytest.mark.parametrize(
@@ -359,7 +438,10 @@ def test_chain_evaluates_the_chain_once(work, capsys, theorem, f_text, hypothesi
     argv = ["chain", "--theorem", theorem, "--f", f_text, "--hypothesis", hypothesis, "--json", "-"]
     assert run(argv) == code
     assert work["integrals"] == integrals
-    assert (work["passes"], work["outcomes"]) == ((1, 1) if hypothesis == "on" else (0, 0))
+    # one screen where the hypothesis is on; 1+x fails it, exp(x^2) is then sampled in full
+    assert (work["screens"], work["screened"]) == ((1, 1) if hypothesis == "on" else (0, 0))
+    sampled = hypothesis == "on" and f_text == "exp(x^2)"
+    assert (work["passes"], work["outcomes"]) == ((1, 1) if sampled else (0, 0))
     out, err = capsys.readouterr()
     if terms:
         assert len(json.loads(out)["terms"]) == terms
@@ -370,12 +452,12 @@ def test_chain_evaluates_the_chain_once(work, capsys, theorem, f_text, hypothesi
 
 @pytest.mark.parametrize("theorem,integrals", [("dr1", 1), ("dr2", 3)])
 def test_a_gated_chain_lists_its_terms_from_one_run_of_its_integrals(work, capsys, theorem, integrals):
-    # 1+x is not log-convex, so the class check keeps the driver from
-    # evaluating the chain; the command then takes the terms from one
+    # 1+x is not log-convex, so the class check's screen keeps the driver
+    # from evaluating the chain; the command then takes the terms from one
     # ungated run of the same driver
     argv = ["chain", "--theorem", theorem, "--f", "1+x", "--json", "-"]
     assert run(argv) == EXIT_INCONCLUSIVE
-    assert (work["passes"], work["integrals"]) == (1, integrals)
+    assert (work["screens"], work["passes"], work["integrals"]) == (1, 0, integrals)
     assert work["evaluations"] == 5  # the midpoint, and f at a, b, a/m and b/m for m = 1
     payload = json.loads(capsys.readouterr().out)
     ungated = verify_theorem(theorem, parse("1+x"), Interval(0.0, 1.0), check_hypothesis=False)
