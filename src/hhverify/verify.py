@@ -730,8 +730,17 @@ def search_min_margin(
     Unmentioned interval parameters default to a=0, b=1, alpha=1, m=1.
     The search spends ceil(budget/2) evaluations on a low-discrepancy
     lattice over the box, then cycles coordinate-wise golden-section
-    refinement from the best point until the budget runs out, a cycle
-    stops improving, or brackets shrink below 1e-12 of each range.
+    refinement from the best point until the budget runs out or a cycle
+    stops improving. Each line ends when its bracket shrinks below 1e-12 of
+    its range, or earlier at exactly a range bound: after the first golden
+    step, the bound that is still an end of the bracket is evaluated with
+    the point 1e-12 of the range inside it, and if the bound is no worse
+    than that point and than the line's best, the minimum of a unimodal
+    line lies within 1e-12 of the bound. A cycle counts as improving only
+    if it lowers the best screened margin by more than the sum of the
+    screened ``quad_err`` of its first and last best points, so a hunt
+    that has reached equality does not go on cycling on quadrature noise;
+    the best point still moves on any strictly lower margin.
 
     An unknown family or a fixed family value outside its parameter's
     range is a FamilyError before any work. Points that fail to evaluate
@@ -828,9 +837,10 @@ def search_min_margin(
 
     screen_tol = max(tol, _SCREEN_TOL)
 
-    def margin_at(coords: Sequence[float]) -> float:
-        margin = report_at(coords, screen_tol).margin
-        return math.inf if margin is None else margin
+    def margin_at(coords: Sequence[float]) -> tuple[float, float]:
+        """The screened (margin, quad_err) at ``coords``; (inf, 0.0) if it fails."""
+        report = report_at(coords, screen_tol)
+        return (math.inf, 0.0) if report.margin is None else (report.margin, report.quad_err)
 
     def explore() -> tuple[list[float], int]:
         """The coordinates of the least screened margin, and the evals spent."""
@@ -843,68 +853,99 @@ def search_min_margin(
             for i in range(evals)
         )
         # min keeps the first of equal margins, and the first point even when every margin is inf
-        best_margin, best_coords = min(((margin_at(coords), coords) for coords in lattice), key=lambda mc: mc[0])
+        (best_margin, best_err), best_coords = min(
+            ((margin_at(coords), coords) for coords in lattice), key=lambda mc: mc[0][0],
+        )
 
         # coordinate -> (bits of the other coordinates, result) of the last
-        # search along it that ended on its bracket
-        last_lines: dict[int, tuple[bytes, tuple[float, float, int]]] = {}
+        # search along it that ended on its bracket or its bound
+        last_lines: dict[int, tuple[bytes, tuple[float, float, float, int]]] = {}
 
-        def line_minimize(j: int, cap: int) -> tuple[float, float, int]:
-            """Golden-section along coordinate j from the current best point: (x, margin, used).
+        def line_minimize(j: int, cap: int) -> tuple[float, float, float, int]:
+            """Golden-section along coordinate j from the current best point: (x, margin, quad_err, used).
+
+            The first golden step leaves one range bound as an end of the
+            bracket. If ``cap`` leaves room for two more evals, and h =
+            _BRACKET_REL * (hi - lo) is not lost in the rounding of the bound,
+            that bound is tested once, by its slope: g at the bound, and g at
+            h inside it. If g(bound) is no larger than g(bound +- h) and no
+            larger than the line's best so far, a unimodal g has its minimum
+            within h of the bound, the precision the bracket would reach, so
+            the line ends at exactly the bound. Otherwise the golden search
+            goes on, keeping a probe point that is better than its best.
 
             A search depends only on the other coordinates and ``cap``. One that
-            ended on its bracket with ``used`` evals gives the same result under
-            any cap of at least ``used``, so it is returned again, with the same
-            ``used``, when the other coordinates have its bits. A search that
-            stops on its cap spends the rest of the budget, so none follows it.
+            ended on its bracket or its bound with ``used`` evals gives the same
+            result under any cap of at least ``used``, so it is returned again,
+            with the same ``used``, when the other coordinates have its bits. A
+            search that stops on its cap spends the rest of the budget, so none
+            follows it.
             """
             others = _bits(*best_coords[:j], *best_coords[j + 1:])
-            if j in last_lines and last_lines[j][0] == others and last_lines[j][1][2] <= cap:
+            if j in last_lines and last_lines[j][0] == others and last_lines[j][1][3] <= cap:
                 return last_lines[j][1]
             lo, hi = ranges[j]
+            h = _BRACKET_REL * (hi - lo)
             base = list(best_coords)
 
-            def g(x: float) -> float:
+            def g(x: float) -> tuple[float, float]:
                 base[j] = x
                 return margin_at(base)
 
             left, right = lo, hi
             c = right - _INVPHI * (right - left)
             d = left + _INVPHI * (right - left)
-            fc, fd = g(c), g(d)
+            gc, gd = g(c), g(d)
             used = 2
-            line_x, line_f = (c, fc) if fc <= fd else (d, fd)
-            while (right - left) > _BRACKET_REL * (hi - lo) and used < cap:
-                if fc <= fd:
-                    right, d, fd = d, c, fc
+            line = (c, *gc) if gc[0] <= gd[0] else (d, *gd)
+            probe, done = True, False
+            while (right - left) > h and used < cap:
+                if gc[0] <= gd[0]:
+                    right, d, gd = d, c, gc
                     c = right - _INVPHI * (right - left)
-                    fc = g(c)
+                    gc = g(c)
                 else:
-                    left, c, fc = c, d, fd
+                    left, c, gc = c, d, gd
                     d = left + _INVPHI * (right - left)
-                    fd = g(d)
+                    gd = g(d)
                 used += 1
-                candidate_f, candidate_x = (fc, c) if fc <= fd else (fd, d)
-                if candidate_f < line_f:
-                    line_x, line_f = candidate_x, candidate_f
-            result = line_x, line_f, used
-            if (right - left) <= _BRACKET_REL * (hi - lo):
+                candidate = (c, *gc) if gc[0] <= gd[0] else (d, *gd)
+                if candidate[1] < line[1]:
+                    line = candidate
+                if probe:
+                    # the one bound test, at the first chance; where h is below
+                    # the spacing of floats at the bound, inner is the bound itself
+                    probe = False
+                    bound, inner = (lo, lo + h) if left == lo else (hi, hi - h)
+                    if used + 2 <= cap and inner != bound:
+                        g_bound, g_inner = g(bound), g(inner)
+                        used += 2
+                        if g_bound[0] <= min(g_inner[0], line[1]):
+                            line, done = (bound, *g_bound), True
+                            break
+                        for candidate in ((inner, *g_inner), (bound, *g_bound)):
+                            if candidate[1] < line[1]:
+                                line = candidate
+            result = (*line, used)
+            if done or (right - left) <= h:
                 last_lines[j] = (others, result)
             return result
 
         improved = True
         while improved and budget - evals >= 2:
-            improved = False
+            # a cycle improves only by more than the screening error of its
+            # first and last best points, so it does not go on cycling on noise
+            cycle_margin, cycle_err = best_margin, best_err
             for j in range(len(dims)):
                 cap = budget - evals
                 if cap < 2:
                     break
-                x, fx, used = line_minimize(j, cap)
+                x, fx, ex, used = line_minimize(j, cap)
                 evals += used
                 if fx < best_margin:
                     best_coords[j] = x
-                    best_margin = fx
-                    improved = True
+                    best_margin, best_err = fx, ex
+            improved = cycle_margin - best_margin > cycle_err + best_err
         return best_coords, evals
 
     best_coords, evals = explore() if dims else ([], 1)

@@ -13,7 +13,7 @@ DEMO_SHA256 = {
     "01_equality_families.py": "9384094046ff2fc0631eca3cabc86a746564788955bbbae7a96cfe9aa616f31e",
     "02_printed_vs_corrected.py": "8670aa5bb2f614e740cd06a75bf419689344581880af9befdaff78e16512ed5c",
     "03_classify_and_gate.py": "3203d2e5580cd15c3ecf7c92f81009dd633ed6894051ac225fb58e392c3ee4c3",
-    "04_counterexample_search.py": "5e1ead59eff541cc8853a40f41f6167b0e5e01990b54a6d49b32eb38f54cf7b5",
+    "04_counterexample_search.py": "c9e71486474861d175497c3f93a33138410b6ab21d37e6ac5c71f7c16b665f71",
 }
 
 

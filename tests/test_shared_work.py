@@ -612,8 +612,10 @@ def test_search_integrates_once_per_member_and_interval_along_alpha_and_m(work):
     # eq31 needs the mean of f alone. The 100 lattice points are 100 members;
     # the refinement's lines along alpha and m keep the member and [a, b]
     # and read the previous point's integral, those along c and k do not;
-    # the best point is then integrated once more at tol
-    assert work["integrals"] == 142
+    # the best point is then integrated once more at tol. Lines that end on
+    # their range bound after a few evals leave more of the budget to lines
+    # along c and k
+    assert work["integrals"] == 188
 
 
 @pytest.mark.parametrize(

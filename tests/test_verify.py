@@ -341,26 +341,29 @@ def test_replay_matches_every_reported_verdict():
         assert replay_verdict(r.lhs, r.rhs, r.margin, r.quad_err) == r.verdict, r
 
 
-# The five hunts of the search benchmark workload (budget 1,500, seed 0),
-# with the best margin and verdict each reached when every point was
-# integrated at tol 1e-10, before points were ranked at a screening tolerance
+# The five hunts of the search benchmark workload (budget 1,500), with the
+# best margin and verdict each reached at seed 0 once line searches tested
+# their range bound; each is at or below the margin reached when every point
+# was integrated at tol 1e-10, before points were ranked at a screening
+# tolerance, and below the one reached before lines tested their bound
 WORKLOAD_HUNTS = (
     ("const", {"c": (0.2, 1.0)}, "eq22", "printed", -0.25000000000000006, VIOLATED),
-    ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0)}, "dr2", "corrected", -0.22154126124651707, VIOLATED),
+    ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0)}, "dr2", "corrected", -0.22154126124694884, VIOLATED),
     ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "m": (0.5, 1.0)}, "eq11", "corrected",
-     -0.09025386778133926, VIOLATED),
+     -0.09025386778147892, VIOLATED),
     ("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "alpha": (0.5, 1.0), "m": (0.5, 1.0)}, "eq42", "printed",
-     -0.4105231539833608, VIOLATED),
+     -0.4105231539835224, VIOLATED),
     ("exp_affine", {"c": (0.2, 1.0), "k": (0.5, 2.0), "alpha": (0.25, 1.0), "m": (0.25, 1.0)}, "eq31", "corrected",
-     6.394884621840902e-14, HOLDS),
+     -4.440892098500626e-16, HOLDS),
 )
 
 
+@pytest.mark.parametrize("seed", (0, 7))
 @pytest.mark.parametrize(
     "family,box,theorem,variant,margin,verdict", WORKLOAD_HUNTS, ids=[hunt[2] for hunt in WORKLOAD_HUNTS],
 )
-def test_workload_hunts_lose_at_most_1e_12_to_screening(family, box, theorem, variant, margin, verdict):
-    result = search_min_margin(family, box, theorem, variant=variant, budget=1500, seed=0)
+def test_workload_hunts_keep_their_margins_and_verdicts(family, box, theorem, variant, margin, verdict, seed):
+    result = search_min_margin(family, box, theorem, variant=variant, budget=1500, seed=seed)
     assert result.best_margin <= margin + 1e-12
     assert result.report.verdict == verdict
     if theorem == "eq22":
@@ -449,14 +452,69 @@ class TestSearch:
         with pytest.raises(FamilyError, match=message):
             search_min_margin(family, box, "eq4", fixed=fixed, budget=50)
 
-    def test_box_value_out_of_range_counts_as_a_failing_point(self):
+    def test_box_value_out_of_range_counts_as_a_failing_point(self, monkeypatch):
+        # every point evaluated counts toward evals, the failing ones (c <= 0:
+        # 5 of the 10 lattice points and one line point) too; only the best
+        # point's last computation at tol is not counted. The hunt ends before
+        # its budget of 20: its one line stops on its bound, and a cycle that
+        # leaves the margin where it was does not improve
+        points, report = [], hhverify.verify._report
+
+        def counted_report(theorem, variant, rp, *args, **kwargs):
+            points.append(dict(rp.family)["c"])
+            return report(theorem, variant, rp, *args, **kwargs)
+
+        monkeypatch.setattr(hhverify.verify, "_report", counted_report)
         result = search_min_margin("const", {"c": (-1.0, 1.0)}, "eq4", budget=20)
         assert result.best_params["c"] > 0.0
-        assert result.evals == 20
+        assert result.evals == len(points) - 1 == 15
+        assert sum(c <= 0.0 for c in points) == 6
 
     def test_bad_budget(self):
         with pytest.raises(ValueError):
             search_min_margin("const", {"c": (0.1, 0.9)}, "eq4", budget=0)
+
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_a_minimum_on_range_bounds_ends_there_exactly(self, seed):
+        # the dr2 margin of x^p + q falls toward p = 1 and q = 0.05: each
+        # line's bound test ends it there, where golden section alone never
+        # evaluates a bound and spent the whole budget of 200 stopping 6e-13
+        # and 4e-9 inside them, 4.4e-9 above this margin
+        result = search_min_margin("poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0)}, "dr2", budget=200, seed=seed)
+        assert (result.best_params["p"], result.best_params["q"]) == (1.0, 0.05)
+        assert result.best_margin == -0.22154126124694884
+        assert result.evals == 120
+
+    def test_a_minimum_near_a_bound_is_not_taken_for_the_bound(self):
+        # eq42's q line has its minimum at q = 0.0942, near its bound 0.05: a
+        # test of g(bound) against the bracket's best alone ended that line at
+        # q = 0.128 with margin -0.40880; the slope test at the bound does not
+        result = search_min_margin(
+            "poly_shift", {"p": (1.0, 3.0), "q": (0.05, 1.0), "alpha": (0.5, 1.0), "m": (0.5, 1.0)}, "eq42",
+            variant="printed", budget=1500, seed=0,
+        )
+        assert result.best_margin == pytest.approx(-0.4105231539835, abs=1e-12)
+        assert result.best_params["q"] == pytest.approx(0.0942, abs=1e-4)
+        assert (result.best_params["p"], result.best_params["alpha"], result.best_params["m"]) == (1.0, 1.0, 1.0)
+
+    def test_no_bound_test_where_h_is_below_the_float_spacing(self):
+        # the range is 1e-5 wide, so h = 1e-17 vanishes next to the bound
+        # 0.5000001: testing the bound against itself ended the line there,
+        # above the lattice's best, and the hunt stopped 2e-15 short of -0.25
+        result = search_min_margin("const", {"c": (0.49999, 0.5000001)}, "eq22", variant="printed", budget=200)
+        assert result.best_margin == -0.25
+        assert result.evals == 200
+
+    def test_cycles_stop_on_screening_noise(self):
+        # c*exp(k x) holds eq4 with equality, so screened margins differ only
+        # by quadrature noise: the first refinement cycle lowers the best one
+        # by 1.2e-9, below the 1.9e-6 screened quad_err of its first and last
+        # best points, and the hunt stops after it, at 267 of its 400 evals,
+        # where counting any decrease as improving ran 391
+        result = search_min_margin("exp_affine", {"c": (0.25, 2.0), "k": (-1.0, 2.0)}, "eq4", budget=400, seed=7)
+        assert result.evals == 267
+        assert result.report.verdict == HOLDS
+        assert abs(result.best_margin) < 1e-15
 
     def test_bad_tol(self):
         with pytest.raises(ValueError, match=TOL_ERROR):
