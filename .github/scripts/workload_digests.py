@@ -4,11 +4,10 @@ Usage: PYTHONPATH=ROOT/src python .github/scripts/workload_digests.py ROOT
 
 The requests are built by the perfbench/workloads.py next to this script,
 at seeds 0 and 7, and run in-process through ROOT's ``hhverify.cli.run``
-with HH_SEED unset, in a temporary directory so that every argv is the
-same on each run. A digest covers every request's argv, exit code, stdout,
-stderr and output files, so two roots that print the same line wrote the
-same bytes for that workload and seed. Each line reads
-``WORKLOAD SEED SHA256``.
+in a temporary directory, so that every argv is the same on each run. A
+digest covers every request's argv, exit code, stdout, stderr and output
+files, so two roots that print the same line wrote the same bytes for
+that workload and seed. Each line reads ``WORKLOAD SEED SHA256``.
 """
 from __future__ import annotations
 
@@ -56,7 +55,6 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     src = (Path(argv[0]) / "src").resolve()
-    os.environ.pop("HH_SEED", None)
     import hhverify
 
     if Path(hhverify.__file__).resolve().parent.parent != src:

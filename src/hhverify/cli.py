@@ -60,7 +60,6 @@ from .verify import (
     ReportParams,
     SearchResult,
     SweepSummary,
-    _require_theorem,
     search_min_margin,
     sweep,
     verify_theorem,
@@ -318,18 +317,6 @@ def _report_rows(reports: Sequence[InequalityReport], with_params: bool) -> str:
 # argument helpers
 
 
-def _resolve_seed(cli_seed: Optional[int]) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get("HH_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise _CliError(f"HH_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
 _Value = TypeVar("_Value")
 
 
@@ -376,8 +363,6 @@ def _parse_theorems(items: Sequence[str]) -> list[str]:
         names.extend(part for part in (s.strip() for s in item.split(",")) if part)
     if not names:
         raise _CliError("at least one --theorem is required")
-    for name in names:
-        _require_theorem(name)
     return names
 
 
@@ -435,12 +420,11 @@ def _cmd_check(args) -> int:
     _check_outputs(args)
     f, family = _resolve_function(args)
     theorems = _parse_theorems(args.theorem)
-    seed = _resolve_seed(args.seed)
     iv = Interval(args.a, args.b)
     reports = verify_theorems(
         theorems, f, iv, m=args.m, alpha=args.alpha, variant=args.variant, tol=args.tol,
         check_hypothesis=args.hypothesis == "on", grid_n=args.grid_n, tol_rel=args.tol_rel,
-        seed=seed, family=family,
+        seed=args.seed, family=family,
     )
     if not _emit_reports(args, reports, lambda objects: objects if len(reports) == 1 else "[%s]" % objects):
         print(_report_rows(reports, with_params=False))
@@ -457,11 +441,10 @@ def _chain_json(theorem: str, terms: Sequence[ChainTerm], report: InequalityRepo
 
 def _cmd_chain(args) -> int:
     f, family = _resolve_function(args)
-    seed = _resolve_seed(args.seed)
     iv = Interval(args.a, args.b)
     report = verify_theorem(
         args.theorem, f, iv, tol=args.tol, check_hypothesis=args.hypothesis == "on",
-        grid_n=args.grid_n, tol_rel=args.tol_rel, seed=seed, family=family,
+        grid_n=args.grid_n, tol_rel=args.tol_rel, seed=args.seed, family=family,
     )
     listed = report
     if args.hypothesis == "on" and report.hypothesis != HYP_PASS:
@@ -484,11 +467,10 @@ def _cmd_chain(args) -> int:
 
 def _cmd_classify(args) -> int:
     f, _family = _resolve_function(args)
-    seed = _resolve_seed(args.seed)
     params = ClassParams(m=args.m, alpha=args.alpha)
     try:
         report = check_alpha_m_log_convex(
-            f, args.domain_upper, params, grid_n=args.grid_n, tol_rel=args.tol_rel, seed=seed
+            f, args.domain_upper, params, grid_n=args.grid_n, tol_rel=args.tol_rel, seed=args.seed
         )
     except SampleEvaluationError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -520,7 +502,6 @@ def _cmd_classify(args) -> int:
 def _cmd_sweep(args) -> int:
     _check_outputs(args)
     theorems = _parse_theorems(args.theorem)
-    seed = _resolve_seed(args.seed)
     summary = sweep(
         args.family,
         _parse_params(args.param, _parse_grid),
@@ -534,7 +515,7 @@ def _cmd_sweep(args) -> int:
         hypothesis=args.hypothesis,
         grid_n=args.grid_n,
         tol_rel=args.tol_rel,
-        seed=seed,
+        seed=args.seed,
     )
     if not _emit_reports(args, summary.reports, functools.partial(_summary_json, summary)):
         if summary.reports:
@@ -562,7 +543,6 @@ def _search_json(result: SearchResult) -> str:
 
 
 def _cmd_search(args) -> int:
-    seed = _resolve_seed(args.seed)
     result = search_min_margin(
         args.family,
         _parse_params(args.range, _parse_range, "--range"),
@@ -571,7 +551,7 @@ def _cmd_search(args) -> int:
         budget=args.budget,
         tol=args.tol,
         fixed=_parse_params(args.param, float),
-        seed=seed,
+        seed=args.seed,
     )
     if args.json is not None:
         _emit(_search_json(result), args.json)
@@ -598,7 +578,7 @@ def _add_sampling_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-n", type=int, default=33,
                    help=f"membership grid resolution per axis, 2 to {MAX_GRID_N} (default 33)")
     p.add_argument("--tol-rel", type=float, default=1e-9, help="membership violation tolerance (default 1e-9)")
-    p.add_argument("--seed", type=int, default=None, help="sampling seed; overrides HH_SEED (default 0x5EED)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (default 0x5EED)")
 
 
 @functools.cache
@@ -687,7 +667,7 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument("--tol", type=float, default=1e-10,
                         help="quadrature tolerance of the reported point (default 1e-10); points are "
                              "ranked at max(tol, 1e-6), so margins closer than that cannot be told apart")
-    search.add_argument("--seed", type=int, default=None)
+    search.add_argument("--seed", type=int, default=DEFAULT_SEED, help="lattice seed (default 0x5EED)")
     search.add_argument("--json", metavar="PATH|-")
     search.set_defaults(handler=_cmd_search)
 

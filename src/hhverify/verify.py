@@ -547,16 +547,22 @@ def _check_request(theorems: Sequence[str], variant: str, tol: float) -> None:
     check_tol(tol)  # no integral may run to check it, as on an interval where f fails
 
 
-def _check_class_values(m_values: Sequence[float], alpha_values: Sequence[float]) -> None:
-    """Range-check every m, then every alpha, through ClassParams.
+def _check_point_values(values: Mapping[str, Iterable[float]]) -> None:
+    """Range-check a request's point values, ``{name: values}`` for some of a, b, m and alpha, name by name.
 
-    A theorem whose effective class ignores m or alpha would otherwise
-    take any value without complaint.
+    Every a and b must be finite and every a >= 0; m and alpha go through
+    ClassParams, since a theorem whose effective class ignores them would
+    otherwise take any value without complaint.
     """
-    for m in m_values:
-        ClassParams(m=m)
-    for alpha in alpha_values:
-        ClassParams(m=1.0, alpha=alpha)
+    for name, given in values.items():
+        given = list(given)
+        if name in ("a", "b") and not all(math.isfinite(value) for value in given):
+            raise ValueError(f"{name} values must be finite, got {given!r}")
+        if name == "a" and any(value < 0.0 for value in given):
+            raise ValueError(f"a values must stay >= 0, got {given!r}")
+        if name in ("m", "alpha"):
+            for value in given:
+                ClassParams(**{"m": 1.0, name: value})
 
 
 def verify_theorems(
@@ -591,7 +597,7 @@ def verify_theorems(
     but the CLI always passes the spec it built the function from.
     """
     _check_request(theorems, variant, tol)
-    _check_class_values([m], [alpha])
+    _check_point_values({"m": [m], "alpha": [alpha]})  # Interval has checked a and b
     check_sampling(grid_n, tol_rel, seed)  # also with check_hypothesis off, like m and alpha
     return list(
         _reports(
@@ -664,12 +670,7 @@ def sweep(
     _check_request(theorems, variant, tol)
     if hypothesis not in _HYPOTHESIS_MODES:
         raise ValueError(f"hypothesis mode must be one of {_HYPOTHESIS_MODES}, got {hypothesis!r}")
-    _check_class_values(m_values, alpha_values)
-    for name, values in (("a", a_values), ("b", b_values)):
-        if not all(math.isfinite(value) for value in values):
-            raise ValueError(f"{name} values must be finite, got {list(values)!r}")
-    if any(a < 0.0 for a in a_values):
-        raise ValueError(f"a values must stay >= 0, got {list(a_values)!r}")
+    _check_point_values({"a": a_values, "b": b_values, "m": m_values, "alpha": alpha_values})
     check_sampling(grid_n, tol_rel, seed)
     family_parameters(family, family_grids)
 
@@ -742,12 +743,17 @@ def search_min_margin(
     that has reached equality does not go on cycling on quadrature noise;
     the best point still moves on any strictly lower margin.
 
-    An unknown family or a fixed family value outside its parameter's
-    range is a FamilyError before any work. Points that fail to evaluate
-    (a >= b after assembly, a box value outside its family parameter's
-    range, evaluation errors) count toward the budget with an infinite
-    margin. Hypothesis checking is never run here; the point of the search
-    is hunting violations, gated or not.
+    An unknown family, a family parameter that has neither a range nor a
+    fixed value, a name that is neither the family's nor one of a, b,
+    alpha, m, or a fixed family value outside its parameter's range is a
+    FamilyError before any work, as in ``sweep``. A ValueError before any
+    work refuses a name with both a range and a fixed value, a range
+    without lo < hi and a finite width, and a fixed value or range end of
+    a, b, alpha or m that ``sweep`` would refuse in its grid. Points that
+    fail to evaluate (a >= b after assembly, a box value outside its
+    family parameter's range, evaluation errors) count toward the budget
+    with an infinite margin. Hypothesis checking is never run here; the
+    point of the search is hunting violations, gated or not.
 
     Points are ranked by their margin alone, at a screening tolerance,
     max(tol, 1e-6): every lattice point and every point of a line search
@@ -770,39 +776,22 @@ def search_min_margin(
     _check_request([theorem], variant, tol)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
-    param_names = family_parameters(family)
     fixed = dict(fixed or {})
-
-    allowed = set(param_names) | set(_POINT_KEYS)
-    for source, keys in (("box", box.keys()), ("fixed", fixed.keys())):
-        unknown = sorted(set(keys) - allowed)
-        if unknown:
-            raise ValueError(f"{source} names {unknown} are not parameters of family {family!r}")
+    param_names = family_parameters(family, (set(box) | set(fixed)) - set(_POINT_KEYS))
     overlap = sorted(set(box) & set(fixed))
     if overlap:
         raise ValueError(f"parameters {overlap} appear in both box and fixed")
-    missing = [name for name in param_names if name not in box and name not in fixed]
-    if missing:
-        raise ValueError(f"family parameters {missing} need a box range or a fixed value")
 
     dims = sorted(box)
     ranges: list[tuple[float, float]] = []
     for name in dims:
         lo, hi = box[name]
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"box range for {name!r} must be finite with lo < hi, got {(lo, hi)!r}")
-        if name == "a" and lo < 0.0:
-            raise ValueError("box range for 'a' must stay >= 0")
+        if not (math.isfinite(hi - lo) and lo < hi):  # a finite width also needs finite ends
+            raise ValueError(f"box range for {name!r} must have lo < hi and a finite width, got {(lo, hi)!r}")
         ranges.append((float(lo), float(hi)))
-    for name in ("a", "b"):
-        if name in fixed and not math.isfinite(fixed[name]):
-            raise ValueError(f"fixed value for {name!r} must be finite, got {fixed[name]!r}")
-    if fixed.get("a", 0.0) < 0.0:
-        raise ValueError("fixed value for 'a' must stay >= 0")
-    _check_class_values(
-        [fixed["m"]] if "m" in fixed else box.get("m", ()),
-        [fixed["alpha"]] if "alpha" in fixed else box.get("alpha", ()),
-    )
+    _check_point_values({
+        name: [fixed[name]] if name in fixed else box.get(name, ()) for name in ("a", "b", "m", "alpha")
+    })
     for name in param_names:
         if name in fixed:
             check_family_value(family, name, fixed[name])

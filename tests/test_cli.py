@@ -37,11 +37,6 @@ REPORT_KEYS = ["theorem", "variant", "params", "hypothesis", "lhs", "rhs", "marg
 CSV_HEADER = "theorem,variant,a,b,alpha,m,family_params,lhs,rhs,margin,quad_err,hypothesis,verdict"
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("HH_SEED", raising=False)
-
-
 FAMILY_VALUE_ERRORS = [
     (["sweep", "--family", "const", "--param", "c=0.5,-1", "--theorem", "eq4", "--a", "0:1:50", "--b", "1:2:50",
       "--m", "0.5,1"], "parameter 'c' must be > 0, got -1.0"),
@@ -177,15 +172,14 @@ class TestExitCodes:
         ["check", "--f", "exp(x)"],
         ["sweep", "--family", "const", "--param", "c=1"],
     ])
-    def test_unknown_theorem_message_comes_before_tol_and_seed(self, capsys, monkeypatch, argv):
+    def test_unknown_theorem_message_comes_before_tol_and_seed(self, capsys, argv):
         unknown = ("error: unknown theorem 'eq99' (known: dr1, dr2, eq4, eq11, eq22, eq31, eq42)\n")
         assert run(argv + ["--theorem", "eq4,eq99"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", unknown)
-        monkeypatch.setenv("HH_SEED", "not-a-number")
-        assert run(argv + ["--theorem", "eq99", "--tol", "0"]) == EXIT_USAGE
+        assert run(argv + ["--theorem", "eq99", "--tol", "0", "--seed", "-1"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", unknown)
-        assert run(argv + ["--theorem", "eq4", "--tol", "0"]) == EXIT_USAGE
-        assert capsys.readouterr() == ("", "error: HH_SEED must be an integer, got 'not-a-number'\n")
+        assert run(argv + ["--theorem", "eq4", "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -1\n")
 
     @pytest.mark.parametrize("argv,stderr", [
         # every command range-checks m and alpha, also where the theorem ignores them
@@ -244,11 +238,14 @@ class TestExitCodes:
         (["sweep", "--family", "const", "--param", "c=0.5", "--a", "0,-1", "--b", "1", "--theorem", "eq4"],
          "a values must stay >= 0, got [0.0, -1.0]"),
         (["search", "--family", "const", "--range", "c=0.2:1", "--param", "a=nan", "--theorem", "eq4"],
-         "fixed value for 'a' must be finite, got nan"),
+         "a values must be finite, got [nan]"),
         (["search", "--family", "const", "--range", "c=0.2:1", "--param", "b=inf", "--theorem", "eq4"],
-         "fixed value for 'b' must be finite, got inf"),
+         "b values must be finite, got [inf]"),
         (["search", "--family", "const", "--range", "c=0.2:1", "--param", "a=-1", "--theorem", "eq4"],
-         "fixed value for 'a' must stay >= 0"),
+         "a values must stay >= 0, got [-1.0]"),
+        # a range whose width overflows, although both ends are finite
+        (["search", "--family", "exp_linear", "--range", "k=-1e308:1e308", "--theorem", "eq4"],
+         "box range for 'k' must have lo < hi and a finite width, got (-1e+308, 1e+308)"),
         # a family value, before the members or points that come first are computed
         *FAMILY_VALUE_ERRORS,
     ])
@@ -263,9 +260,8 @@ class TestExitCodes:
         monkeypatch.setattr(hhverify.verify, "_report", fail)
         assert run(argv) == EXIT_USAGE
 
-    def test_a_negative_seed_from_the_environment_is_usage(self, capsys, monkeypatch):
-        monkeypatch.setenv("HH_SEED", "-5")
-        assert run(["classify", "--f", "x^2+1", "--domain-upper", "1"]) == EXIT_USAGE
+    def test_a_negative_seed_is_usage(self, capsys):
+        assert run(["classify", "--f", "x^2+1", "--domain-upper", "1", "--seed", "-5"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -5\n")
 
     def test_conflicting_function_flags(self, capsys):
@@ -373,29 +369,22 @@ def test_generic_encoder_writes_bools_and_refuses_other_types():
         cli._json_value(object())
 
 
-class TestSeedResolution:
-    CLASSIFY_ARGS = ["classify", "--f", "x^2+1", "--domain-upper", "2", "--json", "-"]
+class TestSeedSource:
+    # each output depends on the seed, so an ambient seed that the CLI read would show in its bytes
+    ARGVS = [
+        ["classify", "--f", "x^2+1", "--domain-upper", "2", "--m", "0.5", "--alpha", "0.5", "--grid-n", "3",
+         "--json", "-"],
+        ["check", "--f", "x^2+1", "--theorem", "eq31", "--m", "0.5", "--alpha", "0.5", "--grid-n", "3"],
+        ["search", "--family", "exp_affine", "--range", "c=0.5:2", "--range", "k=-1:1", "--theorem", "eq4",
+         "--budget", "6", "--json", "-"],
+    ]
 
-    def test_flag_and_env_agree(self, capsys, monkeypatch):
-        assert run(self.CLASSIFY_ARGS + ["--seed", "12345"]) == EXIT_VIOLATED
-        via_flag = capsys.readouterr().out
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: argv[0])
+    def test_the_environment_does_not_set_the_seed(self, capsys, monkeypatch, argv):
+        default = run(argv), capsys.readouterr()
+        assert (run(argv + ["--seed", "12345"]), capsys.readouterr()) != default
         monkeypatch.setenv("HH_SEED", "12345")
-        assert run(self.CLASSIFY_ARGS) == EXIT_VIOLATED
-        via_env = capsys.readouterr().out
-        assert via_flag == via_env
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HH_SEED", "999")
-        assert run(self.CLASSIFY_ARGS + ["--seed", "12345"]) == EXIT_VIOLATED
-
-    def test_bad_env_seed_is_usage(self, capsys, monkeypatch):
-        monkeypatch.setenv("HH_SEED", "abc")
-        assert run(self.CLASSIFY_ARGS) == EXIT_USAGE
-        assert "HH_SEED" in capsys.readouterr().err
-
-    def test_hex_env_seed_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("HH_SEED", "0x5EED")
-        assert run(self.CLASSIFY_ARGS) == EXIT_VIOLATED
+        assert (run(argv), capsys.readouterr()) == default
 
 
 class TestClassify:
@@ -673,19 +662,20 @@ class TestDefaults:
 
     @pytest.mark.parametrize("argv,function,names", [
         (["check", "--f", "x", "--theorem", "eq4"], verify_theorems,
-         {"m", "alpha", "variant", "tol", "grid_n", "tol_rel"}),
-        (["chain", "--f", "x", "--theorem", "dr1"], verify_theorems, {"tol", "grid_n", "tol_rel"}),
-        (["classify", "--f", "x", "--domain-upper", "1"], check_alpha_m_log_convex, {"grid_n", "tol_rel"}),
+         {"m", "alpha", "variant", "tol", "grid_n", "tol_rel", "seed"}),
+        (["chain", "--f", "x", "--theorem", "dr1"], verify_theorems, {"tol", "grid_n", "tol_rel", "seed"}),
+        (["classify", "--f", "x", "--domain-upper", "1"], check_alpha_m_log_convex, {"grid_n", "tol_rel", "seed"}),
         (["sweep", "--family", "const", "--theorem", "eq4"], sweep,
-         {"variant", "tol", "hypothesis", "grid_n", "tol_rel"}),
-        (["search", "--family", "const", "--theorem", "eq4"], search_min_margin, {"variant", "budget", "tol"}),
+         {"variant", "tol", "hypothesis", "grid_n", "tol_rel", "seed"}),
+        (["search", "--family", "const", "--theorem", "eq4"], search_min_margin,
+         {"variant", "budget", "tol", "seed"}),
     ])
     def test_parsed_defaults_are_the_signature_defaults(self, argv, function, names):
         parsed = vars(cli._build_parser().parse_args(argv))
         signature = {
             name: p.default for name, p in inspect.signature(function).parameters.items()
-            # the CLI's seed comes from HH_SEED, and its --family names what the keyword takes as a spec
-            if p.default is not inspect.Parameter.empty and name not in ("seed", "family")
+            # the CLI's --family names what the keyword takes as a spec
+            if p.default is not inspect.Parameter.empty and name != "family"
         }
         assert set(parsed) & set(signature) == names
         assert {name: parsed[name] for name in names} == {name: signature[name] for name in names}
@@ -716,9 +706,12 @@ class TestDefaults:
             for action in parser._actions:
                 match = re.search(r"\(default ([^)]+)\)", action.help or "")
                 if match and type(action.default) in (int, float):
-                    assert float(match.group(1)) == action.default, (command, action.dest)
-                    stated.add(action.dest)
-        assert {"tol", "grid_n", "tol_rel", "budget"} <= stated
+                    # int(text, 0) reads a hexadecimal default such as the seed's 0x5EED
+                    read = int(match.group(1), 0) if type(action.default) is int else float(match.group(1))
+                    assert read == action.default, (command, action.dest)
+                    stated.add((command, action.dest))
+        assert {"tol", "grid_n", "tol_rel", "budget"} <= {dest for _, dest in stated}
+        assert {(command, "seed") for command in _subparsers()} <= stated
 
     def test_screening_tolerance_is_stated_as_it_is(self):
         (tol_help,) = [a.help for a in _subparsers()["search"]._actions if a.dest == "tol"]
@@ -763,7 +756,6 @@ REUSED_PARSER_ARGVS = [
 
 def test_parser_reuse_matches_fresh_processes(capsys, monkeypatch):
     env = {**os.environ, "COLUMNS": "80"}
-    env.pop("HH_SEED", None)
     monkeypatch.setenv("COLUMNS", "80")
     for argv in REUSED_PARSER_ARGVS:
         code = run(argv)

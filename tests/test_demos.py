@@ -24,7 +24,6 @@ def test_every_demo_is_pinned():
 @pytest.mark.parametrize("name", sorted(DEMO_SHA256))
 def test_demo_output(name):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("HH_SEED", None)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
         capture_output=True, env=env, timeout=120,

@@ -99,11 +99,6 @@ SEARCH_INERT_CASES = SEARCH_CASES + (SEARCH_BOXES[3] + ["--budget", "60"], SEARC
 SEARCH_INERT_SHA256 = "fdf974f2c77ea8ef6a1d0b633fbc7e6e7b8e2c12aea54a2dd53d02e30f7e3206"
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("HH_SEED", raising=False)
-
-
 def test_all_theorem_sweeps_are_byte_identical():
     digest = hashlib.sha256()
     verdicts: Counter = Counter()

@@ -5,10 +5,10 @@ tracer in ``perfbench/tracer.py`` wraps, fails here instead of only in a
 traced benchmark run. Importing the package leaves numpy unloaded. On the
 report path only the shared integral cache integrates, only it and
 ``Endpoints.of`` evaluate f, only the class-check gate decides and
-samples class membership, and only one constructor builds a report. No module reaches into a sibling's
-private names beyond the one listed below, and every name a module
-imports from a sibling is used there, but for the few that only the
-tracer needs.
+samples class membership, and only one constructor builds a report. No
+module reaches into a sibling's private names or reads the environment,
+and every name a module imports from a sibling is used there, but for the
+few that only the tracer needs.
 """
 import ast
 import importlib
@@ -167,14 +167,6 @@ def test_one_driver_builds_the_integral_caches():
     assert sorted(sites) == ["verify._reports"]
 
 
-# The private names a module may import from a sibling, each with its reason.
-# Any other such import means two modules share one owner's internals.
-_PRIVATE_IMPORTS = {
-    # --theorem lists are checked name by name before any work starts
-    ("cli", "verify", "_require_theorem"),
-}
-
-
 def _sibling_imports(tree: ast.AST) -> list[tuple[str, ast.alias]]:
     """(sibling module, alias) for every name the module imports from a sibling."""
     return [
@@ -186,13 +178,29 @@ def _sibling_imports(tree: ast.AST) -> list[tuple[str, ast.alias]]:
 
 
 def test_no_module_imports_a_private_name_of_a_sibling():
+    # such an import means two modules share one owner's internals
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found |= {
             (path.stem, module, alias.name) for module, alias in _sibling_imports(tree) if alias.name.startswith("_")
         }
-    assert found == _PRIVATE_IMPORTS
+    assert found == set()
+
+
+_ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_no_module_reads_the_environment():
+    # every input comes from the arguments, so one invocation prints the same bytes in any shell
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT_READERS:
+                found.append((path.stem, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend((path.stem, alias.name) for alias in node.names if alias.name in _ENVIRONMENT_READERS)
+    assert found == []
 
 
 # Names a module imports from a sibling without using them, each with its

@@ -53,11 +53,6 @@ SCREEN_N = 9  # the tests sample at the default grid_n 33, which a grid_n 9 scre
 WORKLOADS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_seed(monkeypatch):
-    monkeypatch.delenv("HH_SEED", raising=False)
-
-
 @pytest.fixture
 def work(monkeypatch) -> Counter:
     counts: Counter = Counter()

@@ -417,10 +417,9 @@ class TestSearch:
     @pytest.mark.parametrize(
         "box,fixed",
         [
-            ({"z": (0.0, 1.0)}, {"c": 0.5}),          # unknown name
             ({"c": (0.1, 0.9)}, {"c": 0.5}),          # overlap
-            ({}, {}),                                  # missing family parameter
             ({"c": (0.9, 0.1)}, None),                 # lo >= hi
+            ({"c": (-1e308, 1e308)}, None),            # both ends finite, the width not
             ({"c": (0.1, 0.9), "m": (0.0, 2.0)}, None),  # m outside (0, 1]
             ({"c": (0.1, 0.9), "alpha": (0.5, 2.0)}, None),  # alpha outside (0, 1], unused by eq4
             ({"c": (0.1, 0.9)}, {"alpha": 3.0}),       # fixed alpha outside (0, 1]
@@ -435,9 +434,15 @@ class TestSearch:
         with pytest.raises(ValueError):
             search_min_margin("const", box, "eq4", fixed=fixed)
 
-    def test_unknown_family(self):
-        with pytest.raises(FamilyError):
-            search_min_margin("gaussian", {"s": (0.1, 1.0)}, "eq4")
+    @pytest.mark.parametrize("family,box,fixed,message", [
+        ("gaussian", {"s": (0.1, 1.0)}, None, r"unknown family 'gaussian'"),
+        ("const", {"z": (0.0, 1.0)}, {"c": 0.5}, r"family 'const': unexpected \['z'\]"),
+        ("const", {}, {}, r"family 'const': missing \['c'\]"),
+        ("poly_shift", {"p": (1.0, 2.0), "b": (1.0, 2.0)}, {"z": 1.0}, r"missing \['q'\], unexpected \['z'\]"),
+    ])
+    def test_family_names_are_checked_as_sweep_checks_them(self, family, box, fixed, message):
+        with pytest.raises(FamilyError, match=message):
+            search_min_margin(family, box, "eq4", fixed=fixed)
 
     @pytest.mark.parametrize("family,box,fixed,message", [
         ("const", {"b": (0.5, 2.0)}, {"c": -1.0}, r"parameter 'c' must be > 0, got -1.0"),
