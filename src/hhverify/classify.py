@@ -87,7 +87,9 @@ __all__ = [
     "check_alpha_m_log_convex",
     "check_alphas",
     "check_sampling",
+    "check_seed",
     "exact_membership",
+    "log_affine",
 ]
 
 DEFAULT_SEED = 0x5EED
@@ -211,6 +213,11 @@ def check_sampling(grid_n: int, tol_rel: float, seed: int) -> None:
     if not 2 <= grid_n <= MAX_GRID_N:
         raise ValueError(f"grid_n must lie in [2, {MAX_GRID_N}], got {grid_n!r}")
     _check_tol_rel(tol_rel)
+    check_seed(seed)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is nonnegative: the one seed rule of class checks and search."""
     if seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
 
@@ -358,22 +365,29 @@ def _rank(w: Violation) -> tuple[float, float, float, float]:
 
 
 def _affine(node: Node) -> Optional[tuple[float, float]]:
-    """(a, k) with ``node`` = a + k*x, constants folded as f folds them, else None."""
-    match node:
-        case Const(v):
-            return v, 0.0
-        case Var():
-            return 0.0, 1.0
-        case Unary("neg", arg) if form := _affine(arg):
-            return -form[0], -form[1]
-        case Binary(op, left, right) if (lf := _affine(left)) and (rf := _affine(right)):
-            (a, k), (b, j) = lf, rf
-            if op in ("+", "-"):
-                return (a + b, k + j) if op == "+" else (a - b, k - j)
-            if op == "*" and (j == 0.0 or k == 0.0):  # one factor is a constant
-                return a * b, k * b if j == 0.0 else a * j
-            if op == "/" and j == 0.0:
-                return a / b, k / b
+    """(a, k) with ``node`` = a + k*x, constants folded as f folds them, else None.
+
+    It dispatches on the node's type, not with a match statement: every
+    integral cache reads its f once, so this runs once per interval.
+    """
+    kind = type(node)
+    if kind is Const:
+        return node.value, 0.0
+    if kind is Var:
+        return 0.0, 1.0
+    if kind is Unary:
+        form = _affine(node.arg) if node.op == "neg" else None
+        return form and (-form[0], -form[1])
+    op = node.op
+    if op == "^" or not ((lf := _affine(node.left)) and (rf := _affine(node.right))):
+        return None
+    (a, k), (b, j) = lf, rf
+    if op in ("+", "-"):
+        return (a + b, k + j) if op == "+" else (a - b, k - j)
+    if op == "*" and (j == 0.0 or k == 0.0):  # one factor is a constant
+        return a * b, k * b if j == 0.0 else a * j
+    if op == "/" and j == 0.0:
+        return a / b, k / b
     return None
 
 
@@ -383,14 +397,29 @@ def _log_affine(node: Node) -> Optional[tuple[float, float]]:
     exp(a + k*x) reads as (exp(a), k); a product or quotient multiplies or
     divides c and adds or subtracts k; any other node must be a constant.
     """
-    match node:
-        case Unary("exp", arg) if form := _affine(arg):
-            return math.exp(form[0]), form[1]
-        case Binary("*" | "/" as op, left, right) if (lf := _log_affine(left)) and (rf := _log_affine(right)):
-            (c, k), (d, j) = lf, rf
-            return (c * d, k + j) if op == "*" else (c / d, k - j)
+    kind = type(node)
+    if kind is Unary and node.op == "exp" and (form := _affine(node.arg)):
+        return math.exp(form[0]), form[1]
+    if kind is Binary and node.op in ("*", "/") and (lf := _log_affine(node.left)) and (rf := _log_affine(node.right)):
+        (c, k), (d, j) = lf, rf
+        return (c * d, k + j) if node.op == "*" else (c / d, k - j)
     form = _affine(node)
     return form if form and form[1] == 0.0 else None
+
+
+def log_affine(f: FunctionExpr) -> Optional[tuple[float, float]]:
+    """(c, k) where f reads as c*exp(k*x) with 0 < c < inf and k finite, else None.
+
+    exp of an affine form in x, a constant, and products and quotients of
+    these read so. Constants of f that overflow or divide by 0 read as None.
+    """
+    try:
+        member = _log_affine(f.root)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if member is None or not (0.0 < member[0] < math.inf and math.isfinite(member[1])):
+        return None
+    return member
 
 
 def exact_membership(
@@ -398,10 +427,9 @@ def exact_membership(
 ) -> Optional[ClassificationReport]:
     """Decide the (alpha, m)-class of ``f`` on [0, domain_upper] from its closed form, or None where none applies.
 
-    It applies where f reads as c*exp(k*x) with c > 0 and k finite (exp of
-    an affine form in x, a constant, and products and quotients of these)
-    and is finite and positive at 0 and at domain_upper = B (so on the
-    whole domain, c*exp(k*x) being monotone). Its log-deficit is
+    It applies where f reads as c*exp(k*x) (see ``log_affine``) and is
+    finite and positive at 0 and at domain_upper = B (so on the whole
+    domain, c*exp(k*x) being monotone). Its log-deficit is
     (1 - m)*(1 - t**alpha)*ln c + k*(t - t**alpha)*(x - m*y) and
     t - t**alpha <= 0, so at every t the k term is largest at
     (x, y) = (0, B) for k > 0 and (B, 0) for k < 0. That leaves
@@ -428,11 +456,8 @@ def exact_membership(
     """
     _check_domain(domain_upper)
     _check_tol_rel(tol_rel)
-    try:
-        member = _log_affine(f.root)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if member is None or not (0.0 < member[0] < math.inf and math.isfinite(member[1])):
+    member = log_affine(f)
+    if member is None:
         return None
     c, k = member
     m, alpha = params.m, params.alpha

@@ -21,10 +21,20 @@ def _require_nonneg_finite(a: float, b: float) -> None:
         raise ValueError(f"mean arguments must be nonnegative finite reals, got ({a!r}, {b!r})")
 
 
+def _half_sum(p: float, q: float) -> float:
+    """(p + q)/2 of nonnegative finite p, q; the halves are added only where the sum overflows.
+
+    Halving is exact for values that large, so the result is finite and
+    every result whose sum is finite keeps its bits.
+    """
+    total = p + q
+    return 0.5 * total if total < math.inf else 0.5 * p + 0.5 * q
+
+
 def arithmetic_mean(a: float, b: float) -> float:
-    """Return (a + b)/2 for nonnegative finite inputs."""
+    """Return (a + b)/2 for nonnegative finite inputs, without overflowing."""
     _require_nonneg_finite(a, b)
-    return 0.5 * (a + b)
+    return _half_sum(a, b)
 
 
 def geometric_mean(a: float, b: float) -> float:
@@ -53,7 +63,8 @@ def logarithmic_mean(p: float, q: float) -> float:
       * otherwise: the direct formula.
 
     Arguments are ordered before computing, so the result is bitwise
-    symmetric in (p, q).
+    symmetric in (p, q). Where p + q overflows, both branches that use it
+    halve each argument first, so every finite pair has a finite mean.
 
     Raises:
         ValueError: if either argument is not a positive finite real.
@@ -63,7 +74,9 @@ def logarithmic_mean(p: float, q: float) -> float:
         raise ValueError(f"logarithmic_mean arguments must be positive finite reals, got ({p!r}, {q!r})")
     diff = hi - lo
     if diff <= NEAR_EQUAL_REL * hi:
-        return 0.5 * (lo + hi)
+        return _half_sum(lo, hi)
     if hi <= 2.0 * lo:
-        return diff / (2.0 * math.atanh(diff / (hi + lo)))
+        total = hi + lo
+        ratio = diff / total if total < math.inf else (0.5 * diff) / _half_sum(hi, lo)
+        return diff / (2.0 * math.atanh(ratio))
     return diff / (math.log(hi) - math.log(lo))

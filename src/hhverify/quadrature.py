@@ -13,6 +13,11 @@ into it once, at import; each integral compiles nothing and costs one
 call of a cached factory, which inlines f's body where the recursion
 evaluates the integrand, so a point costs no Python call. A plain
 callable runs the same recursion with a call at those points.
+
+The report path does not run it where f reads as c*exp(k*x): there the
+integral cache in ``verify`` takes all four means in closed form from f's
+values at the interval's ends, with 0 evals and a rounding bound as the
+error estimate (see ``verify._closed_mean``).
 """
 from __future__ import annotations
 
@@ -25,7 +30,7 @@ from typing import Callable, NamedTuple
 
 from .funcspec import FunctionExpr, Var, generate
 
-__all__ = ["Interval", "QuadResult", "IntegrandError", "check_tol", "integrate", "mean_integral"]
+__all__ = ["Interval", "QuadResult", "IntegrandError", "check_tol", "check_width", "integrate", "mean_integral"]
 
 MIN_TOL = 1e-13
 MAX_DEPTH = 60
@@ -278,6 +283,14 @@ def integrate(g: Callable[[float], float], iv: Interval, tol: float = 1e-10) -> 
     return QuadResult(value, err, 3 + evals, converged)
 
 
+def check_width(iv: Interval) -> None:
+    """Raise IntegrandError if ``iv`` is too narrow for ``mean_integral`` to average over."""
+    if iv.width / 12.0 < sys.float_info.min:
+        raise IntegrandError(
+            iv.a, f"interval width {iv.width!r} is too narrow to average over: the panel weight (b-a)/12 is subnormal"
+        )
+
+
 def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
     """Return the average of ``f`` over ``iv``: (1/(b-a)) * integral.
 
@@ -294,10 +307,7 @@ def mean_integral(f, iv: Interval, tol: float = 1e-10) -> QuadResult:
             (b-a)/12 would lose bits that neither the value nor ``err_est``
             accounts for. 1/(b-a) is then finite as well.
     """
-    if iv.width / 12.0 < sys.float_info.min:
-        raise IntegrandError(
-            iv.a, f"interval width {iv.width!r} is too narrow to average over: the panel weight (b-a)/12 is subnormal"
-        )
+    check_width(iv)
     s = 1.0 / iv.width
     r = integrate(value_integrand(f) if isinstance(f, FunctionExpr) else f, iv, tol)
     return QuadResult(r.value * s, r.err_est * s, r.evals, r.converged)

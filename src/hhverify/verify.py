@@ -39,6 +39,7 @@ import itertools
 import math
 import random
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -63,15 +64,17 @@ from .classify import (
     check_alpha_m_log_convex,  # unused here; the benchmark's tracer (perfbench/tracer.py) wraps this name
     check_alphas,
     check_sampling,
+    check_seed,
     exact_membership,
+    log_affine,
 )
 from .funcspec import (
     EvaluationError, FamilyError, FamilySpec, FunctionExpr, check_family_value, family_instantiate, family_parameters,
 )
-from .means import arithmetic_mean
+from .means import arithmetic_mean, logarithmic_mean
 from .quadrature import (
-    IntegrandError, Interval, QuadResult, check_tol, log_integrand, mean_integral, mixed_geometric_integrand,
-    sym_geometric_integrand,
+    IntegrandError, Interval, QuadResult, check_tol, check_width, log_integrand, mean_integral,
+    mixed_geometric_integrand, sym_geometric_integrand,
 )
 
 __all__ = [
@@ -123,8 +126,10 @@ class ReportParams:
     family: Optional[tuple[tuple[str, float], ...]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class InequalityReport:
+    """One theorem at one parameter point; see the module docstring for its verdict rule."""
+
     theorem: str
     variant: str
     params: ReportParams
@@ -257,6 +262,72 @@ def _outcome(report: ClassificationReport, domain_upper: float) -> tuple[str, Op
     ))
 
 
+# the unit roundoff of a double, 2**-53, and the log of the least normal one
+_U = sys.float_info.epsilon / 2.0
+_LOG_NORMAL = math.log(sys.float_info.min)
+
+
+def _closed_mean(kind: str, k: float, iv: Interval, ends: Endpoints) -> tuple[float, float]:
+    """The mean ``kind`` on ``iv`` of f = c*exp(k*x), from the record ``ends``, and a bound on its error.
+
+    ln f is affine, so every mean is a closed function of f's values at the
+    ends: the mean of f is L(f(a), f(b)) = (f(b) - f(a))/(k*(b - a)), the
+    mean of ln f is (ln f(a) + ln f(b))/2, the symmetric kernel is exp of
+    that, and the mixed kernel at m, sqrt(f(x)*f((a+b-x)/m)**m), is the
+    constant exp((ln f(a) + m*ln f(b/m))/2).
+
+    The bound is a running rounding bound to first order in u = 2**-53
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, §3.1):
+    every operation rounds with relative error at most u, exp and log with
+    at most 1 ulp, 2u. f(x) evaluated as c*exp(k*x) or exp(p + k*x)
+    carries the rounding of k*x, which exp turns into a relative error
+    u*|k*x|, of the sum p + k*x, u*|ln f(x)|, of exp, 2u, and of the factor
+    c, u; the abscissa b/m is rounded too, another u*|k*x|. log of f(x)
+    adds 2u*|ln f(x)|. So ln f(x) as the record holds it is within
+    e(x) = u*(2|k*x| + 3|ln f(x)| + 3) of ln c + k*x, and f(x) within e(x)
+    relative of c*exp(k*x). Where f(x) or exp(k*x) is subnormal, no
+    relative bound holds; e(x) is then inf, and so is the bound. Then:
+
+    * mean of ln f: e(a)/2 + e(b)/2, and u*|value| for the sum;
+    * symmetric kernel: the value times (that bound + 2u for exp);
+    * mixed kernel: the value times ((e(a) + m*e(b/m) + u*|m*ln f(b/m)|
+      + u*|ln f(a) + m*ln f(b/m)|)/2 + 2u);
+    * mean of f: L is increasing and homogeneous of degree 1, so its
+      arguments' relative errors reach it at most as their maximum;
+      logarithmic_mean adds at most 6u in its near-equal and atanh
+      branches, and in its direct branch the 1-ulp errors of its two logs
+      over their difference, 2u*(|ln f(a)| + |ln f(b)|)/|ln f(b) - ln f(a)|.
+
+    The bound is never 0, so it is 0 only where the value is exact. It
+    covers f evaluated as the family builders and exp(p + k*x) evaluate
+    it; a tree that reads as c*exp(k*x) by another route, a product of
+    exps say, may round more than it counts.
+    """
+    def e(x: float, lx: float) -> float:
+        if min(lx, k * x) < _LOG_NORMAL:  # f(x) or exp(k*x) is subnormal
+            return math.inf
+        return _U * (2.0 * abs(k * x) + 3.0 * abs(lx) + 3.0)
+
+    la, lb = ends.la, ends.lb
+    if kind == "mean_f":
+        value = logarithmic_mean(ends.fa, ends.fb)
+        direct = max(ends.fa, ends.fb) > 2.0 * min(ends.fa, ends.fb)  # logarithmic_mean's direct branch
+        logs = 2.0 * (abs(la) + abs(lb)) / abs(lb - la) if direct else 0.0
+        return value, value * (max(e(iv.a, la), e(iv.b, lb)) + _U * (6.0 + logs))
+    if kind == "mixed_geometric":
+        m, lbm = ends.m, ends.lbm
+        w = 0.5 * (la + m * lbm)
+        value = math.exp(w)
+        err_w = 0.5 * (e(iv.a, la) + m * e(iv.b / m, lbm) + _U * (abs(m * lbm) + 2.0 * abs(w)))
+        return value, value * (err_w + 2.0 * _U)
+    v = 0.5 * (la + lb)
+    err_v = 0.5 * (e(iv.a, la) + e(iv.b, lb)) + _U * abs(v)
+    if kind == "mean_log":
+        return v, err_v
+    value = math.exp(v)  # the symmetric kernel
+    return value, value * (err_v + 2.0 * _U)
+
+
 class _IntegralCache:
     """Integrals and values of ``f`` on ``iv``, computed lazily and shared by every report.
 
@@ -271,53 +342,79 @@ class _IntegralCache:
     again. A cache lives for one call of the public entry points only;
     search_min_margin carries it from a point to the next while the family
     parameters, a, b and the tolerance stay the same.
+
+    Where f reads as c*exp(k*x) (``classify.log_affine``, decided once per
+    cache) and iv passes ``mean_integral``'s width guard, every mean is
+    taken in closed form from the endpoint record at m (1 but for the mixed
+    kernel) instead of by quadrature: 0 evals, converged, with a rounding
+    bound as ``err_est`` (see ``_closed_mean``). Where the record raises
+    or a closed value is not finite, the mean falls back to quadrature, so
+    each error keeps its text, and f is evaluated only in ``Endpoints.of``.
     """
 
     def __init__(self, f: FunctionExpr, iv: Interval, tol: float):
         self.f = f
         self.iv = iv
         self.tol = tol
+        member = log_affine(f)
+        self._k = None if member is None else member[1]
         self._store: dict[tuple[str, Optional[float]], QuadResult | Endpoints | float | Exception] = {}
 
-    def _get(self, key: tuple[str, Optional[float]], thunk: Callable[[], Any]) -> Any:
-        if key not in self._store:
+    def _get(self, key: tuple[str, Optional[float]], thunk: Callable[..., Any], *args: Any) -> Any:
+        """The value at ``key``, computed once as ``thunk(*args)``; an error it raised is raised again."""
+        try:
+            cached = self._store[key]
+        except KeyError:
             try:
-                self._store[key] = thunk()
+                cached = thunk(*args)
             except (EvaluationError, IntegrandError) as err:
-                self._store[key] = err
-        cached = self._store[key]
+                cached = err
+            self._store[key] = cached
         if isinstance(cached, Exception):
             raise cached
         return cached
+
+    def _mean(self, key: tuple[str, Optional[float]], quadrature: Callable[[], QuadResult]) -> QuadResult:
+        """The thunk of the mean ``key``: its closed form where f reads as c*exp(k*x), else ``quadrature()``."""
+        if self._k is not None:
+            check_width(self.iv)  # mean_integral's guard, before f is evaluated
+            try:
+                value, err = _closed_mean(key[0], self._k, self.iv, self.endpoints(key[1] or 1.0))
+            except EvaluationError:  # quadrature raises the error with its own text
+                pass
+            else:
+                if math.isfinite(value) and math.isfinite(err):
+                    return QuadResult(value, err, 0)
+        return quadrature()
 
     def retain(self, m_values: Sequence[float]) -> None:
         """Forget the values at an m outside ``m_values``, so a cache carried along a line does not grow."""
         self._store = {key: value for key, value in self._store.items() if key[1] is None or key[1] in m_values}
 
     def mean_f(self) -> QuadResult:
-        return self._get(("mean_f", None), lambda: mean_integral(self.f, self.iv, self.tol))
+        key = ("mean_f", None)
+        return self._get(key, self._mean, key, lambda: mean_integral(self.f, self.iv, self.tol))
 
     def mean_log(self) -> QuadResult:
-        return self._get(("mean_log", None), lambda: mean_integral(log_integrand(self.f), self.iv, self.tol))
+        key = ("mean_log", None)
+        return self._get(key, self._mean, key, lambda: mean_integral(log_integrand(self.f), self.iv, self.tol))
 
     def sym_geometric(self) -> QuadResult:
-        s = self.iv.a + self.iv.b
+        s, key = self.iv.a + self.iv.b, ("sym_geometric", None)
         return self._get(
-            ("sym_geometric", None),
-            lambda: mean_integral(sym_geometric_integrand(self.f, s), self.iv, self.tol),
+            key, self._mean, key, lambda: mean_integral(sym_geometric_integrand(self.f, s), self.iv, self.tol)
         )
 
     def mixed_geometric(self, m: float) -> QuadResult:
         if m == 1.0:
             return self.sym_geometric()
-        s = self.iv.a + self.iv.b
+        s, key = self.iv.a + self.iv.b, ("mixed_geometric", m)
         return self._get(
-            ("mixed_geometric", m),
-            lambda: mean_integral(mixed_geometric_integrand(self.f, s, m), self.iv, self.tol),
+            key, self._mean, key, lambda: mean_integral(mixed_geometric_integrand(self.f, s, m), self.iv, self.tol)
         )
 
     def endpoints(self, m: float) -> Endpoints:
-        return self._get(("endpoints", m), lambda: Endpoints.of(self.f, self.iv, m))
+        return self._get(("endpoints", m), Endpoints.of, self.f, self.iv, m)
 
     def midpoint(self) -> float:
         return self._get(("midpoint", None), lambda: self.f.evaluate(arithmetic_mean(self.iv.a, self.iv.b)))
@@ -749,7 +846,8 @@ def search_min_margin(
     FamilyError before any work, as in ``sweep``. A ValueError before any
     work refuses a name with both a range and a fixed value, a range
     without lo < hi and a finite width, and a fixed value or range end of
-    a, b, alpha or m that ``sweep`` would refuse in its grid. Points that
+    a, b, alpha or m that ``sweep`` would refuse in its grid, and a negative
+    seed, which the class checks refuse too. Points that
     fail to evaluate (a >= b after assembly, a box value outside its
     family parameter's range, evaluation errors) count toward the budget
     with an infinite margin. Hypothesis checking is never run here; the
@@ -776,6 +874,7 @@ def search_min_margin(
     _check_request([theorem], variant, tol)
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget!r}")
+    check_seed(seed)
     fixed = dict(fixed or {})
     param_names = family_parameters(family, (set(box) | set(fixed)) - set(_POINT_KEYS))
     overlap = sorted(set(box) & set(fixed))

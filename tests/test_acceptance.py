@@ -40,7 +40,7 @@ GATE_THEOREMS = ("eq4", "eq11", "eq22", "eq31", "eq42")
 M4 = (0.25, 0.5, 0.75, 1.0)
 
 # sha256 of the gated sweeps' JSON, concatenated in SWEEP_SPECS order
-GATED_SWEEP_SHA256 = "0ec3910b74d5d41b124e2014066308db1b7bc2b6da729e226c60ebd3584566b3"
+GATED_SWEEP_SHA256 = "06e5462a4dede3c41e40819067f5caf4004a82ef3d2f3af75722713de989d2cf"
 
 # family grids x class-parameter grids for the gated membership sweep;
 # every member below satisfies its class hypothesis on [0, 2 / m]

@@ -108,12 +108,15 @@ class TestExitCodes:
         assert verdicts == ["holds", "inconclusive"]
 
     @pytest.mark.parametrize("argv", [
-        ["check", "--f", "exp(709)", "--theorem", "eq4", "--hypothesis", "off"],
-        ["check", "--family", "const", "--param", "c=1e308", "--theorem", "eq4"],
-        ["check", "--family", "const", "--param", "c=1e308", "--theorem", "eq22,eq31,eq42,dr2"],
+        ["check", "--family", "poly_shift", "--param", "p=2", "--param", "q=1e308", "--theorem", "eq4",
+         "--hypothesis", "off"],
+        ["check", "--family", "poly_shift", "--param", "p=2", "--param", "q=1e308", "--theorem", "eq4"],
+        ["check", "--family", "poly_shift", "--param", "p=2", "--param", "q=1e308",
+         "--theorem", "eq22,eq31,eq42,dr2"],
     ])
     def test_simpson_sum_overflow_is_inconclusive(self, argv):
-        # every value is finite but fa + 4*fm + fb is not; this used to refine to MAX_DEPTH, a hang
+        # every value is finite but fa + 4*fm + fb is not; this used to refine to MAX_DEPTH, a hang.
+        # x^2 + 1e308 is 1e308 on [0, 1], and no rule reads it, so its means run quadrature
         proc = subprocess.run(
             [sys.executable, "-m", "hhverify", *argv], capture_output=True, text=True, timeout=60,
         )
@@ -123,14 +126,42 @@ class TestExitCodes:
 
     def test_largest_constant_whose_simpson_sum_is_finite_keeps_its_bytes(self, capsys):
         code = run([
-            "check", "--family", "const", "--param", "c=2.9e307",
+            "check", "--family", "poly_shift", "--param", "p=2", "--param", "q=2.9e307",
             "--theorem", "eq4,eq11,eq22,eq31,eq42,dr1,dr2", "--hypothesis", "off", "--json", "-",
         ])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "f58bed247fd227ee0e11df9bd1cb14871f37e23f551278a1753ad459d9cf5a65"
+            "577009c5628a0980fa9eec60c2d2964dd09d5faa7d77568d559606ad33639938"
         )
+
+    @pytest.mark.parametrize("f_args", [
+        ["--f", "exp(709)"],
+        ["--family", "const", "--param", "c=1e308"],
+        ["--family", "const", "--param", "c=1.5e308"],  # L(c, c') once summed c + c' to inf and divided by 0
+        ["--family", "const", "--param", "c=1.7976931348623157e308"],
+        ["--family", "exp_affine", "--param", "c=1e300", "--param", "k=700"],
+        ["--family", "poly_shift", "--param", "p=2", "--param", "q=1e308"],
+    ])
+    @pytest.mark.parametrize("m", ["1", "0.5"])
+    def test_no_report_holds_with_a_side_that_is_not_finite(self, capsys, f_args, m):
+        # log-affine f takes its means in closed form, where no Simpson sum
+        # fails first, so the means themselves must stay finite
+        code = run([
+            "check", *f_args, "--theorem", "eq4,eq11,eq22,eq31,eq42,dr1,dr2", "--m", m, "--hypothesis", "off",
+            "--json", "-",
+        ])
+        reports = json.loads(capsys.readouterr().out)
+        assert code in (EXIT_OK, EXIT_VIOLATED, EXIT_INCONCLUSIVE)
+        for report in reports:
+            if report["verdict"] == "holds":
+                assert all(isinstance(report[side], float) and math.isfinite(report[side]) for side in ("lhs", "rhs"))
+
+    def test_a_log_affine_f_whose_simpson_sum_overflows_takes_its_mean_in_closed_form(self, capsys):
+        # the mean of the constant exp(709) is its own value, with no Simpson sum to overflow
+        assert run(["check", "--f", "exp(709)", "--theorem", "eq4", "--hypothesis", "off", "--json", "-"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "holds" and report["lhs"] == report["rhs"] == math.exp(709.0)
 
     @pytest.mark.parametrize("argv,reports", [
         (["check", "--theorem", "eq4,eq11,eq22,eq31,eq42,dr1,dr2", "--f", "exp(x)", "--a", "0", "--b", "5e-324",
@@ -260,8 +291,16 @@ class TestExitCodes:
         monkeypatch.setattr(hhverify.verify, "_report", fail)
         assert run(argv) == EXIT_USAGE
 
-    def test_a_negative_seed_is_usage(self, capsys):
-        assert run(["classify", "--f", "x^2+1", "--domain-upper", "1", "--seed", "-5"]) == EXIT_USAGE
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--f", "x^2+1", "--domain-upper", "1"],
+        # random.Random seeds with |seed|, so -5 would have printed what 5 prints
+        ["search", "--family", "exp_affine", "--range", "c=0.5:2", "--range", "k=-1:1", "--theorem", "eq4",
+         "--budget", "6"],
+    ])
+    def test_a_negative_seed_is_usage(self, monkeypatch, capsys, argv):
+        fail = lambda *args, **kwargs: pytest.fail("a report was computed")  # noqa: E731
+        monkeypatch.setattr(hhverify.verify, "_reports", fail)
+        assert run(argv + ["--seed", "-5"]) == EXIT_USAGE
         assert capsys.readouterr() == ("", "error: seed must be a nonnegative integer, got -5\n")
 
     def test_conflicting_function_flags(self, capsys):

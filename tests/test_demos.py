@@ -10,10 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 DEMO_SHA256 = {
-    "01_equality_families.py": "9384094046ff2fc0631eca3cabc86a746564788955bbbae7a96cfe9aa616f31e",
-    "02_printed_vs_corrected.py": "8670aa5bb2f614e740cd06a75bf419689344581880af9befdaff78e16512ed5c",
+    "01_equality_families.py": "47cd6319ad809ab894163e184702549508aaae6e3dc40ca0d22478876f25af85",
+    "02_printed_vs_corrected.py": "080d876f5ff7e653076773f81d875d58db786b32647cc8211bfc68b4f6b4cd5b",
     "03_classify_and_gate.py": "3203d2e5580cd15c3ecf7c92f81009dd633ed6894051ac225fb58e392c3ee4c3",
-    "04_counterexample_search.py": "c9e71486474861d175497c3f93a33138410b6ab21d37e6ac5c71f7c16b665f71",
+    "04_counterexample_search.py": "24106d8fe78aa711d2f227faba57abe210388d0c310fb015e025232262077308",
 }
 
 

@@ -18,7 +18,16 @@ golden step and a refinement cycle had to improve by more than the
 screening error: 307 of the 492 search and search-budget outputs and 6 of
 the 8 outputs at tolerances no finer than screening moved, as lines that
 end on a bound stop early, leave budget to the other lines and move best
-points onto bounds exactly. Any change to a byte of that output fails here, so a
+points onto bounds exactly. The sweep, check and three search digests
+were pinned again once the means of a function that reads as c*exp(k*x)
+became closed forms with a rounding bound as quad_err: their lhs, rhs,
+margin and quad_err bits moved, and no verdict. The only other text that
+moved is the tightest-pair note of 176 const dr1 and dr2 sweep reports,
+whose closed-form terms now carry a rounding bound where quadrature's
+were 0, and, with the margins, the best point of 104 of the 490
+search-budget outputs (42 of them with other evals). The chain digest
+uses no such function and did not move. Any change to a byte of that
+output fails here, so a
 refactor that claims to change nothing can be checked against them; a
 change that means to alter the output must update the digests and say why.
 Each digest is the sha256 of the concatenated UTF-8 text.
@@ -39,7 +48,7 @@ SWEEP_CASES = (
     ("exp_affine", {"c": (0.25, 1.5), "k": (-1.0, 2.0)}, "per-point"),
     ("poly_shift", {"p": (0.5, 2.0), "q": (0.1, 1.0)}, "per-point"),
 )
-SWEEP_SHA256 = "9f3cf453963f6381dba20dc4708537fe733782edd9fcb207fd98a74aaaecc89b"
+SWEEP_SHA256 = "becdbb5b9805652f8ebf33974b163a5580feeb834872d5a535717a79abbc6fc9"
 CHAIN_SHA256 = "e78bd9cd541567e3c9d65ac9fa0f790feb05d67f8551885e4d34434dce08275b"
 
 FIVE = "eq4,eq11,eq22,eq31,eq42"
@@ -60,14 +69,14 @@ CHECK_CASES = (
     ["--theorem", FIVE, "--family", "exp_affine", "--param", "k=2", "--param", "c=0.5",
      "--a", "0.25", "--b", "1.5", "--m", "0.75"],
 )
-CHECK_SHA256 = "39dbc37513d75e88f1a44890fe5fe0ac9515159c7fd98dec5188386237c80d24"
+CHECK_SHA256 = "afef2a734231d4fe392ee686b6f2bb66ec56362f1ed150f1576ee397197a8770"
 SEARCH_CASES = (
     ["--family", "const", "--range", "c=0.05:0.95", "--theorem", "eq22", "--variant", "printed",
      "--budget", "60"],
     ["--family", "exp_affine", "--range", "c=0.25:2", "--range", "k=-1:2", "--range", "m=0.25:1",
      "--theorem", "eq42", "--budget", "60"],
 )
-SEARCH_SHA256 = "afdb906660bf4e1d57769f6a1968e7b884a553cd53f5c60227c9b5bdbff2162f"
+SEARCH_SHA256 = "9569c6fe666c1f7d137d8576c11ab0280ef6edcf0fb0d417297d2b726fd71ba1"
 # search boxes with and without alpha and m dimensions, each at budgets 1
 # to 40 and seeds 0 and 7
 SEARCH_BOXES = (
@@ -90,13 +99,13 @@ SEARCH_LONG = (
     (["--family", "poly_shift", "--param", "p=2", "--param", "q=0.5", "--range", "a=0:1", "--range", "b=1:2",
       "--theorem", "eq22"], (500,)),
 )
-SEARCH_BOXES_SHA256 = "2b7122241c3f417c9169159d8572d37c7272b7acfc3657ea65ad1e406d77f752"
+SEARCH_BOXES_SHA256 = "0b75c01ed9de2f7e8248577553815d76d89745fc45b1c7f3e448c0d329128f25"
 # The search cases and two boxes whose integrals depend on tol, at budget 60
 # and at tolerances no finer than the screening tolerance, where every point
 # is ranked at tol and the best one's final computation at tol repeats its
 # bytes: pinned before screening existed, and again with the bound test
 SEARCH_INERT_CASES = SEARCH_CASES + (SEARCH_BOXES[3] + ["--budget", "60"], SEARCH_BOXES[4] + ["--budget", "60"])
-SEARCH_INERT_SHA256 = "fdf974f2c77ea8ef6a1d0b633fbc7e6e7b8e2c12aea54a2dd53d02e30f7e3206"
+SEARCH_INERT_SHA256 = "632808c6d6649669a40b3228f53ea5d5853b6eb60b1aeac56770aaafb88bf74e"
 
 
 def test_all_theorem_sweeps_are_byte_identical():

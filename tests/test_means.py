@@ -79,3 +79,52 @@ def test_logarithmic_mean_between_arguments(p, q):
     lo, hi = min(p, q), max(p, q)
     value = logarithmic_mean(p, q)
     assert lo - 1e-12 * lo <= value <= hi + 1e-12 * hi
+
+
+# ---------------------------------------------------------------------------
+# finite arguments whose sum overflows
+
+BIG = st.floats(min_value=2.0**1022, max_value=1.7976931348623157e308)
+ANY_POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("p,q", [(1e308, 1e308), (1.7976931348623157e308, 1.7976931348623157e308)])
+def test_means_of_equal_large_arguments_are_the_argument(p, q):
+    assert arithmetic_mean(p, q) == p
+    assert logarithmic_mean(p, q) == p
+
+
+def test_logarithmic_mean_whose_atanh_sum_overflows_is_finite():
+    # hi + lo overflowed to inf, so the atanh ratio was 0 and the result 0/0
+    value = logarithmic_mean(1e308, 1.5e308)
+    assert value == logarithmic_mean(1.5e308, 1e308)
+    assert value == 2.0 * logarithmic_mean(0.5e308, 0.75e308)
+    assert value == pytest.approx(0.5e308 / math.log(1.5), rel=1e-15)
+
+
+@given(BIG, BIG)
+def test_large_means_are_finite_and_twice_the_means_of_the_halves(p, q):
+    # halving is exact there, and so is doubling the mean of the halves
+    assert arithmetic_mean(p, q) == 2.0 * arithmetic_mean(0.5 * p, 0.5 * q)
+    value = logarithmic_mean(p, q)
+    assert math.isfinite(value) and min(p, q) <= value <= max(p, q)
+    if max(p, q) <= 2.0 * min(p, q):  # the direct branch's two logs round apart at other scales
+        assert value == 2.0 * logarithmic_mean(0.5 * p, 0.5 * q)
+
+
+def _summed_logarithmic_mean(p: float, q: float) -> float:
+    """logarithmic_mean as it summed its arguments before any overflow guard."""
+    lo, hi = min(p, q), max(p, q)
+    diff = hi - lo
+    if diff <= 1e-8 * hi:
+        return 0.5 * (lo + hi)
+    if hi <= 2.0 * lo:
+        return diff / (2.0 * math.atanh(diff / (hi + lo)))
+    return diff / (math.log(hi) - math.log(lo))
+
+
+@given(ANY_POSITIVE, ANY_POSITIVE)
+def test_means_whose_sum_is_finite_keep_their_bits(p, q):
+    if math.isfinite(p + q):
+        assert arithmetic_mean(p, q) == 0.5 * (p + q)
+        assert logarithmic_mean(p, q) == _summed_logarithmic_mean(p, q)

@@ -16,6 +16,7 @@ from hhverify import (
     parse,
     registered_families,
 )
+from hhverify.classify import log_affine
 from hhverify.quadrature import log_integrand, mixed_geometric_integrand, sym_geometric_integrand, value_integrand
 from hhverify.verify import _IntegralCache
 
@@ -340,17 +341,28 @@ def _reference_mean(g, iv, tol):
 @example(parse("x-0.5"), 0.0, 1.0, 1e-10)  # fails inside
 @example(parse("exp(x)"), 1.0, 1e-300, 1e-10)  # too narrow to average over
 def test_mean_of_f_has_one_path(f, a, width, tol):
-    # The public mean of a FunctionExpr is the integral cache's, and both
-    # are the reference recursion on f.evaluate, scaled by 1/(b-a).
+    # The public mean of a FunctionExpr is the reference recursion on
+    # f.evaluate, scaled by 1/(b-a), and so is the integral cache's for every
+    # f that no rule reads. Where f reads as c*exp(k*x) the cache takes the
+    # closed form instead, behind the same width guard, and quadrature again
+    # where the endpoint record raises or its values are subnormal.
     b = a + width
     assume(a < b)
     iv = Interval(a, b)
     outcome = _quad_outcome(lambda: mean_integral(f, iv, tol))
-    assert _quad_outcome(lambda: _IntegralCache(f, iv, tol).mean_f()) == outcome
-    if iv.width / 12.0 >= sys.float_info.min:
+    cached = _quad_outcome(lambda: _IntegralCache(f, iv, tol).mean_f())
+    wide = iv.width / 12.0 >= sys.float_info.min
+    if wide:
         assert outcome == _quad_outcome(lambda: _reference_mean(f.evaluate, iv, tol))
     else:
         assert outcome[:2] == ("raised", IntegrandError) and "too narrow to average over" in outcome[3]
+    if cached[0] == "raised" or cached[3] > 0:
+        assert cached == outcome
+    else:  # no eval: the closed form
+        assert log_affine(f) is not None and wide and cached[4]
+        if outcome[0] == "value":
+            value, err = float.fromhex(cached[1]), float.fromhex(cached[2])
+            assert abs(value - float.fromhex(outcome[1])) <= err + float.fromhex(outcome[2])
 
 
 def test_plain_callable_integrand_error_is_raised_unwrapped():

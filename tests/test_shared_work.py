@@ -10,9 +10,11 @@ passes: "screens" and "screened" against "passes" and "outcomes". An
 alpha that fails its screen goes to no full pass. A class that
 ``classify.exact_membership`` decides is neither, so the tests of how
 passes are shared use functions that no rule covers (poly_shift, x+1,
-x^2+1). Every count is deterministic, so the tests pin exact numbers, and
-each one also checks that sharing the work leaves the reports equal to
-those computed without it.
+x^2+1). Where f reads as c*exp(k*x) the integral cache takes every mean in
+closed form, with no integral, so the integral and eval counts are taken
+on functions that no rule reads as well. Every count is deterministic, so the tests pin
+exact numbers, and each one also checks that sharing the work leaves the
+reports equal to those computed without it.
 """
 import dataclasses
 import importlib.util
@@ -123,18 +125,21 @@ def test_check_still_range_checks_alpha_for_theorems_that_ignore_it(work, capsys
     assert work["passes"] == 0 and work["integrals"] == 0
 
 
-def test_sweep_integrates_once_per_member_and_interval(work):
-    family, params = "exp_affine", {"c": 0.25, "k": 0.5}
+@pytest.mark.parametrize("family,params,hypothesis,per_interval", [
+    ("poly_shift", {"p": 2.5, "q": 1.0}, "off", 2 + 3),
+    # at alpha 1 with c < 1 the rule passes every class unsampled, and every mean is closed-form
+    ("exp_affine", {"c": 0.25, "k": 0.5}, "once", 0),
+])
+def test_sweep_integrates_once_per_member_and_interval(work, family, params, hypothesis, per_interval):
     summary = sweep(family, {k: (v,) for k, v in params.items()}, GRID17, GRID17, M4, (1.0,),
-                    GATE_THEOREMS, hypothesis="once")
+                    GATE_THEOREMS, hypothesis=hypothesis)
     intervals = sum(1 for a in GRID17 for b in GRID17 if a < b)
     assert intervals == 136
-    # per interval: mean of f, the symmetric kernel, and the mixed kernel at
-    # each m < 1; at alpha 1 with c < 1 the rule passes every class unsampled
-    assert work["integrals"] == intervals * (2 + 3)
+    # per interval: mean of f, the symmetric kernel, and the mixed kernel at each m < 1
+    assert work["integrals"] == intervals * per_interval
     assert (work["passes"], work["outcomes"]) == (0, 0)
     assert len(summary.reports) == intervals * len(M4) * len(GATE_THEOREMS)
-    assert all(r.hypothesis == HYP_PASS for r in summary.reports)
+    assert all(r.hypothesis == (HYP_SKIPPED if hypothesis == "off" else HYP_PASS) for r in summary.reports)
 
     spec = FamilySpec(family, params)
     f = family_instantiate(spec)
@@ -147,16 +152,19 @@ def test_sweep_integrates_once_per_member_and_interval(work):
     assert [dataclasses.replace(r, hypothesis=HYP_SKIPPED) for r in summary.reports] == fresh
 
 
-def test_sweep_evaluates_the_endpoints_once_per_interval_and_m(work):
+@pytest.mark.parametrize("family,params", [("poly_shift", {"p": 2.5, "q": 1.0}), ("exp_linear", {"k": 1.0})])
+def test_sweep_evaluates_the_endpoints_once_per_interval_and_m(work, family, params):
     a_values, b_values, m_values, alpha_values = (0.0, 0.5), (1.5,), (0.5, 1.0), (0.5, 1.0)
-    summary = sweep("exp_linear", {"k": [1.0]}, a_values, b_values, m_values, alpha_values, ("eq22", "eq42"))
+    grids = {name: [value] for name, value in params.items()}
+    summary = sweep(family, grids, a_values, b_values, m_values, alpha_values, ("eq22", "eq42"))
     assert len(summary.reports) == len(a_values) * len(m_values) * len(alpha_values) * 2
-    # both theorems' integrals inline f, so only the endpoint values reach
-    # evaluate: f at a, b, a/m and b/m, once per (interval, m) for both
-    # theorems and both alphas
+    # both theorems' integrals inline f, and a closed-form kernel reads the
+    # endpoint record at m = 1, so only the endpoint values reach evaluate:
+    # f at a, b, a/m and b/m, once per (interval, m) for both theorems and both alphas
     assert work["evaluations"] == len(a_values) * len(m_values) * 4
+    assert work["integrals"] == (len(a_values) if family == "poly_shift" else 0)
 
-    spec = FamilySpec("exp_linear", {"k": 1.0})
+    spec = FamilySpec(family, params)
     fresh = [
         report
         for a in a_values for b in b_values
@@ -470,18 +478,19 @@ def test_the_midpoint_is_evaluated_once_per_interval(monkeypatch):
 
     monkeypatch.setattr(FunctionExpr, "evaluate", recorded)
     theorems, m_values, alpha_values = ("eq11", "dr1", "dr2"), (0.5, 1.0), (0.5, 1.0)
-    summary = sweep("exp_linear", {"k": [1.0]}, (0.0,), (1.0,), m_values, alpha_values, theorems)
+    spec = FamilySpec("poly_shift", {"p": 2.5, "q": 1.0})  # no rule reads it: its kernels inline f
+    summary = sweep(spec.name, {k: [v] for k, v in spec.params.items()}, (0.0,), (1.0,), m_values, alpha_values,
+                    theorems)
     # eq11 at each (alpha, m) and both chains read f(0.5) once; the chains'
     # endpoint record at m = 1 holds f at 0, 1, 0/1 and 1/1
     assert abscissae == [0.5, 0.0, 1.0, 0.0, 1.0]
     monkeypatch.setattr(FunctionExpr, "evaluate", evaluate)
-    f = family_instantiate(FamilySpec("exp_linear", {"k": 1.0}))
+    f = family_instantiate(spec)
     fresh = [
         report
         for alpha in alpha_values for m in m_values
         for report in verify_theorems(
-            theorems, f, Interval(0.0, 1.0), m=m, alpha=alpha, check_hypothesis=False,
-            family=FamilySpec("exp_linear", {"k": 1.0}),
+            theorems, f, Interval(0.0, 1.0), m=m, alpha=alpha, check_hypothesis=False, family=spec,
         )
     ]
     assert list(summary.reports) == fresh
@@ -490,7 +499,7 @@ def test_the_midpoint_is_evaluated_once_per_interval(monkeypatch):
 
 @pytest.mark.parametrize("theorems", [("eq4", "eq22", "dr1", "dr2"), ("dr1", "dr2")])
 def test_chains_share_the_integrals_of_the_bounds(work, theorems):
-    f = parse("exp(x)")
+    f = parse("exp(x^2)")
     shared = verify_theorems(theorems, f, Interval(0.0, 1.0), check_hypothesis=False)
     # the mean of f, of the symmetric kernel and of ln f, once each
     assert work["integrals"] == 3
@@ -500,32 +509,38 @@ def test_chains_share_the_integrals_of_the_bounds(work, theorems):
 
 
 @pytest.mark.parametrize("theorems", [("dr1", "dr2", "eq4", "eq22"), THEOREMS])
-@pytest.mark.parametrize("hypothesis", ["off", "per-point"])
-def test_sweep_computes_the_chain_integrals_once_per_interval(work, hypothesis, theorems):
+@pytest.mark.parametrize("family,name,hypothesis", [
+    ("poly_shift", "p", "off"),  # x^p + 0.5, which no rule reads
+    ("exp_linear", "k", "off"),
+    ("exp_linear", "k", "per-point"),
+])
+def test_sweep_computes_the_chain_integrals_once_per_interval(work, family, name, hypothesis, theorems):
     # exp(kx) with k > 0 is in every m-class but in no (alpha, m)-class with
     # alpha < 1, so at alpha 0.5 eq31 and eq42 fail their class checks
-    ks, a_values, b_values, m_values, alpha_values = (0.5, 2.0), (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0)
-    summary = sweep("exp_linear", {"k": ks}, a_values, b_values, m_values, alpha_values, theorems,
-                    hypothesis=hypothesis)
+    members = [{name: value, **({"q": 0.5} if family == "poly_shift" else {})} for value in (0.5, 2.0)]
+    a_values, b_values, m_values, alpha_values = (0.0, 0.5), (1.0, 2.0), (0.5, 1.0), (0.5, 1.0)
+    grids = {key: sorted({member[key] for member in members}) for key in members[0]}
+    summary = sweep(family, grids, a_values, b_values, m_values, alpha_values, theorems, hypothesis=hypothesis)
     # one effective class per (theorem, alpha, m) for each member, not per report
-    assert work["effective_classes"] == len(ks) * len(alpha_values) * len(m_values) * len(theorems)
-    intervals = len(ks) * len(a_values) * len(b_values)
+    assert work["effective_classes"] == len(members) * len(alpha_values) * len(m_values) * len(theorems)
+    intervals = len(members) * len(a_values) * len(b_values)
     # chains do not depend on (alpha, m): mean of f, the symmetric kernel
     # and the mean of ln f, once per member and interval, and the mixed
-    # kernel at m = 0.5 for eq11
-    assert work["integrals"] == intervals * (3 if len(theorems) == 4 else 4)
+    # kernel at m = 0.5 for eq11; exp(kx) takes each in closed form
+    per_interval = (3 if len(theorems) == 4 else 4) if family == "poly_shift" else 0
+    assert work["integrals"] == intervals * per_interval
     assert len(summary.reports) == intervals * len(alpha_values) * len(m_values) * len(theorems)
     failed = {r.theorem for r in summary.reports if r.hypothesis == HYP_FAIL}
     assert failed == ({"eq31", "eq42"} & set(theorems) if hypothesis == "per-point" else set())
 
     fresh = [
         report
-        for k in ks
+        for member in members
         for a in a_values for b in b_values
         for alpha in alpha_values for m in m_values
         for report in verify_theorems(
-            theorems, family_instantiate(FamilySpec("exp_linear", {"k": k})), Interval(a, b),
-            m=m, alpha=alpha, check_hypothesis=hypothesis == "per-point", family=FamilySpec("exp_linear", {"k": k}),
+            theorems, family_instantiate(FamilySpec(family, member)), Interval(a, b),
+            m=m, alpha=alpha, check_hypothesis=hypothesis == "per-point", family=FamilySpec(family, member),
         )
     ]
     assert list(summary.reports) == fresh
@@ -600,34 +615,48 @@ def test_a_failing_mixed_request_reports_each_theorem_its_own_first_error(f_text
     assert [r.diagnostics for r in alone] == diagnostics
 
 
-def test_search_integrates_once_per_member_and_interval_along_alpha_and_m(work):
-    box = {"alpha": (0.25, 1.0), "c": (0.2, 1.0), "k": (0.5, 2.0), "m": (0.25, 1.0)}
-    result = search_min_margin("exp_affine", box, "eq31", budget=200, seed=0)
-    assert result.evals == 200
+@pytest.mark.parametrize("family,box,integrals", [
+    ("poly_shift", {"alpha": (0.25, 1.0), "p": (1.0, 3.0), "q": (0.2, 1.0), "m": (0.25, 1.0)}, 118),
+    ("exp_affine", {"alpha": (0.25, 1.0), "c": (0.2, 1.0), "k": (0.5, 2.0), "m": (0.25, 1.0)}, 0),  # closed form
+])
+def test_search_integrates_once_per_member_and_interval_along_alpha_and_m(work, family, box, integrals):
+    points = []
+    reports = hhverify.verify._reports
+
+    def recorded(theorems, f, pairs, intervals, *args, **kwargs):
+        (iv,) = intervals
+        points.append((pairs, iv, kwargs["tol"]))
+        return reports(theorems, f, pairs, [iv], *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hhverify.verify, "_reports", recorded)
+        search_min_margin(family, box, "eq31", budget=200, seed=0)
     # eq31 needs the mean of f alone. The 100 lattice points are 100 members;
     # the refinement's lines along alpha and m keep the member and [a, b]
-    # and read the previous point's integral, those along c and k do not;
-    # the best point is then integrated once more at tol. Lines that end on
-    # their range bound after a few evals leave more of the budget to lines
-    # along c and k
-    assert work["integrals"] == 188
+    # and read the previous point's integral, those along the family
+    # parameters do not; the best point is then integrated once more at
+    # tol. So x^p + q integrates once per computed point whose member or
+    # tolerance differs from the previous point's
+    changed = sum(1 for i, point in enumerate(points) if i == 0 or point != points[i - 1])
+    assert work["integrals"] == (changed if family == "poly_shift" else 0) == integrals
 
 
 @pytest.mark.parametrize(
     "points",
     [
-        [(0.0, 0.0), (-0.0, 0.0), (-0.0, 0.0), (0.0, 0.0)],  # (k, a): k flips sign
+        [(0.0, 0.0), (-0.0, 0.0), (-0.0, 0.0), (0.0, 0.0)],  # (p, a): p flips sign
         [(0.0, 0.0), (0.0, -0.0), (0.0, -0.0), (0.0, 0.0)],  # a flips sign
     ],
 )
 def test_search_shares_a_cache_only_between_bit_identical_points(work, points):
     # a point reuses the last point's integrals when the family values, a
-    # and b have the same bits, so 0.0 and -0.0 are told apart
-    f = family_instantiate(FamilySpec("exp_linear", {"k": 0.0}))
+    # and b have the same bits, so 0.0 and -0.0 are told apart; x^p + 1 at
+    # p = 0 is the constant 2, which no rule reads
+    f = family_instantiate(FamilySpec("poly_shift", {"p": 0.0, "q": 1.0}))
     reuse: dict = {}
-    for k, a in points:
+    for p, a in points:
         list(hhverify.verify._reports(
-            ["eq4"], f, (("k", k),), [Interval(a, 1.0)], [1.0], [1.0],
+            ["eq4"], f, (("p", p), ("q", 1.0)), [Interval(a, 1.0)], [1.0], [1.0],
             variant="corrected", tol=1e-10, sampling=None, reuse=reuse,
         ))
     assert work["integrals"] == 3
@@ -638,12 +667,12 @@ def test_a_carried_cache_is_not_read_at_another_tolerance(work):
     # search ranks points at a coarse tolerance and recomputes its best at
     # tol through the same dict: that must integrate again, not report the
     # coarse integral as if it were computed at tol
-    f = family_instantiate(FamilySpec("exp_linear", {"k": 3.0}))
+    f = family_instantiate(FamilySpec("poly_shift", {"p": 2.5, "q": 1.0}))
     reuse: dict = {}
 
     def report(tol, carried):
         return next(hhverify.verify._reports(
-            ["eq4"], f, (("k", 3.0),), [Interval(0.0, 1.0)], [1.0], [1.0],
+            ["eq4"], f, (("p", 2.5), ("q", 1.0)), [Interval(0.0, 1.0)], [1.0], [1.0],
             variant="corrected", tol=tol, sampling=None, reuse=carried,
         ))
 

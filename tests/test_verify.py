@@ -511,16 +511,28 @@ class TestSearch:
         assert result.evals == 200
 
     def test_cycles_stop_on_screening_noise(self):
-        # c*exp(k x) holds eq4 with equality, so screened margins differ only
-        # by quadrature noise: the first refinement cycle lowers the best one
-        # by 1.2e-9, below the 1.9e-6 screened quad_err of its first and last
-        # best points, and the hunt stops after it, at 267 of its 400 evals,
-        # where counting any decrease as improving ran 391
-        result = search_min_margin("exp_affine", {"c": (0.25, 2.0), "k": (-1.0, 2.0)}, "eq4", budget=400, seed=7)
-        assert result.evals == 267
+        # x^p + q barely changes over a box 1e-3 wide, so the screened dr2
+        # margins of a cycle differ by less than their screened quad_err: the
+        # hunt stops at 266 of its 400 evals, where counting any decrease as
+        # improving ran 332 and ended at the same margin
+        result = search_min_margin("poly_shift", {"p": (2.0, 2.001), "q": (0.5, 0.501)}, "dr2", budget=400, seed=0)
+        assert result.evals == 266
         assert result.report.verdict == HOLDS
-        assert abs(result.best_margin) < 1e-15
+        assert result.best_margin == 0.0006984658117400455
+
+    def test_an_equality_hunt_has_no_quadrature_noise(self):
+        # c*exp(k x) holds eq4 with equality, and its closed-form means leave
+        # the margins a few ulps from 0, where quadrature at the screening
+        # tolerance left them 1e-9 apart
+        result = search_min_margin("exp_affine", {"c": (0.25, 2.0), "k": (-1.0, 2.0)}, "eq4", budget=400, seed=7)
+        assert result.evals == 210
+        assert result.report.verdict == HOLDS
+        assert abs(result.best_margin) < 1e-15 and result.report.quad_err < 1e-13
 
     def test_bad_tol(self):
         with pytest.raises(ValueError, match=TOL_ERROR):
             search_min_margin("const", {"c": (0.1, 0.9)}, "eq4", tol=1e-16)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -12345"):
+            search_min_margin("const", {"c": (0.1, 0.9)}, "eq4", seed=-12345)
